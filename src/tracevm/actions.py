@@ -51,7 +51,7 @@ def redact_args(values: Iterable) -> list:
     return [redact_value(v) for v in values]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One captured observation, serialized as a single NDJSON line."""
 

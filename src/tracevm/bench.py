@@ -8,9 +8,9 @@ suppression but forces interpreter stubs even on compiled targets.
 
 Costs reported per mode: activation wall time and entry points touched,
 per-call latency of a traced and an untraced probe (medians over individual
-call timings), dispatched-event count during mixed traffic as the CPU proxy,
-and trace-event volume. After every run the harness verifies the registry is
-bit-identical to its pre-trace snapshot.
+call timings, taken in alternating batches), dispatched-event count during
+mixed traffic as the CPU proxy, and trace-event volume. After every run the
+harness verifies the registry is bit-identical to its pre-trace snapshot.
 """
 
 from __future__ import annotations
@@ -77,23 +77,32 @@ def _median_ns(samples: list) -> int:
     return int(statistics.median(samples))
 
 
-def _measure_calls(vm: VM, thread, ref, args, n_calls: int, sink: EventSink,
-                   batch: int = 8192) -> list:
-    """Time each call individually; drain the sink between batches."""
-    samples: list[int] = []
-    append = samples.append
+def _measure_calls(vm: VM, thread, traced_ref, untraced_ref, args, n_calls: int,
+                   sink: EventSink, batch: int = 1024) -> tuple[list, list]:
+    """Time each call individually, ``n_calls`` per probe, in alternating batches.
+
+    Batches come in pairs whose order flips every pair (traced first, then
+    untraced first, ...), so drift of the machine and warm-up order fall on
+    both sides alike. The sink is drained between batches.
+    """
+    traced: list[int] = []
+    untraced: list[int] = []
+    sides = ((traced_ref, traced), (untraced_ref, untraced))
     invoke = vm.invoke
     clock = time.perf_counter_ns
     done = 0
     while done < n_calls:
         step = min(batch, n_calls - done)
-        for _ in range(step):
-            t0 = clock()
-            invoke(thread, ref, args)
-            append(clock() - t0)
+        for ref, samples in sides:
+            append = samples.append
+            for _ in range(step):
+                t0 = clock()
+                invoke(thread, ref, args)
+                append(clock() - t0)
+            sink.drain()
         done += step
-        sink.drain()
-    return samples
+        sides = sides[::-1]
+    return traced, untraced
 
 
 def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
@@ -153,10 +162,8 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
         vm.invoke(thread, untraced_ref, probe_args)
     sink.drain()
 
-    traced_samples = _measure_calls(vm, thread, traced_ref, probe_args,
-                                    latency_calls, sink)
-    untraced_samples = _measure_calls(vm, thread, untraced_ref, probe_args,
-                                      latency_calls, sink)
+    traced_samples, untraced_samples = _measure_calls(
+        vm, thread, traced_ref, untraced_ref, probe_args, latency_calls, sink)
 
     trace_events_emitted = sink.emitted_count
     tear_down()

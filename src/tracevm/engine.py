@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .actions import (
     EventSink,
@@ -34,13 +34,17 @@ from .actions import (
 )
 from .core import CallFrame, CompilationState, EntryPoint, MethodRef
 from .errors import PhaseError
-from .instrumentation import EventKind, ListenerRegistration
+from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
 
 log = logging.getLogger(__name__)
+
+_clock = time.perf_counter_ns
 
 # Synthetic frame pushed while trace actions run, so captured stacks show the
 # interception point itself.
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
+# Frames are immutable, so every interception pushes this one.
+INTERCEPT_FRAME = CallFrame(INTERCEPT_REF, synthetic=True)
 
 PROXY_LISTENER_ID = "xtrace-proxy"
 
@@ -52,15 +56,29 @@ class TracePhase(Enum):
     ACTIVE = "active"
 
 
+class ActionFlags(NamedTuple):
+    """Which actions a target runs, precomputed so the proxy never scans them."""
+
+    capture_stack: bool
+    capture_args: bool
+    time_method: bool
+
+    @classmethod
+    def of(cls, acts: tuple) -> "ActionFlags":
+        return cls(TraceAction.CAPTURE_STACK in acts, TraceAction.CAPTURE_ARGS in acts,
+                   TraceAction.TIME_METHOD in acts)
+
+
 class TargetSet:
     """Immutable set of traced methods with their configured actions.
 
     Updates replace the whole object, so a dispatch that grabbed a reference
     keeps a consistent view. Duplicate entries for one method merge their
-    actions in first-seen order.
+    actions in first-seen order. ``flags`` maps each member key to its
+    ``ActionFlags``; a key missing from it is not a target.
     """
 
-    __slots__ = ("members", "_actions", "_refs")
+    __slots__ = ("members", "flags", "_actions", "_refs")
 
     def __init__(self, entries: Iterable[tuple[MethodRef, Iterable[TraceAction]]] = ()):
         actions: dict[str, tuple] = {}
@@ -79,6 +97,7 @@ class TargetSet:
         self._actions = actions
         self._refs = refs
         self.members = frozenset(actions)
+        self.flags = {key: ActionFlags.of(acts) for key, acts in actions.items()}
 
     def actions_for(self, key: str) -> tuple:
         return self._actions.get(key, ())
@@ -245,11 +264,6 @@ class TraceEngine:
                         continue
                     if self.instrumentation.restore_entry_point_for_method(record):
                         restored += 1
-                        if (record.compilation_state is CompilationState.COMPILED
-                                and record.entry_point is EntryPoint.INTERPRETER_BRIDGE):
-                            log.warning(
-                                "%s was compiled while traced; restored entry point "
-                                "predates the compile", key)
                 summary["entry_points_restored"] = restored
             self._injected.clear()
             self._pending.clear()
@@ -304,26 +318,36 @@ class TraceEngine:
         return self._registration
 
     def _on_classes_loaded(self, new_keys: list[str]) -> None:
-        """Deferred injection: stub targets whose class just arrived."""
+        """Deferred injection: stub targets whose class just arrived.
+
+        Every pending entry for an arrived method joins the target set, where
+        duplicates merge their actions; each method gets its stub once.
+        """
         with self._lock:
             if self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
                 return
             if not self._pending or self.mode == "global":
                 return
             fresh = set(new_keys)
+            registry = self.vm.registry
             still_pending = []
+            arrived = []
             for ref, acts in self._pending:
-                if ref.key not in fresh:
+                if ref.key in fresh and ref.key in registry:
+                    arrived.append((ref, acts))
+                else:
                     still_pending.append((ref, acts))
+            if not arrived:
+                return
+            self._targets = TargetSet(self._targets.entries() + arrived)
+            injected = {key for key, _entry in self._injected}
+            for ref, _acts in arrived:
+                if ref.key in injected:
                     continue
-                record = self.vm.registry.get(ref.key)
-                if record is None:  # pragma: no cover - keys come from the registry
-                    still_pending.append((ref, acts))
-                    continue
+                injected.add(ref.key)
+                record = registry.get(ref.key)
                 self._install_target_stub(record)
                 self._injected.append((ref.key, record.entry_point))
-                if ref.key not in self._targets.members:
-                    self._targets = self._targets.with_target(ref, acts)
                 log.info("deferred injection of %s", ref.key)
             self._pending = still_pending
 
@@ -331,38 +355,38 @@ class TraceEngine:
         """Proxy listener: filter to targets, run actions, never re-enter."""
         if thread.in_interceptor:
             return
-        targets = self._targets
-        key = ref.key
-        if key not in targets.members:
+        flags = self._targets.flags.get(ref.key)
+        if flags is None:
             self.spurious_filtered += 1
             return
-        acts = targets.actions_for(key)
         thread.in_interceptor = True
-        thread.frames.append(CallFrame(INTERCEPT_REF, synthetic=True))
+        frames = thread.frames
+        frames.append(INTERCEPT_FRAME)
         try:
-            if kind is EventKind.METHOD_ENTERED:
-                self._on_target_enter(thread, ref, acts, detail)
+            if kind is METHOD_ENTERED:
+                self._on_target_enter(thread, ref, flags, detail)
             else:
-                self._on_target_exit(thread, ref, acts, detail)
-        except Exception:  # pragma: no cover - actions are defensive already
-            log.exception("trace action failed for %s", key)
+                self._on_target_exit(thread, ref, flags, detail)
+        except Exception:
+            log.exception("trace action failed for %s", ref.key)
         finally:
-            thread.frames.pop()
+            frames.pop()
             thread.in_interceptor = False
 
-    def _on_target_enter(self, thread, ref, acts, detail) -> None:
-        if TraceAction.CAPTURE_STACK in acts:
-            frames = list(reversed(thread.frames))
-            self.sink.append(capture_stack_event(frames, ref))
-        if TraceAction.CAPTURE_ARGS in acts or TraceAction.TIME_METHOD in acts:
+    def _on_target_enter(self, thread, ref, flags: ActionFlags, detail) -> None:
+        stack, args, timed = flags
+        if stack:
+            self.sink.append(capture_stack_event(thread.frames[::-1], ref))
+        if args or timed:
             args_payload = None
-            if TraceAction.CAPTURE_ARGS in acts:
+            if args:
                 args_payload = capture_args_payload(
                     detail.args, self.vm.registry.value_to_payload)
-            thread.trace_pending.append((ref.key, time.perf_counter_ns(), args_payload))
+            thread.trace_pending.append((ref.key, _clock(), args_payload))
 
-    def _on_target_exit(self, thread, ref, acts, detail) -> None:
-        if TraceAction.CAPTURE_ARGS not in acts and TraceAction.TIME_METHOD not in acts:
+    def _on_target_exit(self, thread, ref, flags: ActionFlags, detail) -> None:
+        _stack, args, timed = flags
+        if not (args or timed):
             return
         pending = thread.trace_pending
         if pending and pending[-1][0] == ref.key:
@@ -371,10 +395,9 @@ class TraceEngine:
             # Exit with no matching entry: listener attached mid-call.
             self.unmatched_exits += 1
             return
-        if TraceAction.TIME_METHOD in acts:
-            duration = time.perf_counter_ns() - t0
-            self.sink.append(time_method_event(ref, duration, detail.abrupt))
-        if TraceAction.CAPTURE_ARGS in acts and args_payload is not None:
+        if timed:
+            self.sink.append(time_method_event(ref, _clock() - t0, detail.abrupt))
+        if args and args_payload is not None:
             self.sink.append(capture_args_event(
                 ref, args_payload, detail.value, detail.abrupt,
                 self.vm.registry.value_to_payload))

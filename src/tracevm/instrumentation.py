@@ -33,13 +33,29 @@ class EventKind(Enum):
     METHOD_EXITED = "method_exited"
 
 
-@dataclass(frozen=True)
-class EventDetail:
-    """Per-event extras: call args on entry, return value and abrupt flag on exit."""
+# Module-level aliases: dispatch runs on every traced call, and a global load
+# is cheaper than an enum class-attribute lookup.
+METHOD_ENTERED = EventKind.METHOD_ENTERED
+METHOD_EXITED = EventKind.METHOD_EXITED
 
-    args: tuple = ()
-    value: object = None
-    abrupt: bool = False
+
+class EventDetail:
+    """Per-event extras: call args on entry, return value and abrupt flag on exit.
+
+    A plain slotted class rather than a frozen dataclass: one is built per
+    dispatched event that has a listener, and the frozen ``__init__`` costs
+    about three times as much.
+    """
+
+    __slots__ = ("args", "value", "abrupt")
+
+    def __init__(self, args: tuple = (), value: object = None, abrupt: bool = False):
+        self.args = args
+        self.value = value
+        self.abrupt = abrupt
+
+    def __repr__(self) -> str:
+        return f"EventDetail(args={self.args!r}, value={self.value!r}, abrupt={self.abrupt!r})"
 
 
 @dataclass(frozen=True)
@@ -127,24 +143,26 @@ class Instrumentation:
 
     def method_enter_event(self, thread, ref: MethodRef, args) -> None:
         self.events_dispatched += 1
-        detail = None
-        for callback in self._entry_callbacks:
-            if detail is None:
-                detail = EventDetail(args=tuple(args))
+        callbacks = self._entry_callbacks
+        if not callbacks:
+            return
+        detail = EventDetail(tuple(args))
+        for callback in callbacks:
             try:
-                callback(thread, ref, EventKind.METHOD_ENTERED, detail)
+                callback(thread, ref, METHOD_ENTERED, detail)
             except Exception:
                 self.callback_errors += 1
                 log.exception("method-entry listener failed for %s", ref.key)
 
     def method_exit_event(self, thread, ref: MethodRef, value, abrupt: bool = False) -> None:
         self.events_dispatched += 1
-        detail = None
-        for callback in self._exit_callbacks:
-            if detail is None:
-                detail = EventDetail(value=value, abrupt=abrupt)
+        callbacks = self._exit_callbacks
+        if not callbacks:
+            return
+        detail = EventDetail((), value, abrupt)
+        for callback in callbacks:
             try:
-                callback(thread, ref, EventKind.METHOD_EXITED, detail)
+                callback(thread, ref, METHOD_EXITED, detail)
             except Exception:
                 self.callback_errors += 1
                 log.exception("method-exit listener failed for %s", ref.key)
@@ -177,11 +195,22 @@ class Instrumentation:
         return True
 
     def restore_entry_point_for_method(self, ref: "MethodRef | str | MethodRecord") -> bool:
-        """Put back the saved original entry point. No-op without one."""
+        """Put back the saved original entry point. No-op without one.
+
+        A method compiled while its stub was installed gets ``COMPILED_DIRECT``
+        back rather than the interpreter bridge it had before, so rollback
+        never leaves a method on a slower tier than it would have untraced.
+        """
         record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
-        if record.original_entry_point is None:
+        original = record.original_entry_point
+        if original is None:
             return False
-        record.entry_point = record.original_entry_point
+        if (original is EntryPoint.INTERPRETER_BRIDGE
+                and record.compilation_state is CompilationState.COMPILED):
+            original = EntryPoint.COMPILED_DIRECT
+            log.info("%s was compiled while traced; restored to the compiled tier",
+                     record.method_ref.key)
+        record.entry_point = original
         record.original_entry_point = None
         return True
 

@@ -78,9 +78,17 @@ class VM:
         return VMThread(name)
 
     def invoke(self, thread: VMThread, target: "MethodRef | str", args=()):
-        """Public entry: resolve, arity-check and dispatch a call."""
-        ref = MethodRef.parse(target) if isinstance(target, str) else target
-        record = self.registry.lookup(ref)
+        """Public entry: resolve, arity-check and dispatch a call.
+
+        A key string is looked up as given first, since registry keys are
+        canonical; only a miss is parsed, which canonicalises it or raises.
+        """
+        if isinstance(target, str):
+            record = self.registry.get(target)
+            if record is None:
+                record = self.registry.lookup(MethodRef.parse(target))
+        else:
+            record = self.registry.lookup(target)
         if len(args) != record.arity:
             raise ArityMismatchError(
                 f"{record.method_ref.key} takes {record.arity} args, got {len(args)}")
@@ -111,12 +119,17 @@ class VM:
             frames.pop()
 
     def _quick_stub(self, thread: VMThread, record: MethodRecord, args: list):
-        """Traced fast path: fire entry/exit events around the compiled body."""
+        """Traced fast path: fire entry/exit events around the compiled body.
+
+        Installing the quick stub requires a compiled method and compiling is
+        one-way, so the body runs without ``execute_compiled``'s tier check.
+        """
         ins = self.instrumentation
         ref = record.method_ref
         ins.method_enter_event(thread, ref, args)
+        self.compiled_calls += 1
         try:
-            value = self.execute_compiled(thread, record, args)
+            value = record.lowered_code(self, thread, args)
         except Exception:
             ins.method_exit_event(thread, ref, None, abrupt=True)
             raise

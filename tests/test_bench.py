@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tracevm import AblationMode, BenchmarkError, run_ablation, run_modes
-from tracevm.bench import AblationMetrics, AblationReport
+from tracevm.bench import AblationMetrics, AblationReport, _measure_calls
 
 FAST = dict(latency_calls=3_000, warmup_calls=300, startup_reps=3, traffic_calls=400)
 
@@ -107,3 +107,23 @@ def test_ratio_handles_zero_denominator(report):
     assert baseline.cpu_proxy_events == 0
     value = report.ratio("cpu_proxy_events", AblationMode.FULL, AblationMode.BASELINE)
     assert value == float("inf")
+
+
+def test_measure_calls_alternates_sides():
+    calls, drains = [], []
+
+    class RecordingVM:
+        def invoke(self, thread, ref, args):
+            calls.append(ref)
+
+    class CountingSink:
+        def drain(self):
+            drains.append(len(calls))
+
+    traced, untraced = _measure_calls(RecordingVM(), None, "T", "U", (), 10,
+                                      CountingSink(), batch=3)
+    assert len(traced) == len(untraced) == 10
+    # batches of 3, 3, 3 and 1 per side; the side that goes first flips
+    # every pair, so neither side always runs first or last
+    assert "".join(calls) == "TTTUUU" "UUUTTT" "TTTUUU" "UT"
+    assert drains == [3, 6, 9, 12, 15, 18, 19, 20]

@@ -334,10 +334,16 @@ def test_rollback_notes_compile_while_traced(caplog):
     vm.jit_compile("app.Main.leaf(int)")
     rec = vm.registry.lookup("app.Main.leaf(int)")
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-    with caplog.at_level("WARNING", logger="tracevm.engine"):
+    with caplog.at_level("INFO", logger="tracevm.instrumentation"):
         engine.rollback()
-    assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
+    # rollback restores the entry point that fits the tier, not the saved
+    # interpreter bridge that predates the compile
+    assert rec.entry_point is EntryPoint.COMPILED_DIRECT
+    assert rec.original_entry_point is None
     assert any("compiled while traced" in r.message for r in caplog.records)
+    before = vm.compiled_calls
+    assert vm.invoke(vm.new_thread(), "app.Main.leaf(int)", (2,)) == 6
+    assert vm.compiled_calls == before + 1
 
 
 def test_traced_calls_produce_no_events_after_rollback():
@@ -374,6 +380,25 @@ def test_target_in_unloaded_class_injects_on_load():
     # rollback covers late arrivals too
     engine.rollback()
     assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
+
+
+def test_late_target_keeps_every_pending_action():
+    vm, engine = make_engine()
+    hook = MethodRef.parse("late.Plugin.hook(int)")
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))),
+                 pending=[(hook, (TraceAction.TIME_METHOD,)),
+                          (hook, (TraceAction.CAPTURE_ARGS,))])
+    assert engine.status()["pending"] == 2
+    vm.registry.load(parse_program(LATE_SRC))
+    status = engine.status()
+    assert status["pending"] == 0
+    assert status["injected"] == 2  # leaf and hook, each once
+    vm.invoke(vm.new_thread(), "late.Plugin.hook(int)", (4,))
+    events = engine.drain().events
+    assert [int(e.action) for e in events] == [3, 2]
+    assert events[1].payload == {"args": [4], "return": 5}
+    assert engine.rollback()["entry_points_restored"] == 2
+    assert vm.registry.lookup(hook).entry_point is EntryPoint.INTERPRETER_BRIDGE
 
 
 def test_load_while_idle_changes_nothing():

@@ -7,6 +7,7 @@ from tracevm import (
     MethodNotFoundError,
     MethodRef,
     Opcode,
+    ProgramParseError,
     StackDepthError,
     VM,
     VMInternalError,
@@ -36,6 +37,18 @@ def test_invoke_errors(fib_source):
         vm.invoke(thread, "demo.Math.nope()", ())
     with pytest.raises(ArityMismatchError):
         vm.invoke(thread, "demo.Math.fib(int)", (1, 2))
+
+
+def test_invoke_by_non_canonical_key_parses_on_miss(fib_source):
+    vm = VM(load_program(fib_source))
+    thread = vm.new_thread()
+    assert vm.invoke(thread, "demo.Math.fib(int)", (10,)) == 55
+    assert vm.invoke(thread, "  demo.Math.fib( int ) ", (10,)) == 55
+    vm2 = VM(load_program("class a.A\n  method f()\n    pushconst 1\n    ret"))
+    assert vm2.invoke(vm2.new_thread(), " a.A.f( ) ", ()) == 1
+    for bad in ("demo.Math.fib", "fib(int)", "demo.Math.fib(in t)", "demo.Math.9fib(int)"):
+        with pytest.raises(ProgramParseError):
+            vm.invoke(thread, bad, (1,))
 
 
 def test_locals_zero_initialized():
