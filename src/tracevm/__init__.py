@@ -27,7 +27,6 @@ from .config import (
     transition,
 )
 from .core import (
-    CallFrame,
     ClassRegistry,
     CompilationState,
     EntryPoint,

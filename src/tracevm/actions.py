@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
-from .core import CallFrame, MethodRef
+from .core import MethodRef
 
 
 class TraceAction(IntEnum):
@@ -131,14 +131,10 @@ class EventSink:
             return len(self._events)
 
 
-def frame_label(frame: CallFrame) -> str:
-    return frame.method_ref.key
-
-
-def capture_stack_event(frames: Sequence[CallFrame], ref: MethodRef,
+def capture_stack_event(frames: Sequence[MethodRef], ref: MethodRef,
                         timestamp_ns: int | None = None) -> TraceEvent:
     """Build a stack snapshot event; frames are expected innermost first."""
-    payload = {"stack": [frame_label(f) for f in frames]}
+    payload = {"stack": [f.key for f in frames]}
     return TraceEvent(None, timestamp_ns if timestamp_ns is not None else time.time_ns(),
                       ref, TraceAction.CAPTURE_STACK, payload)
 

@@ -91,8 +91,6 @@ MNEMONIC_TO_OPCODE = {
     "ret": Opcode.RETURN,
 }
 
-OPCODE_TO_MNEMONIC = {op: m for m, op in MNEMONIC_TO_OPCODE.items()}
-
 
 class Instruction(NamedTuple):
     op: Opcode
@@ -160,11 +158,6 @@ def parse_signature(sig: str) -> tuple[str, ...]:
             raise ProgramParseError(f"bad signature token {raw!r}")
         params.append(token)
     return tuple(params)
-
-
-class CallFrame(NamedTuple):
-    method_ref: MethodRef
-    synthetic: bool = False
 
 
 class MethodRecord:
@@ -269,6 +262,10 @@ class ClassRegistry:
         """Register a callback invoked with new method keys after each load."""
         self._on_load.append(hook)
 
+    def remove_on_load(self, hook: Callable[[list[str]], None]) -> None:
+        """Unregister a hook passed to ``on_load``; ValueError if it is not registered."""
+        self._on_load.remove(hook)
+
     def lookup(self, ref: "MethodRef | str") -> MethodRecord:
         key = ref if isinstance(ref, str) else ref.key
         record = self._records.get(key)
@@ -282,17 +279,8 @@ class ClassRegistry:
     def records(self) -> Iterator[MethodRecord]:
         return iter(self._records.values())
 
-    def keys(self) -> Iterator[str]:
-        return iter(self._records.keys())
-
-    def class_names(self) -> list[str]:
-        return list(self._by_class.keys())
-
     def methods_of(self, class_name: str) -> list[str]:
         return list(self._by_class.get(class_name, ()))
-
-    def intern_text(self, value: int) -> str | None:
-        return self._intern_by_value.get(value)
 
     def value_to_payload(self, value: int):
         """Map an interned id back to its string; plain ints pass through."""

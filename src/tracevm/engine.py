@@ -12,7 +12,8 @@ configured actions under a synthetic interceptor frame, and appends results to
 a bounded sink. Rollback undoes everything in reverse order and is idempotent.
 
 Targets configured before their class is loaded are injected the moment the
-class arrives, via a registry load hook.
+class arrives, via a registry load hook that the engine holds only while a
+targeted session is up.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .actions import (
     capture_stack_event,
     time_method_event,
 )
-from .core import CallFrame, CompilationState, EntryPoint, MethodRef
+from .core import CompilationState, EntryPoint, MethodRef
 from .errors import PhaseError
 from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
 
@@ -43,8 +44,6 @@ _clock = time.perf_counter_ns
 # Synthetic frame pushed while trace actions run, so captured stacks show the
 # interception point itself.
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
-# Frames are immutable, so every interception pushes this one.
-INTERCEPT_FRAME = CallFrame(INTERCEPT_REF, synthetic=True)
 
 PROXY_LISTENER_ID = "xtrace-proxy"
 
@@ -145,14 +144,14 @@ class TraceEngine:
         self._lock = threading.RLock()
         self._targets = TargetSet()
         self._pending: list[tuple[MethodRef, tuple]] = []
-        self._injected: list[tuple[str, EntryPoint]] = []
+        self._injected: list[str] = []
         self._registration: ListenerRegistration | None = None
         self._listener_added = False
         self._saved_handler = None
+        self._load_hook = None
         self._adaptive = True
         self.spurious_filtered = 0
         self.unmatched_exits = 0
-        vm.registry.on_load(self._on_classes_loaded)
 
     # -- phase operations ---------------------------------------------------
 
@@ -161,6 +160,9 @@ class TraceEngine:
         with self._lock:
             self._require_phase(TracePhase.IDLE, "suppress_global_tracing")
             self._saved_handler = self.instrumentation.set_activation_handler(_noop_activation)
+            # Keep the exact callable: rollback must remove what was registered.
+            self._load_hook = self._on_classes_loaded
+            self.vm.registry.on_load(self._load_hook)
             self.phase = TracePhase.SUPPRESSED
 
     def inject_targets(self, target_set: TargetSet, *, adaptive: bool = True) -> ApplyReport:
@@ -181,7 +183,7 @@ class TraceEngine:
                     continue
                 if self._install_target_stub(record):
                     changed += 1
-                self._injected.append((ref.key, record.entry_point))
+                self._injected.append(ref.key)
                 injected += 1
             self.phase = TracePhase.INJECTED
             return ApplyReport("targeted", len(target_set), injected, changed,
@@ -216,6 +218,11 @@ class TraceEngine:
             report = self.inject_targets(target_set, adaptive=adaptive)
             for ref, acts in pending:
                 self._pending.append((ref, tuple(acts)))
+            # A pending target whose class loaded after it was resolved gets
+            # no load event; inject it as if its class had just arrived.
+            loaded = [ref.key for ref, _acts in self._pending if ref.key in self.vm.registry]
+            if loaded:
+                self._on_classes_loaded(loaded)
             self.install_dispatcher()
             self.activate()
             self.mode = "targeted"
@@ -258,7 +265,7 @@ class TraceEngine:
                     self.instrumentation.restore_all_entry_points())
             else:
                 restored = 0
-                for key, _stub in reversed(self._injected):
+                for key in reversed(self._injected):
                     record = self.vm.registry.get(key)
                     if record is None:
                         continue
@@ -267,6 +274,9 @@ class TraceEngine:
                 summary["entry_points_restored"] = restored
             self._injected.clear()
             self._pending.clear()
+            if self._load_hook is not None:
+                self.vm.registry.remove_on_load(self._load_hook)
+                self._load_hook = None
 
             if self._saved_handler is not None:
                 self.instrumentation.set_activation_handler(self._saved_handler)
@@ -340,18 +350,19 @@ class TraceEngine:
             if not arrived:
                 return
             self._targets = TargetSet(self._targets.entries() + arrived)
-            injected = {key for key, _entry in self._injected}
+            injected = set(self._injected)
             for ref, _acts in arrived:
                 if ref.key in injected:
                     continue
                 injected.add(ref.key)
                 record = registry.get(ref.key)
                 self._install_target_stub(record)
-                self._injected.append((ref.key, record.entry_point))
+                self._injected.append(ref.key)
                 log.info("deferred injection of %s", ref.key)
             self._pending = still_pending
 
-    def _on_event(self, thread, ref: MethodRef, kind: EventKind, detail) -> None:
+    def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
+                  abrupt: bool) -> None:
         """Proxy listener: filter to targets, run actions, never re-enter."""
         if thread.in_interceptor:
             return
@@ -361,19 +372,19 @@ class TraceEngine:
             return
         thread.in_interceptor = True
         frames = thread.frames
-        frames.append(INTERCEPT_FRAME)
+        frames.append(INTERCEPT_REF)
         try:
             if kind is METHOD_ENTERED:
-                self._on_target_enter(thread, ref, flags, detail)
+                self._on_target_enter(thread, ref, flags, args)
             else:
-                self._on_target_exit(thread, ref, flags, detail)
+                self._on_target_exit(thread, ref, flags, value, abrupt)
         except Exception:
             log.exception("trace action failed for %s", ref.key)
         finally:
             frames.pop()
             thread.in_interceptor = False
 
-    def _on_target_enter(self, thread, ref, flags: ActionFlags, detail) -> None:
+    def _on_target_enter(self, thread, ref, flags: ActionFlags, call_args: tuple) -> None:
         stack, args, timed = flags
         if stack:
             self.sink.append(capture_stack_event(thread.frames[::-1], ref))
@@ -381,10 +392,10 @@ class TraceEngine:
             args_payload = None
             if args:
                 args_payload = capture_args_payload(
-                    detail.args, self.vm.registry.value_to_payload)
+                    call_args, self.vm.registry.value_to_payload)
             thread.trace_pending.append((ref.key, _clock(), args_payload))
 
-    def _on_target_exit(self, thread, ref, flags: ActionFlags, detail) -> None:
+    def _on_target_exit(self, thread, ref, flags: ActionFlags, value, abrupt: bool) -> None:
         _stack, args, timed = flags
         if not (args or timed):
             return
@@ -396,10 +407,10 @@ class TraceEngine:
             self.unmatched_exits += 1
             return
         if timed:
-            self.sink.append(time_method_event(ref, _clock() - t0, detail.abrupt))
+            self.sink.append(time_method_event(ref, _clock() - t0, abrupt))
         if args and args_payload is not None:
             self.sink.append(capture_args_event(
-                ref, args_payload, detail.value, detail.abrupt,
+                ref, args_payload, value, abrupt,
                 self.vm.registry.value_to_payload))
 
 

@@ -1,10 +1,15 @@
 """Runtime instrumentation: listeners, event dispatch and entry-point stubs.
 
-Listeners subscribe to method entry and exit events. Dispatch walks an
-immutable snapshot of the callback list, so registration changes never mutate
-a list another thread is iterating; in-flight dispatch just finishes on the
-old snapshot. A listener that raises is logged and counted, never propagated
-into the traced call.
+Listeners subscribe to method entry and exit events and are called as
+``callback(thread, ref, kind, args, value, abrupt)``: entry events pass the
+call's arguments as a tuple with ``value=None, abrupt=False``, exit events pass
+``args=()`` with the return value, or ``None`` and ``abrupt=True`` when the
+call raised.
+
+Dispatch walks an immutable snapshot of the callback list, so registration
+changes never mutate a list another thread is iterating; in-flight dispatch
+just finishes on the old snapshot. A listener that raises is logged and
+counted, never propagated into the traced call.
 
 Starting tracing the built-in way registers the listener and then hands
 control to the activation handler. The stock handler walks every loaded
@@ -37,25 +42,6 @@ class EventKind(Enum):
 # is cheaper than an enum class-attribute lookup.
 METHOD_ENTERED = EventKind.METHOD_ENTERED
 METHOD_EXITED = EventKind.METHOD_EXITED
-
-
-class EventDetail:
-    """Per-event extras: call args on entry, return value and abrupt flag on exit.
-
-    A plain slotted class rather than a frozen dataclass: one is built per
-    dispatched event that has a listener, and the frozen ``__init__`` costs
-    about three times as much.
-    """
-
-    __slots__ = ("args", "value", "abrupt")
-
-    def __init__(self, args: tuple = (), value: object = None, abrupt: bool = False):
-        self.args = args
-        self.value = value
-        self.abrupt = abrupt
-
-    def __repr__(self) -> str:
-        return f"EventDetail(args={self.args!r}, value={self.value!r}, abrupt={self.abrupt!r})"
 
 
 @dataclass(frozen=True)
@@ -133,12 +119,6 @@ class Instrumentation:
         with self._lock:
             return list(self._registrations.keys())
 
-    def has_method_entry_listeners(self) -> bool:
-        return self.has_entry
-
-    def has_method_exit_listeners(self) -> bool:
-        return self.has_exit
-
     # -- event dispatch ----------------------------------------------------
 
     def method_enter_event(self, thread, ref: MethodRef, args) -> None:
@@ -146,10 +126,10 @@ class Instrumentation:
         callbacks = self._entry_callbacks
         if not callbacks:
             return
-        detail = EventDetail(tuple(args))
+        args = tuple(args)
         for callback in callbacks:
             try:
-                callback(thread, ref, METHOD_ENTERED, detail)
+                callback(thread, ref, METHOD_ENTERED, args, None, False)
             except Exception:
                 self.callback_errors += 1
                 log.exception("method-entry listener failed for %s", ref.key)
@@ -159,10 +139,9 @@ class Instrumentation:
         callbacks = self._exit_callbacks
         if not callbacks:
             return
-        detail = EventDetail((), value, abrupt)
         for callback in callbacks:
             try:
-                callback(thread, ref, METHOD_EXITED, detail)
+                callback(thread, ref, METHOD_EXITED, (), value, abrupt)
             except Exception:
                 self.callback_errors += 1
                 log.exception("method-exit listener failed for %s", ref.key)
@@ -240,10 +219,6 @@ class Instrumentation:
         return report
 
     # -- activation handler slot ----------------------------------------------
-
-    @property
-    def activation_handler(self) -> Callable:
-        return self._activation_handler
 
     @property
     def is_default_activation(self) -> bool:

@@ -13,13 +13,10 @@ callee runs.
 
 from __future__ import annotations
 
-from .core import MethodRecord, Opcode
+from .core import _BIAS, _MASK, MethodRecord, Opcode
 from .errors import VMInternalError
 
-_BIAS = 2**63
-_MASK = 2**64 - 1
-
-_WRAP_OPS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
+_WRAP_SYMBOLS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 
 
 def _mangle(key: str) -> str:
@@ -79,8 +76,8 @@ def lower_method(record: MethodRecord):
             elif op == Opcode.STORE_LOCAL:
                 depth -= 1
                 lines.append(f"{indent}l{arg} = s{depth}")
-            elif op in _WRAP_OPS:
-                sym = _WRAP_OPS[op]
+            elif op in _WRAP_SYMBOLS:
+                sym = _WRAP_SYMBOLS[op]
                 depth -= 1
                 a, b = f"s{depth - 1}", f"s{depth}"
                 lines.append(

@@ -33,6 +33,7 @@ from .core import (
     MNEMONIC_TO_OPCODE,
     Opcode,
     Program,
+    _DOTTED_RE,
     intern_id,
     parse_signature,
 )
@@ -223,7 +224,7 @@ def parse_program(text: str) -> Program:
                 raise ProgramParseError(f"bad class header {line!r}", line_no)
             finish_builder()
             name = m.group(1)
-            if not re.match(r"[A-Za-z_$][A-Za-z0-9_$]*(\.[A-Za-z_$][A-Za-z0-9_$]*)*$", name):
+            if not _DOTTED_RE.match(name):
                 raise ProgramParseError(f"bad class name {name!r}", line_no)
             current_class = name
             if name not in class_order:

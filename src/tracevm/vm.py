@@ -12,14 +12,23 @@ from __future__ import annotations
 import sys
 import threading
 
-from .core import CallFrame, ClassRegistry, CompilationState, EntryPoint, MethodRecord, MethodRef
+from .core import (
+    _BIAS,
+    _MASK,
+    ClassRegistry,
+    CompilationState,
+    EntryPoint,
+    MethodRecord,
+    MethodRef,
+    Opcode,
+)
 from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
 from .jit import lower_method
 
 DEFAULT_MAX_STACK_DEPTH = 10_000
 
-_OPS = tuple(range(1, 12))  # mirrors Opcode values, unpacked locally in the hot loop
+_OPCODES = tuple(Opcode)  # definition order, unpacked into locals for the hot loop
 
 _headroom_lock = threading.Lock()
 _rlimit_raised = False
@@ -50,13 +59,16 @@ def _ensure_stack_headroom(max_depth: int) -> None:
 
 
 class VMThread:
-    """Execution context owned by one driver at a time: a frame stack plus trace scratch."""
+    """Execution context owned by one driver at a time: a frame stack plus trace scratch.
+
+    ``frames`` holds the ``MethodRef`` of every active call, outermost first.
+    """
 
     __slots__ = ("name", "frames", "in_interceptor", "trace_pending")
 
     def __init__(self, name: str = "main"):
         self.name = name
-        self.frames: list[CallFrame] = []
+        self.frames: list[MethodRef] = []
         self.in_interceptor = False
         self.trace_pending: list = []
 
@@ -104,7 +116,7 @@ class VM:
         if len(frames) >= self.max_stack_depth:
             raise StackDepthError(
                 f"call depth limit {self.max_stack_depth} hit calling {record.method_ref.key}")
-        frames.append(CallFrame(record.method_ref))
+        frames.append(record.method_ref)
         try:
             entry = record.entry_point
             if entry is EntryPoint.COMPILED_DIRECT:
@@ -122,7 +134,7 @@ class VM:
         """Traced fast path: fire entry/exit events around the compiled body.
 
         Installing the quick stub requires a compiled method and compiling is
-        one-way, so the body runs without ``execute_compiled``'s tier check.
+        one-way, so the body runs without a tier check.
         """
         ins = self.instrumentation
         ref = record.method_ref
@@ -135,13 +147,6 @@ class VM:
             raise
         ins.method_exit_event(thread, ref, value)
         return value
-
-    def execute_compiled(self, thread: VMThread, record: MethodRecord, args: list):
-        """Run the lowered body. The method must have been compiled."""
-        if record.compilation_state is not CompilationState.COMPILED:
-            raise VMInternalError(f"execute_compiled on uncompiled {record.method_ref.key}")
-        self.compiled_calls += 1
-        return record.lowered_code(self, thread, args)
 
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
         """Lower a method and flip plain interpreted entries to the compiled tier.
@@ -184,8 +189,9 @@ class VM:
         pop = stack.pop
         loc = [0] * record.n_locals if record.n_locals else None
         call = self.call_ref
+        bias, mask = _BIAS, _MASK
         (O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP,
-         O_CALL, O_RET) = _OPS
+         O_CALL, O_RET) = _OPCODES
         pc = 0
         try:
             while True:
@@ -198,18 +204,15 @@ class VM:
                     pc += 1
                 elif op == O_ADD:
                     r = pop()
-                    stack[-1] = (stack[-1] + r + 9223372036854775808
-                                 & 18446744073709551615) - 9223372036854775808
+                    stack[-1] = (stack[-1] + r + bias & mask) - bias
                     pc += 1
                 elif op == O_SUB:
                     r = pop()
-                    stack[-1] = (stack[-1] - r + 9223372036854775808
-                                 & 18446744073709551615) - 9223372036854775808
+                    stack[-1] = (stack[-1] - r + bias & mask) - bias
                     pc += 1
                 elif op == O_MUL:
                     r = pop()
-                    stack[-1] = (stack[-1] * r + 9223372036854775808
-                                 & 18446744073709551615) - 9223372036854775808
+                    stack[-1] = (stack[-1] * r + bias & mask) - bias
                     pc += 1
                 elif op == O_LLOC:
                     push(loc[arg])
@@ -243,8 +246,8 @@ class VM:
                 f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
             ) from exc
 
-    def current_stack(self, thread: VMThread) -> list[CallFrame]:
-        """Frames of the thread, innermost first."""
+    def current_stack(self, thread: VMThread) -> list[MethodRef]:
+        """The thread's active calls, innermost first."""
         return list(reversed(thread.frames))
 
     def stats(self) -> dict:

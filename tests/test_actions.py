@@ -16,7 +16,7 @@ from tracevm.actions import (
     redact_value,
     time_method_event,
 )
-from tracevm.core import CallFrame, MethodRef
+from tracevm.core import MethodRef
 
 EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 DIGITS_RE = re.compile(r"\d{9,}")
@@ -95,8 +95,7 @@ def test_event_json_line_shape():
 
 def test_capture_stack_event_labels_frames():
     ref = MethodRef("a.A", "f", ())
-    frames = [CallFrame(MethodRef("x.X", "inner", ())),
-              CallFrame(MethodRef("y.Y", "outer", ("int",)))]
+    frames = [MethodRef("x.X", "inner", ()), MethodRef("y.Y", "outer", ("int",))]
     event = capture_stack_event(frames, ref, timestamp_ns=1)
     assert event.payload == {"stack": ["x.X.inner()", "y.Y.outer(int)"]}
     assert event.action is TraceAction.CAPTURE_STACK

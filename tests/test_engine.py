@@ -1,6 +1,7 @@
 import pytest
 
 from tracevm import (
+    ConfigEntry,
     EntryPoint,
     EventKind,
     EventSink,
@@ -9,13 +10,14 @@ from tracevm import (
     TargetSet,
     TraceAction,
     TraceEngine,
+    TraceConfig,
     TracePhase,
     VM,
     load_program,
     parse_program,
+    resolve_targets,
 )
 from tracevm.engine import INTERCEPT_REF, PROXY_LISTENER_ID
-from tracevm.instrumentation import EventDetail
 
 SRC = """
 class app.Main
@@ -268,10 +270,10 @@ def test_interceptor_reentrancy_guard():
     calls = []
     original = engine._on_target_enter
 
-    def spying(th, ref, acts, detail):
+    def spying(th, ref, acts, call_args):
         calls.append(True)
         vm.invoke(th, "app.Main.leaf(int)", (1,))
-        original(th, ref, acts, detail)
+        original(th, ref, acts, call_args)
 
     engine._on_target_enter = spying
     vm.invoke(thread, "app.Main.leaf(int)", (2,))
@@ -281,12 +283,31 @@ def test_interceptor_reentrancy_guard():
     assert thread.frames == []
 
 
+def test_frames_are_method_refs_with_intercept_ref_innermost():
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    seen = []
+    original = engine._on_target_enter
+
+    def spying(th, ref, flags, call_args):
+        seen.append(list(th.frames))
+        original(th, ref, flags, call_args)
+
+    engine._on_target_enter = spying
+    vm.invoke(vm.new_thread(), "app.Main.mid(int)", (2,))
+    [frames] = seen
+    assert frames[-1] is INTERCEPT_REF
+    assert frames[:-1] == [MethodRef.parse("app.Main.mid(int)"),
+                           MethodRef.parse("app.Main.leaf(int)")]
+    assert all(type(f) is MethodRef for f in frames)
+
+
 def test_unmatched_exit_is_tolerated():
     vm, engine = make_engine()
     engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
     thread = vm.new_thread()
     ref = MethodRef.parse("app.Main.leaf(int)")
-    engine._on_event(thread, ref, EventKind.METHOD_EXITED, EventDetail(value=1))
+    engine._on_event(thread, ref, EventKind.METHOD_EXITED, (), 1, False)
     assert engine.unmatched_exits == 1
     assert len(engine.drain().events) == 0
 
@@ -399,6 +420,63 @@ def test_late_target_keeps_every_pending_action():
     assert events[1].payload == {"args": [4], "return": 5}
     assert engine.rollback()["entry_points_restored"] == 2
     assert vm.registry.lookup(hook).entry_point is EntryPoint.INTERPRETER_BRIDGE
+
+
+def test_pending_target_loaded_before_apply_is_injected():
+    vm, engine = make_engine()
+    config = TraceConfig("late", (ConfigEntry(TraceAction.CAPTURE_ARGS, "late.Plugin", "hook",
+                                              ("int",)),), approved=True)
+    target_set, _warnings, pending = resolve_targets(config, vm.registry)
+    assert len(target_set) == 0 and len(pending) == 1
+    vm.registry.load(parse_program(LATE_SRC))  # arrives before apply: no load event
+    report = engine.apply(target_set, pending=pending)
+    assert report.pending == 0
+    status = engine.status()
+    assert status["pending"] == 0 and status["injected"] == 1
+    assert status["targets"] == ["late.Plugin.hook(int)"]
+    rec = vm.registry.lookup("late.Plugin.hook(int)")
+    assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    vm.invoke(vm.new_thread(), "late.Plugin.hook(int)", (4,))
+    assert [e.payload for e in engine.drain().events] == [{"args": [4], "return": 5}]
+    assert engine.rollback()["entry_points_restored"] == 1
+    assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
+
+
+def test_load_hook_held_only_while_targeted_session_is_up():
+    vm = VM(load_program(SRC))
+    hooks = vm.registry._on_load
+    idle = [TraceEngine(vm) for _ in range(100)]
+    assert hooks == []
+    glob = TraceEngine(vm)
+    glob.apply_global(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    assert hooks == []
+    glob.rollback()
+    for engine in idle:
+        engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+        assert len(hooks) == 1
+        engine.rollback()
+        assert hooks == []
+    # A partial bring-up holds the hook too, and rollback still removes it.
+    engine = idle[0]
+    engine.suppress_global_tracing()
+    assert len(hooks) == 1
+    engine.rollback()
+    assert hooks == []
+
+
+def test_rollback_removes_the_hook_it_registered(monkeypatch):
+    # The class attribute may be swapped (a span tracer wraps it) between
+    # apply and rollback; rollback must remove the callable it registered.
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    original = TraceEngine._on_classes_loaded
+
+    def wrapped(self, new_keys):
+        original(self, new_keys)
+
+    monkeypatch.setattr(TraceEngine, "_on_classes_loaded", wrapped)
+    engine.rollback()
+    assert vm.registry._on_load == []
 
 
 def test_load_while_idle_changes_nothing():

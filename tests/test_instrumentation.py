@@ -8,6 +8,7 @@ from tracevm import (
     EventKind,
     InvalidStubError,
     ListenerRegistration,
+    StackDepthError,
     UnknownListenerError,
     VM,
     load_program,
@@ -35,8 +36,8 @@ def make_vm():
 
 
 def recording_listener(sink):
-    def callback(thread, ref, kind, detail):
-        sink.append((ref.key, kind, detail))
+    def callback(thread, ref, kind, args, value, abrupt):
+        sink.append((ref.key, kind, (args, value, abrupt)))
     return callback
 
 
@@ -66,8 +67,8 @@ def test_dispatch_respects_event_mask():
     vm.invoke(vm.new_thread(), "a.A.f()", ())
     assert [k for _, k, _ in entries] == [EventKind.METHOD_ENTERED]
     assert [k for _, k, _ in exits] == [EventKind.METHOD_EXITED]
-    assert exits[0][2].value == 1
-    assert exits[0][2].abrupt is False
+    assert entries[0][2] == ((), None, False)
+    assert exits[0][2] == ((), 1, False)
 
 
 def test_entry_detail_carries_args():
@@ -76,7 +77,36 @@ def test_entry_detail_carries_args():
     vm.instrumentation.add_listener(ListenerRegistration(
         "args", frozenset({EventKind.METHOD_ENTERED}), recording_listener(seen)))
     vm.invoke(vm.new_thread(), "b.B.h(int)", (42,))
-    assert seen[0][2].args == (42,)
+    assert seen[0][2] == ((42,), None, False)
+
+
+@pytest.mark.parametrize("stub", [EntryPoint.INSTRUMENTATION_INTERPRETER_STUB,
+                                  EntryPoint.INSTRUMENTATION_QUICK_STUB])
+def test_exit_event_of_raising_call_is_abrupt(stub):
+    src = """
+class r.R
+  method down(int)
+    loadarg 0
+    jz +6
+    loadarg 0
+    pushconst 1
+    sub
+    call r.R.down(int)
+    ret
+    pushconst 0
+    ret
+"""
+    vm = VM(load_program(src), max_stack_depth=3)
+    if stub is EntryPoint.INSTRUMENTATION_QUICK_STUB:
+        vm.jit_compile("r.R.down(int)")
+    vm.instrumentation.install_stubs_for_method("r.R.down(int)", stub)
+    exits = []
+    vm.instrumentation.add_listener(ListenerRegistration(
+        "exits", frozenset({EventKind.METHOD_EXITED}), recording_listener(exits)))
+    with pytest.raises(StackDepthError):
+        vm.invoke(vm.new_thread(), "r.R.down(int)", (5,))
+    # The fourth call is refused before it runs; the three running calls unwind.
+    assert exits == [("r.R.down(int)", EventKind.METHOD_EXITED, ((), None, True))] * 3
 
 
 def test_snapshot_isolation_mid_dispatch():
@@ -86,12 +116,12 @@ def test_snapshot_isolation_mid_dispatch():
     ins = vm.instrumentation
     late_calls = []
 
-    def late(thread, ref, kind, detail):
+    def late(thread, ref, kind, args, value, abrupt):
         late_calls.append(ref.key)
 
     installed = []
 
-    def installer(thread, ref, kind, detail):
+    def installer(thread, ref, kind, args, value, abrupt):
         if not installed:
             installed.append(True)
             ins.add_listener(ListenerRegistration(
@@ -111,7 +141,7 @@ def test_listener_exceptions_are_isolated():
     ins = vm.instrumentation
     seen = []
 
-    def bomb(thread, ref, kind, detail):
+    def bomb(thread, ref, kind, args, value, abrupt):
         raise RuntimeError("listener bug")
 
     ins.add_listener(ListenerRegistration("bomb", BOTH, bomb))

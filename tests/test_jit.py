@@ -9,7 +9,6 @@ from tracevm import (
     CompilationState,
     EntryPoint,
     VM,
-    VMInternalError,
     load_program,
     parse_program,
 )
@@ -85,13 +84,6 @@ def test_jit_keeps_installed_stub():
     assert rec.compilation_state is CompilationState.COMPILED
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     assert rec.original_entry_point is EntryPoint.INTERPRETER_BRIDGE
-
-
-def test_execute_compiled_requires_compiled(fib_source):
-    vm = _vm(fib_source)
-    rec = vm.registry.lookup("demo.Math.fib(int)")
-    with pytest.raises(VMInternalError):
-        vm.execute_compiled(vm.new_thread(), rec, [1])
 
 
 def test_locals_and_loops_compile_correctly():

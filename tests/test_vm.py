@@ -115,14 +115,18 @@ class s.S
 
     from tracevm import EventKind, ListenerRegistration
 
-    def listener(thread, ref, kind, detail):
+    def listener(thread, ref, kind, args, value, abrupt):
         if ref.method_name == "inner":
-            seen.append([f.method_ref.key for f in vm.current_stack(thread)])
+            seen.append((list(thread.frames), vm.current_stack(thread)))
 
     vm.instrumentation.add_listener(ListenerRegistration(
         "t", frozenset({EventKind.METHOD_ENTERED}), listener))
     vm.invoke(vm.new_thread(), "s.S.outer()", ())
-    assert seen == [["s.S.inner()", "s.S.outer()"]]
+    inner, outer = MethodRef.parse("s.S.inner()"), MethodRef.parse("s.S.outer()")
+    [(frames, stack)] = seen
+    assert frames == [outer, inner]
+    assert all(type(f) is MethodRef for f in frames)
+    assert stack == [inner, outer]
 
 
 def test_tier_counters(fib_source):
