@@ -187,10 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraceVMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (TraceVMError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 from .actions import TraceAction
 from .core import ClassRegistry, MethodRef, parse_signature
@@ -254,11 +254,3 @@ def lifecycle_advance(config: TraceConfig, metrics: HealthMetrics,
         if on_rollback is not None:
             on_rollback()
     return config.status
-
-
-def entries_from_targets(targets: Iterable[tuple[MethodRef, TraceAction]]) -> list[ConfigEntry]:
-    """Convenience for building configs programmatically."""
-    return [
-        ConfigEntry(action, ref.class_name, ref.method_name, ref.params)
-        for ref, action in targets
-    ]

@@ -227,7 +227,6 @@ class ClassRegistry:
 
     def __init__(self):
         self._records: dict[str, MethodRecord] = {}
-        self._by_class: dict[str, list[str]] = {}
         self._intern_by_value: dict[int, str] = {}
         self._on_load: list[Callable[[list[str]], None]] = []
 
@@ -246,7 +245,6 @@ class ClassRegistry:
                 raise ProgramValidationError(f"duplicate method {key}", line=spec.decl_line)
             record = MethodRecord(spec.ref, spec.bytecode, spec.n_locals, spec.stack_depths)
             self._records[key] = record
-            self._by_class.setdefault(spec.ref.class_name, []).append(key)
             new_keys.append(key)
         return new_keys
 
@@ -278,9 +276,6 @@ class ClassRegistry:
 
     def records(self) -> Iterator[MethodRecord]:
         return iter(self._records.values())
-
-    def methods_of(self, class_name: str) -> list[str]:
-        return list(self._by_class.get(class_name, ()))
 
     def value_to_payload(self, value: int):
         """Map an interned id back to its string; plain ints pass through."""

@@ -101,9 +101,6 @@ class TargetSet:
     def actions_for(self, key: str) -> tuple:
         return self._actions.get(key, ())
 
-    def refs(self) -> list[MethodRef]:
-        return list(self._refs.values())
-
     def entries(self) -> list[tuple[MethodRef, tuple]]:
         return [(ref, self._actions[key]) for key, ref in self._refs.items()]
 
@@ -143,10 +140,8 @@ class TraceEngine:
         self.mode: str | None = None
         self._lock = threading.RLock()
         self._targets = TargetSet()
-        self._pending: list[tuple[MethodRef, tuple]] = []
         self._injected: list[str] = []
         self._registration: ListenerRegistration | None = None
-        self._listener_added = False
         self._saved_handler = None
         self._load_hook = None
         self._adaptive = True
@@ -166,7 +161,11 @@ class TraceEngine:
             self.phase = TracePhase.SUPPRESSED
 
     def inject_targets(self, target_set: TargetSet, *, adaptive: bool = True) -> ApplyReport:
-        """Phase 2: install per-target stubs matched to each method's tier."""
+        """Phase 2: install per-target stubs matched to each method's tier.
+
+        A target whose class is not loaded yet stays in the target set without
+        a stub; the load hook stubs it when its class arrives.
+        """
         with self._lock:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
@@ -179,7 +178,6 @@ class TraceEngine:
                 record = registry.get(ref.key)
                 if record is None:
                     warnings.append(f"target not loaded yet, deferred: {ref.key}")
-                    self._pending.append((ref, target_set.actions_for(ref.key)))
                     continue
                 if self._install_target_stub(record):
                     changed += 1
@@ -187,7 +185,7 @@ class TraceEngine:
                 injected += 1
             self.phase = TracePhase.INJECTED
             return ApplyReport("targeted", len(target_set), injected, changed,
-                               tuple(warnings), len(self._pending))
+                               tuple(warnings), self._pending_actions())
 
     def install_dispatcher(self) -> ListenerRegistration:
         """Phase 3a: build the filtering proxy listener. Not yet registered."""
@@ -206,29 +204,24 @@ class TraceEngine:
             if self._registration is None:
                 raise PhaseError("activate before install_dispatcher")
             result = self.instrumentation.native_trace_start(self._registration)
-            self._listener_added = True
             self.phase = TracePhase.ACTIVE
             return result
 
     def apply(self, target_set: TargetSet, *, adaptive: bool = True,
               pending: Iterable[tuple[MethodRef, tuple]] = ()) -> ApplyReport:
-        """Full targeted bring-up: suppress, inject, mount proxy, activate."""
+        """Full targeted bring-up: suppress, inject, mount proxy, activate.
+
+        ``pending`` entries join the target set like any other target, so one
+        whose class loaded after it was resolved is stubbed right here.
+        """
         with self._lock:
             self.suppress_global_tracing()
-            report = self.inject_targets(target_set, adaptive=adaptive)
-            for ref, acts in pending:
-                self._pending.append((ref, tuple(acts)))
-            # A pending target whose class loaded after it was resolved gets
-            # no load event; inject it as if its class had just arrived.
-            loaded = [ref.key for ref, _acts in self._pending if ref.key in self.vm.registry]
-            if loaded:
-                self._on_classes_loaded(loaded)
+            report = self.inject_targets(TargetSet(target_set.entries() + list(pending)),
+                                         adaptive=adaptive)
             self.install_dispatcher()
             self.activate()
             self.mode = "targeted"
-            return ApplyReport(self.mode, report.targets, report.injected,
-                               report.entry_points_changed, report.warnings,
-                               len(self._pending))
+            return report
 
     def apply_global(self, target_set: TargetSet) -> ApplyReport:
         """Bring-up without suppression or injection: the stock global walk runs.
@@ -241,7 +234,6 @@ class TraceEngine:
             self._targets = target_set
             self._build_registration()
             report = self.instrumentation.native_trace_start(self._registration)
-            self._listener_added = True
             self.phase = TracePhase.ACTIVE
             self.mode = "global"
             changed = report.entry_points_replaced if report is not None else 0
@@ -254,10 +246,9 @@ class TraceEngine:
                        "handler_restored": False}
             if self.phase is TracePhase.IDLE:
                 return summary
-            if self._listener_added and self._registration is not None:
+            if self.phase is TracePhase.ACTIVE:
                 self.instrumentation.remove_listener(self._registration.listener_id)
                 summary["listener_removed"] = True
-            self._listener_added = False
             self._registration = None
 
             if self.mode == "global":
@@ -273,7 +264,6 @@ class TraceEngine:
                         restored += 1
                 summary["entry_points_restored"] = restored
             self._injected.clear()
-            self._pending.clear()
             if self._load_hook is not None:
                 self.vm.registry.remove_on_load(self._load_hook)
                 self._load_hook = None
@@ -296,8 +286,8 @@ class TraceEngine:
                 "mode": self.mode,
                 "targets": sorted(self._targets.members),
                 "injected": len(self._injected),
-                "pending": len(self._pending),
-                "listener_active": self._listener_added,
+                "pending": self._pending_actions(),
+                "listener_active": self.phase is TracePhase.ACTIVE,
                 "events_buffered": len(self.sink),
                 "events_emitted": self.sink.emitted_count,
                 "events_dropped": self.sink.dropped_count,
@@ -310,6 +300,14 @@ class TraceEngine:
         if self.phase is not expected:
             raise PhaseError(f"{op} requires phase {expected.value}, engine is "
                              f"{self.phase.value}")
+
+    def _pending_actions(self) -> int:
+        """Actions of targets still waiting for their class; 0 outside a targeted session."""
+        if self.mode == "global" or self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
+            return 0
+        injected = set(self._injected)
+        return sum(len(self._targets.actions_for(key))
+                   for key in self._targets.members if key not in injected)
 
     def _install_target_stub(self, record) -> bool:
         if self._adaptive and record.compilation_state is CompilationState.COMPILED:
@@ -330,36 +328,20 @@ class TraceEngine:
     def _on_classes_loaded(self, new_keys: list[str]) -> None:
         """Deferred injection: stub targets whose class just arrived.
 
-        Every pending entry for an arrived method joins the target set, where
-        duplicates merge their actions; each method gets its stub once.
+        The registry rejects a key it already holds, so a newly loaded target
+        cannot have been injected before.
         """
         with self._lock:
             if self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
                 return
-            if not self._pending or self.mode == "global":
+            if len(self._injected) == len(self._targets):
                 return
-            fresh = set(new_keys)
             registry = self.vm.registry
-            still_pending = []
-            arrived = []
-            for ref, acts in self._pending:
-                if ref.key in fresh and ref.key in registry:
-                    arrived.append((ref, acts))
-                else:
-                    still_pending.append((ref, acts))
-            if not arrived:
-                return
-            self._targets = TargetSet(self._targets.entries() + arrived)
-            injected = set(self._injected)
-            for ref, _acts in arrived:
-                if ref.key in injected:
-                    continue
-                injected.add(ref.key)
-                record = registry.get(ref.key)
-                self._install_target_stub(record)
-                self._injected.append(ref.key)
-                log.info("deferred injection of %s", ref.key)
-            self._pending = still_pending
+            for key in new_keys:
+                if key in self._targets:
+                    self._install_target_stub(registry.get(key))
+                    self._injected.append(key)
+                    log.info("deferred injection of %s", key)
 
     def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
                   abrupt: bool) -> None:

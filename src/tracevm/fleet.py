@@ -86,9 +86,6 @@ class FleetManager:
             raise ConfigError(f"unknown config {config_id}")
         return dep
 
-    def sessions_of(self, config_id: str) -> list[FleetSession]:
-        return list(self._deployment(config_id).sessions)
-
     def build_sessions(self, config_id: str, n_sessions: int, program: Program,
                        *, device_prefix: str = "device-") -> list[FleetSession]:
         """Create sessions, gate each one, and apply the config to admitted ones."""

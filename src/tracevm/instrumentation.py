@@ -20,10 +20,9 @@ is swappable so that engine can suppress the global walk.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -58,17 +57,6 @@ class InstallationReport:
 
     methods_visited: int = 0
     entry_points_replaced: int = 0
-    per_class: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "methods_visited": self.methods_visited,
-                "entry_points_replaced": self.entry_points_replaced,
-                "per_class": self.per_class,
-            },
-            sort_keys=False,
-        )
 
 
 class Instrumentation:
@@ -208,14 +196,11 @@ class Instrumentation:
         tracing is on.
         """
         report = InstallationReport()
-        per_class = report.per_class
         for record in self.registry.records():
             report.methods_visited += 1
             if self.install_stubs_for_method(
                     record, EntryPoint.INSTRUMENTATION_INTERPRETER_STUB):
                 report.entry_points_replaced += 1
-                cls = record.method_ref.class_name
-                per_class[cls] = per_class.get(cls, 0) + 1
         return report
 
     # -- activation handler slot ----------------------------------------------
@@ -231,9 +216,6 @@ class Instrumentation:
         previous = self._activation_handler
         self._activation_handler = handler
         return previous
-
-    def reset_activation_handler(self) -> None:
-        self._activation_handler = self._default_activation
 
     def native_trace_start(self, registration: ListenerRegistration):
         """Built-in trace start: register the listener, then run activation.

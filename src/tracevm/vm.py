@@ -246,10 +246,6 @@ class VM:
                 f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
             ) from exc
 
-    def current_stack(self, thread: VMThread) -> list[MethodRef]:
-        """The thread's active calls, innermost first."""
-        return list(reversed(thread.frames))
-
     def stats(self) -> dict:
         return {
             "interpreted_calls": self.interpreted_calls,

@@ -118,6 +118,17 @@ def test_trace_writes_file(program_file, config_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_trace_directory_path_fails_cleanly(program_file, config_file, tmp_path, capsys, flag):
+    paths = {"--out": "-", "--config": config_file, flag: str(tmp_path)}
+    code = main(["trace", program_file, "--entry", "cli.Demo.run(int)", "--args", "3",
+                 "--config", paths["--config"], "--out", paths["--out"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_trace_warns_on_unresolved_entry(program_file, tmp_path, capsys):
     config = dict(CONFIG)
     config["dynamic_trace_config"] = CONFIG["dynamic_trace_config"] + [

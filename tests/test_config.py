@@ -19,8 +19,7 @@ from tracevm import (
     session_gate,
     transition,
 )
-from tracevm.config import ConfigEntry, entries_from_targets, resolve_targets
-from tracevm.core import MethodRef
+from tracevm.config import ConfigEntry, resolve_targets
 
 WIRE = """
 {
@@ -110,14 +109,6 @@ def test_format_round_trips():
     config = parse_config(WIRE)
     again = parse_config(format_config(config))
     assert again == config
-
-
-def test_entries_from_targets():
-    entries = entries_from_targets([
-        (MethodRef.parse("a.A.f(int)"), TraceAction.CAPTURE_ARGS),
-    ])
-    assert entries[0].to_wire() == {"action": 2, "className": "a.A",
-                                    "methodName": "f", "methodSign": "int"}
 
 
 # -- target resolution ---------------------------------------------------------

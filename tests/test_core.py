@@ -93,7 +93,6 @@ def test_registry_lookup_and_contains(fib_source):
     assert rec.method_ref.key == "demo.Math.fib(int)"
     assert "demo.Math.fib(int)" in registry
     assert len(registry) == 1
-    assert registry.methods_of("demo.Math") == ["demo.Math.fib(int)"]
     with pytest.raises(MethodNotFoundError):
         registry.lookup("demo.Math.nope()")
 

@@ -409,7 +409,9 @@ def test_late_target_keeps_every_pending_action():
     engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))),
                  pending=[(hook, (TraceAction.TIME_METHOD,)),
                           (hook, (TraceAction.CAPTURE_ARGS,))])
-    assert engine.status()["pending"] == 2
+    status = engine.status()
+    assert status["pending"] == 2
+    assert status["targets"] == ["app.Main.leaf(int)", "late.Plugin.hook(int)"]
     vm.registry.load(parse_program(LATE_SRC))
     status = engine.status()
     assert status["pending"] == 0
@@ -430,6 +432,7 @@ def test_pending_target_loaded_before_apply_is_injected():
     assert len(target_set) == 0 and len(pending) == 1
     vm.registry.load(parse_program(LATE_SRC))  # arrives before apply: no load event
     report = engine.apply(target_set, pending=pending)
+    assert (report.targets, report.injected, report.entry_points_changed) == (1, 1, 1)
     assert report.pending == 0
     status = engine.status()
     assert status["pending"] == 0 and status["injected"] == 1

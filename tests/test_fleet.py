@@ -110,9 +110,9 @@ def test_rollback_is_idempotent_per_fleet(small_workload):
     manager = FleetManager()
     config = canary_config(small_workload)
     manager.register(config)
-    manager.build_sessions(config.config_id, 10, small_workload.program)
+    sessions = manager.build_sessions(config.config_id, 10, small_workload.program)
     first = manager.rollback(config.config_id)
-    assert first == sum(1 for s in manager.sessions_of(config.config_id) if s.admitted)
+    assert first == sum(1 for s in sessions if s.admitted)
     assert manager.rollback(config.config_id) == 0
 
 

