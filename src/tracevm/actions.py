@@ -2,8 +2,19 @@
 
 Action codes are part of the wire format shared with the config layer:
 1 captures the live call stack, 2 captures arguments plus the return value,
-3 times the call. Every payload string passes through redaction before it is
-stored, so emails and long digit runs never reach the sink.
+3 times the call.
+
+The probe side records raw: the sink stores one tuple per observation,
+``(t_perf_ns, ref, action, data, abrupt)``, where ``data`` is the duration for
+``TIME_METHOD``, the innermost-first frame snapshot for ``CAPTURE_STACK`` and
+the ``(args_payload, return_payload)`` pair for ``CAPTURE_ARGS``. ``drain``
+turns the records into ``TraceEvent``s, numbers them in append order and
+stamps each with ``wall0 + (t_perf_ns - perf0)``, where ``(wall0, perf0)`` is
+one wall-clock/perf-counter anchor taken when the sink is built.
+
+Redaction still happens before storage: argument and return values are
+serialized and every payload string is redacted at capture time, so emails and
+long digit runs never reach the sink, not even as raw records.
 """
 
 from __future__ import annotations
@@ -23,6 +34,10 @@ class TraceAction(IntEnum):
     CAPTURE_STACK = 1
     CAPTURE_ARGS = 2
     TIME_METHOD = 3
+
+
+_CAPTURE_STACK = TraceAction.CAPTURE_STACK
+_TIME_METHOD = TraceAction.TIME_METHOD
 
 
 EMAIL_TOKEN = "[REDACTED:email]"
@@ -90,7 +105,8 @@ class DrainResult:
 
 
 class EventSink:
-    """Bounded in-memory buffer. Append never blocks; overflow drops and counts."""
+    """Bounded in-memory buffer of raw records. Append never blocks; overflow
+    drops and counts. ``drain`` builds the events."""
 
     DEFAULT_CAPACITY = 65_536
 
@@ -99,44 +115,56 @@ class EventSink:
             raise ValueError("sink capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._events: list[TraceEvent] = []
-        self._next_seq = 0
+        self._records: list[tuple] = []
+        # Perf-counter readings become wall-clock stamps through this anchor.
+        self._wall_offset = time.time_ns() - time.perf_counter_ns()
         self.emitted_count = 0
         self.drained_count = 0
         self.dropped_count = 0
 
-    def append(self, event: TraceEvent) -> bool:
-        """Assign a sequence number and buffer the event; False when dropped."""
+    def append(self, record: tuple) -> bool:
+        """Buffer one ``(t_perf_ns, ref, action, data, abrupt)`` record; False when dropped."""
         with self._lock:
             self.emitted_count += 1
-            if len(self._events) >= self.capacity:
+            if len(self._records) >= self.capacity:
                 self.dropped_count += 1
                 return False
-            event.sequence_no = self._next_seq
-            self._next_seq += 1
-            self._events.append(event)
+            self._records.append(record)
             return True
 
     def drain(self) -> DrainResult:
-        """Remove and return everything buffered, with counter snapshots."""
+        """Remove everything buffered and return it as numbered events, with
+        counter snapshots. Sequence numbers continue across drains."""
         with self._lock:
-            events = tuple(self._events)
-            self._events.clear()
-            self.drained_count += len(events)
-            return DrainResult(events, self.emitted_count, self.drained_count,
-                               self.dropped_count)
+            records = self._records
+            self._records = []
+            first_seq = self.drained_count
+            self.drained_count += len(records)
+            emitted, drained, dropped = (self.emitted_count, self.drained_count,
+                                         self.dropped_count)
+        offset = self._wall_offset
+        events = []
+        for seq, (t_perf, ref, action, data, abrupt) in enumerate(records, first_seq):
+            if action is _TIME_METHOD:
+                event = time_method_event(ref, data, abrupt, offset + t_perf)
+            elif action is _CAPTURE_STACK:
+                event = capture_stack_event(data, ref, offset + t_perf)
+            else:
+                event = capture_args_event(ref, data[0], data[1], abrupt, offset + t_perf)
+            event.sequence_no = seq
+            events.append(event)
+        return DrainResult(tuple(events), emitted, drained, dropped)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return len(self._records)
 
 
 def capture_stack_event(frames: Sequence[MethodRef], ref: MethodRef,
-                        timestamp_ns: int | None = None) -> TraceEvent:
+                        timestamp_ns: int) -> TraceEvent:
     """Build a stack snapshot event; frames are expected innermost first."""
     payload = {"stack": [f.key for f in frames]}
-    return TraceEvent(None, timestamp_ns if timestamp_ns is not None else time.time_ns(),
-                      ref, TraceAction.CAPTURE_STACK, payload)
+    return TraceEvent(None, timestamp_ns, ref, TraceAction.CAPTURE_STACK, payload)
 
 
 def capture_args_payload(args: Sequence, value_to_payload) -> list:
@@ -144,22 +172,20 @@ def capture_args_payload(args: Sequence, value_to_payload) -> list:
     return redact_args(value_to_payload(v) for v in args)
 
 
-def capture_args_event(ref: MethodRef, args_payload: list, value, abrupt: bool,
-                       value_to_payload, timestamp_ns: int | None = None) -> TraceEvent:
-    """Finish the argument capture at exit, folding in the return value."""
+def capture_args_event(ref: MethodRef, args_payload: list, return_payload, abrupt: bool,
+                       timestamp_ns: int) -> TraceEvent:
+    """Build an argument capture from payloads already serialized and redacted."""
     payload: dict = {"args": args_payload}
     if abrupt:
         payload["abrupt"] = True
     else:
-        payload["return"] = redact_value(value_to_payload(value))
-    return TraceEvent(None, timestamp_ns if timestamp_ns is not None else time.time_ns(),
-                      ref, TraceAction.CAPTURE_ARGS, payload)
+        payload["return"] = return_payload
+    return TraceEvent(None, timestamp_ns, ref, TraceAction.CAPTURE_ARGS, payload)
 
 
 def time_method_event(ref: MethodRef, duration_ns: int, abrupt: bool,
-                      timestamp_ns: int | None = None) -> TraceEvent:
+                      timestamp_ns: int) -> TraceEvent:
     payload: dict = {"duration_ns": duration_ns}
     if abrupt:
         payload["abrupt"] = True
-    return TraceEvent(None, timestamp_ns if timestamp_ns is not None else time.time_ns(),
-                      ref, TraceAction.TIME_METHOD, payload)
+    return TraceEvent(None, timestamp_ns, ref, TraceAction.TIME_METHOD, payload)

@@ -8,8 +8,9 @@ stub. Last, tracing starts through the normal entry point, which now only
 registers the event proxy.
 
 The proxy sees every dispatched event, filters to the target set, runs the
-configured actions under a synthetic interceptor frame, and appends results to
-a bounded sink. Rollback undoes everything in reverse order and is idempotent.
+configured actions under a synthetic interceptor frame, and appends raw records
+to a bounded sink, which builds the events when it is drained. Rollback undoes
+everything in reverse order and is idempotent.
 
 Targets configured before their class is loaded are injected the moment the
 class arrives, via a registry load hook that the engine holds only while a
@@ -25,14 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .actions import (
-    EventSink,
-    TraceAction,
-    capture_args_event,
-    capture_args_payload,
-    capture_stack_event,
-    time_method_event,
-)
+from .actions import EventSink, TraceAction, capture_args_payload, redact_value
 from .core import CompilationState, EntryPoint, MethodRef
 from .errors import PhaseError
 from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
@@ -40,6 +34,10 @@ from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
 log = logging.getLogger(__name__)
 
 _clock = time.perf_counter_ns
+
+_CAPTURE_STACK = TraceAction.CAPTURE_STACK
+_CAPTURE_ARGS = TraceAction.CAPTURE_ARGS
+_TIME_METHOD = TraceAction.TIME_METHOD
 
 # Synthetic frame pushed while trace actions run, so captured stacks show the
 # interception point itself.
@@ -264,6 +262,7 @@ class TraceEngine:
                         restored += 1
                 summary["entry_points_restored"] = restored
             self._injected.clear()
+            self._targets = TargetSet()
             if self._load_hook is not None:
                 self.vm.registry.remove_on_load(self._load_hook)
                 self._load_hook = None
@@ -292,6 +291,8 @@ class TraceEngine:
                 "events_emitted": self.sink.emitted_count,
                 "events_dropped": self.sink.dropped_count,
                 "spurious_filtered": self.spurious_filtered,
+                "unmatched_exits": self.unmatched_exits,
+                "callback_errors": self.instrumentation.callback_errors,
             }
 
     # -- internals ------------------------------------------------------------
@@ -369,7 +370,7 @@ class TraceEngine:
     def _on_target_enter(self, thread, ref, flags: ActionFlags, call_args: tuple) -> None:
         stack, args, timed = flags
         if stack:
-            self.sink.append(capture_stack_event(thread.frames[::-1], ref))
+            self.sink.append((_clock(), ref, _CAPTURE_STACK, thread.frames[::-1], False))
         if args or timed:
             args_payload = None
             if args:
@@ -388,12 +389,13 @@ class TraceEngine:
             # Exit with no matching entry: listener attached mid-call.
             self.unmatched_exits += 1
             return
+        now = _clock()
         if timed:
-            self.sink.append(time_method_event(ref, _clock() - t0, abrupt))
+            self.sink.append((now, ref, _TIME_METHOD, now - t0, abrupt))
         if args and args_payload is not None:
-            self.sink.append(capture_args_event(
-                ref, args_payload, value, abrupt,
-                self.vm.registry.value_to_payload))
+            # Serialize and redact now: the sink never holds a raw value.
+            ret = None if abrupt else redact_value(self.vm.registry.value_to_payload(value))
+            self.sink.append((now, ref, _CAPTURE_ARGS, (args_payload, ret), abrupt))
 
 
 def _noop_activation():

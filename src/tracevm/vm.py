@@ -74,7 +74,13 @@ class VMThread:
 
 
 class VM:
-    """A class registry plus execution tiers and an instrumentation side table."""
+    """A class registry plus execution tiers and an instrumentation side table.
+
+    Construction changes process-wide limits through ``_ensure_stack_headroom``:
+    the first ``VM`` of a process raises the soft ``RLIMIT_STACK`` to the hard
+    limit, once, and every ``VM`` raises the recursion limit to fit its
+    ``max_stack_depth``. Neither limit is lowered again.
+    """
 
     def __init__(self, registry: ClassRegistry, *, max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH):
         if max_stack_depth < 1:

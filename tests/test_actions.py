@@ -1,12 +1,15 @@
 import json
 import re
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracevm import EventSink, TraceAction, TraceEvent, redact_text
+from tracevm import (EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, TraceEvent, VM,
+                     load_program, redact_text)
 from tracevm.actions import (
     DIGITS_TOKEN,
     EMAIL_TOKEN,
@@ -16,7 +19,6 @@ from tracevm.actions import (
     redact_value,
     time_method_event,
 )
-from tracevm.core import MethodRef
 
 EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 DIGITS_RE = re.compile(r"\d{9,}")
@@ -103,9 +105,9 @@ def test_capture_stack_event_labels_frames():
 
 def test_capture_args_event_normal_and_abrupt():
     ref = MethodRef("a.A", "f", ("int",))
-    event = capture_args_event(ref, ["a@b.co"], 9, False, lambda v: v, timestamp_ns=1)
+    event = capture_args_event(ref, ["a@b.co"], 9, False, timestamp_ns=1)
     assert event.payload == {"args": ["a@b.co"], "return": 9}
-    abrupt = capture_args_event(ref, [1], None, True, lambda v: v, timestamp_ns=1)
+    abrupt = capture_args_event(ref, [1], None, True, timestamp_ns=1)
     assert abrupt.payload == {"args": [1], "abrupt": True}
 
 
@@ -118,15 +120,16 @@ def test_time_method_event_payload():
 
 # -- sink --------------------------------------------------------------------
 
-def make_event(i=0):
-    return TraceEvent(None, i, MethodRef("a.A", "f", ()), TraceAction.TIME_METHOD,
-                      {"duration_ns": i})
+def make_record(i=0):
+    """A raw ``TIME_METHOD`` record of duration ``i``, as the proxy appends it."""
+    return (time.perf_counter_ns(), MethodRef("a.A", "f", ()), TraceAction.TIME_METHOD, i,
+            False)
 
 
 def test_sink_sequence_and_drain():
     sink = EventSink(capacity=10)
     for i in range(3):
-        assert sink.append(make_event(i))
+        assert sink.append(make_record(i))
     assert len(sink) == 3
     result = sink.drain()
     assert [e.sequence_no for e in result] == [0, 1, 2]
@@ -135,13 +138,13 @@ def test_sink_sequence_and_drain():
     assert result.dropped_total == 0
     assert len(sink) == 0
     # sequence numbers keep counting across drains
-    sink.append(make_event())
+    sink.append(make_record())
     assert sink.drain().events[0].sequence_no == 3
 
 
 def test_sink_bounded_drops_and_counts():
     sink = EventSink(capacity=4)
-    outcomes = [sink.append(make_event(i)) for i in range(9)]
+    outcomes = [sink.append(make_record(i)) for i in range(9)]
     assert outcomes == [True] * 4 + [False] * 5
     assert sink.emitted_count == 9
     assert sink.dropped_count == 5
@@ -149,7 +152,7 @@ def test_sink_bounded_drops_and_counts():
     assert len(result) == 4
     assert result.emitted_total == result.drained_total + result.dropped_total
     # capacity frees up after the drain
-    assert sink.append(make_event())
+    assert sink.append(make_record())
 
 
 def test_sink_default_capacity():
@@ -164,7 +167,7 @@ def test_sink_thread_safety():
 
     def run():
         for i in range(per_thread):
-            sink.append(make_event(i))
+            sink.append(make_record(i))
 
     threads = [threading.Thread(target=run) for _ in range(n_threads)]
     for t in threads:
@@ -177,3 +180,114 @@ def test_sink_thread_safety():
     seqs = [e.sequence_no for e in result]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+# -- sink fed by the trace proxy ----------------------------------------------
+
+SINK_SRC = """
+class s.S
+  method work(int)
+    loadarg 0
+    pushconst 2
+    mul
+    ret
+  method echo(java.lang.String)
+    loadarg 0
+    ret
+  method submit()
+    pushconst "reach me at pat.lee@example.com"
+    call s.S.echo(java.lang.String)
+    pushconst "acct 123456789012"
+    call s.S.echo(java.lang.String)
+    add
+    ret
+"""
+
+ALL_ACTIONS = (TraceAction.CAPTURE_STACK, TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD)
+
+
+def traced_session(key, acts, capacity=EventSink.DEFAULT_CAPACITY):
+    vm = VM(load_program(SINK_SRC))
+    engine = TraceEngine(vm, EventSink(capacity=capacity))
+    engine.apply(TargetSet([(MethodRef.parse(key), acts)]))
+    return vm, engine
+
+
+def test_sink_counts_exact_under_threads_and_overflow():
+    n_threads, per_thread = 8, 300
+    total = n_threads * per_thread * len(ALL_ACTIONS)
+    # At most four drains of a tenth each: the rest must drop.
+    vm, engine = traced_session("s.S.work(int)", ALL_ACTIONS, capacity=total // 10)
+    sink = engine.sink
+    drained = []
+    wrong = []
+
+    def work():
+        thread = vm.new_thread()
+        for i in range(per_thread):
+            if vm.invoke(thread, "s.S.work(int)", (i,)) != 2 * i:
+                wrong.append(i)
+
+    def drain_while_running():
+        for _ in range(3):
+            time.sleep(0.001)
+            drained.extend(sink.drain().events)
+
+    threads = [threading.Thread(target=drain_while_running)]
+    threads += [threading.Thread(target=work) for _ in range(n_threads)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    last = sink.drain()
+    drained.extend(last.events)
+
+    assert wrong == []
+    assert last.emitted_total == total
+    assert last.emitted_total == last.drained_total + last.dropped_total
+    assert last.dropped_total > 0
+    assert (sink.emitted_count, sink.drained_count, sink.dropped_count) == \
+        (last.emitted_total, last.drained_total, last.dropped_total)
+    assert len(drained) == last.drained_total
+    assert sorted(e.sequence_no for e in drained) == list(range(len(drained)))
+
+
+def test_drained_timestamps_follow_sequence_and_wall_clock():
+    vm, engine = traced_session("s.S.work(int)", ALL_ACTIONS)
+    thread = vm.new_thread()
+    for rounds in (1, 5, 20):
+        for i in range(rounds):
+            vm.invoke(thread, "s.S.work(int)", (i,))
+        now = time.time_ns()
+        events = engine.drain().events
+        assert len(events) == 3 * rounds
+        stamps = [e.timestamp_ns for e in events]
+        assert stamps == sorted(stamps)
+        assert all(abs(ts - now) < 1_000_000_000 for ts in stamps)
+        seqs = [e.sequence_no for e in events]
+        assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+
+
+def test_sink_never_holds_unredacted_text():
+    email, digits = "pat.lee@example.com", "123456789012"
+    vm, engine = traced_session("s.S.echo(java.lang.String)", (TraceAction.CAPTURE_ARGS,))
+    for _ in range(3):
+        vm.invoke(vm.new_thread(), "s.S.submit()", ())
+    records = list(engine.sink._records)
+    assert len(records) == 6
+    for record in records:
+        assert email not in repr(record) and digits not in repr(record)
+    events = engine.drain().events
+    assert len(events) == 6
+    for event in events:
+        shown = (repr(event.payload), event.to_json_line())
+        for text in shown:
+            assert email not in text and digits not in text
+        assert event.payload["return"] in (f"reach me at {EMAIL_TOKEN}", f"acct {DIGITS_TOKEN}")
+        assert event.payload["args"] == [event.payload["return"]]

@@ -5,6 +5,7 @@ from tracevm import (
     EntryPoint,
     EventKind,
     EventSink,
+    ListenerRegistration,
     MethodRef,
     PhaseError,
     TargetSet,
@@ -336,6 +337,20 @@ def test_rollback_restores_everything_exactly():
     assert vm.registry.snapshot_state() == pristine
 
 
+def test_rollback_clears_the_target_set():
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
+                         ("late.Plugin.hook(int)", (TraceAction.CAPTURE_ARGS,))))
+    assert engine.status()["pending"] == 1
+    engine.rollback()
+    status = engine.status()
+    assert status["targets"] == [] and status["pending"] == 0
+    engine.apply(targets(("app.Main.mid(int)", (TraceAction.CAPTURE_STACK,))))
+    status = engine.status()
+    assert status["targets"] == ["app.Main.mid(int)"]
+    assert status["pending"] == 0 and status["injected"] == 1
+
+
 def test_rollback_after_partial_bringup():
     vm, engine = make_engine()
     pristine = vm.registry.snapshot_state()
@@ -530,3 +545,19 @@ def test_status_reports_session_shape():
     assert status["targets"] == ["app.Main.leaf(int)"]
     assert status["listener_active"] is True
     assert status["events_buffered"] == 1
+    assert status["unmatched_exits"] == 0
+    assert status["callback_errors"] == 0
+
+    # both counters report what the event path tolerated
+    ref = MethodRef.parse("app.Main.leaf(int)")
+    engine._on_event(vm.new_thread(), ref, EventKind.METHOD_EXITED, (), 1, False)
+
+    def bomb(thread, ref, kind, args, value, abrupt):
+        raise RuntimeError("listener bug")
+
+    vm.instrumentation.add_listener(ListenerRegistration(
+        "bomb", frozenset({EventKind.METHOD_ENTERED}), bomb))
+    vm.invoke(vm.new_thread(), "app.Main.leaf(int)", (1,))
+    status = engine.status()
+    assert status["unmatched_exits"] == 1
+    assert status["callback_errors"] == 1
