@@ -92,9 +92,39 @@ MNEMONIC_TO_OPCODE = {
 }
 
 
-class Instruction(NamedTuple):
-    op: Opcode
-    arg: object = None
+# Opcode values as plain ints in definition order: what ``Instruction`` stores,
+# unpacked into named ints by the interpreter, the validator and the lowering pass.
+_OPCODES = tuple(op.value for op in Opcode)
+_OPCODE_BY_VALUE = {op.value: op for op in Opcode}
+
+
+class Instruction(tuple):
+    """One bytecode instruction: the 2-tuple ``(opcode, arg)``.
+
+    The opcode is stored as a plain ``int``, converted once here. The
+    interpreter loop compares it against int constants on every instruction,
+    and CPython 3.11 specialises an int-to-int ``==`` but not one whose
+    operand is an ``IntEnum`` member. ``op`` still returns the ``Opcode``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: Opcode, arg: object = None):
+        return tuple.__new__(cls, (int(op), arg))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    @property
+    def op(self) -> Opcode:
+        return _OPCODE_BY_VALUE[self[0]]
+
+    @property
+    def arg(self) -> object:
+        return self[1]
+
+    def __repr__(self) -> str:
+        return f"Instruction({self.op!r}, {self[1]!r})"
 
 
 class MethodRef:

@@ -145,6 +145,7 @@ class TraceEngine:
         self._adaptive = True
         self.spurious_filtered = 0
         self.unmatched_exits = 0
+        self.action_errors = 0
 
     # -- phase operations ---------------------------------------------------
 
@@ -292,6 +293,7 @@ class TraceEngine:
                 "events_dropped": self.sink.dropped_count,
                 "spurious_filtered": self.spurious_filtered,
                 "unmatched_exits": self.unmatched_exits,
+                "action_errors": self.action_errors,
                 "callback_errors": self.instrumentation.callback_errors,
             }
 
@@ -362,6 +364,7 @@ class TraceEngine:
             else:
                 self._on_target_exit(thread, ref, flags, value, abrupt)
         except Exception:
+            self.action_errors += 1
             log.exception("trace action failed for %s", ref.key)
         finally:
             frames.pop()
@@ -374,8 +377,14 @@ class TraceEngine:
         if args or timed:
             args_payload = None
             if args:
-                args_payload = capture_args_payload(
-                    call_args, self.vm.registry.value_to_payload)
+                try:
+                    args_payload = capture_args_payload(
+                        call_args, self.vm.registry.value_to_payload)
+                except Exception:
+                    # Still push the entry, so the exit times the call and
+                    # skips only the argument event.
+                    self.action_errors += 1
+                    log.exception("argument capture failed for %s", ref.key)
             thread.trace_pending.append((ref.key, _clock(), args_payload))
 
     def _on_target_exit(self, thread, ref, flags: ActionFlags, value, abrupt: bool) -> None:

@@ -13,10 +13,12 @@ callee runs.
 
 from __future__ import annotations
 
-from .core import _BIAS, _MASK, MethodRecord, Opcode
+from .core import _BIAS, _MASK, _OPCODES, MethodRecord
 from .errors import VMInternalError
 
-_WRAP_SYMBOLS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
+# Plain-int opcodes, as ``Instruction`` stores them.
+(_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
+_WRAP_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
 
 
 def _mangle(key: str) -> str:
@@ -35,7 +37,7 @@ def lower_method(record: MethodRecord):
     refs = []
     ref_index = {}
     for op, arg in code:
-        if op == Opcode.CALL and arg.key not in ref_index:
+        if op == _CALL and arg.key not in ref_index:
             ref_index[arg.key] = len(refs)
             refs.append(arg)
 
@@ -44,7 +46,7 @@ def lower_method(record: MethodRecord):
     for i, (op, arg) in enumerate(code):
         if depths[i] is None:
             continue
-        if op in (Opcode.JUMP, Opcode.JUMP_IF_ZERO):
+        if op == _JMP or op == _JZ:
             has_jumps = True
             leaders.add(i + arg)
     block_starts = sorted(pc for pc in leaders if depths[pc] is not None)
@@ -64,16 +66,16 @@ def lower_method(record: MethodRecord):
         depth = depths[start]
         while True:
             op, arg = code[pc]
-            if op == Opcode.PUSH_CONST:
+            if op == _PUSH:
                 lines.append(f"{indent}s{depth} = {arg!r}")
                 depth += 1
-            elif op == Opcode.LOAD_ARG:
+            elif op == _LARG:
                 lines.append(f"{indent}s{depth} = args[{arg}]")
                 depth += 1
-            elif op == Opcode.LOAD_LOCAL:
+            elif op == _LLOC:
                 lines.append(f"{indent}s{depth} = l{arg}")
                 depth += 1
-            elif op == Opcode.STORE_LOCAL:
+            elif op == _SLOC:
                 depth -= 1
                 lines.append(f"{indent}l{arg} = s{depth}")
             elif op in _WRAP_SYMBOLS:
@@ -82,16 +84,16 @@ def lower_method(record: MethodRecord):
                 a, b = f"s{depth - 1}", f"s{depth}"
                 lines.append(
                     f"{indent}s{depth - 1} = ({a} {sym} {b} + {_BIAS} & {_MASK}) - {_BIAS}")
-            elif op == Opcode.JUMP_IF_ZERO:
+            elif op == _JZ:
                 depth -= 1
                 lines.append(f"{indent}if s{depth} == 0:")
                 lines.append(f"{indent}    _b = {block_id[pc + arg]}")
                 lines.append(f"{indent}    continue")
-            elif op == Opcode.JUMP:
+            elif op == _JMP:
                 lines.append(f"{indent}_b = {block_id[pc + arg]}")
                 lines.append(f"{indent}continue")
                 return
-            elif op == Opcode.CALL:
+            elif op == _CALL:
                 callee = arg
                 k = callee.arity
                 depth -= k
@@ -100,7 +102,7 @@ def lower_method(record: MethodRecord):
                     f"{indent}s{depth} = _call(thread, _refs[{ref_index[callee.key]}], "
                     f"[{call_args}])")
                 depth += 1
-            elif op == Opcode.RETURN:
+            elif op == _RET:
                 lines.append(f"{indent}return s{depth - 1}")
                 return
             else:  # pragma: no cover - validator rejects unknown opcodes

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 
 from .core import (
+    _OPCODES,
     I64_MAX,
     I64_MIN,
     ClassRegistry,
@@ -40,6 +41,9 @@ from .core import (
 from .errors import ProgramParseError, ProgramValidationError
 
 MAX_LOCAL_SLOTS = 256
+
+# Plain-int opcodes, as ``Instruction`` stores them.
+(_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _CLASS_RE = re.compile(r"class\s+(\S+)$")
@@ -108,9 +112,8 @@ class _MethodBuilder:
         if not code:
             raise ProgramValidationError("method has no instructions", key, self.decl_line)
         n_locals = 0
-        for instr, line_no in zip(code, self.lines):
-            if instr.op in (Opcode.LOAD_LOCAL, Opcode.STORE_LOCAL):
-                slot = instr.arg
+        for (op, slot), line_no in zip(code, self.lines):
+            if op == _LLOC or op == _SLOC:
                 if slot >= MAX_LOCAL_SLOTS:
                     raise ProgramValidationError(f"local slot {slot} too large", key, line_no)
                 n_locals = max(n_locals, slot + 1)
@@ -141,25 +144,25 @@ class _MethodBuilder:
                 depths[pc] = depth
                 op, arg = code[pc]
                 line_no = self.lines[pc]
-                if op == Opcode.PUSH_CONST:
+                if op == _PUSH:
                     depth += 1
-                elif op == Opcode.LOAD_ARG:
+                elif op == _LARG:
                     if arg >= arity:
                         raise ProgramValidationError(
                             f"loadarg {arg} out of range for arity {arity}", key, line_no)
                     depth += 1
-                elif op == Opcode.LOAD_LOCAL:
+                elif op == _LLOC:
                     depth += 1
-                elif op == Opcode.STORE_LOCAL:
+                elif op == _SLOC:
                     if depth < 1:
                         raise ProgramValidationError("stack underflow at storelocal", key, line_no)
                     depth -= 1
-                elif op in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
+                elif op == _ADD or op == _SUB or op == _MUL:
                     if depth < 2:
                         raise ProgramValidationError(
-                            f"stack underflow at {op.name.lower()}", key, line_no)
+                            f"stack underflow at {Opcode(op).name.lower()}", key, line_no)
                     depth -= 1
-                elif op == Opcode.JUMP_IF_ZERO:
+                elif op == _JZ:
                     if depth < 1:
                         raise ProgramValidationError("stack underflow at jz", key, line_no)
                     depth -= 1
@@ -168,20 +171,20 @@ class _MethodBuilder:
                         raise ProgramValidationError(
                             f"jump target {target} out of range", key, line_no)
                     work.append((target, depth))
-                elif op == Opcode.JUMP:
+                elif op == _JMP:
                     target = pc + arg
                     if not 0 <= target < n:
                         raise ProgramValidationError(
                             f"jump target {target} out of range", key, line_no)
                     pc = target
                     continue
-                elif op == Opcode.CALL:
+                elif op == _CALL:
                     callee: MethodRef = arg
                     if depth < callee.arity:
                         raise ProgramValidationError(
                             f"stack underflow at call {callee.key}", key, line_no)
                     depth = depth - callee.arity + 1
-                elif op == Opcode.RETURN:
+                elif op == _RET:
                     if depth < 1:
                         raise ProgramValidationError("stack underflow at ret", key, line_no)
                     break
@@ -257,11 +260,11 @@ def parse_program(text: str) -> Program:
         if op is None:
             raise ProgramParseError(f"unknown instruction {mnemonic!r}", line_no)
 
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.RETURN):
+        if op == _ADD or op == _SUB or op == _MUL or op == _RET:
             if operand is not None:
                 raise ProgramParseError(f"{mnemonic} takes no operand", line_no)
             builder.add(Instruction(op), line_no)
-        elif op == Opcode.PUSH_CONST:
+        elif op == _PUSH:
             if operand is None:
                 raise ProgramParseError("pushconst needs an operand", line_no)
             if operand.startswith('"'):
@@ -275,15 +278,15 @@ def parse_program(text: str) -> Program:
                 if not I64_MIN <= value <= I64_MAX:
                     raise ProgramParseError(f"constant {value} outside 64-bit range", line_no)
                 builder.add(Instruction(op, value), line_no)
-        elif op in (Opcode.LOAD_ARG, Opcode.LOAD_LOCAL, Opcode.STORE_LOCAL):
+        elif op == _LARG or op == _LLOC or op == _SLOC:
             if operand is None:
                 raise ProgramParseError(f"{mnemonic} needs a slot operand", line_no)
             builder.add(Instruction(op, _parse_int(operand, line_no, signed=False)), line_no)
-        elif op in (Opcode.JUMP_IF_ZERO, Opcode.JUMP):
+        elif op == _JZ or op == _JMP:
             if operand is None:
                 raise ProgramParseError(f"{mnemonic} needs a relative offset", line_no)
             builder.add(Instruction(op, _parse_int(operand, line_no)), line_no)
-        elif op == Opcode.CALL:
+        elif op == _CALL:
             if operand is None:
                 raise ProgramParseError("call needs a method reference", line_no)
             builder.add(Instruction(op, MethodRef.parse(operand)), line_no)

@@ -5,6 +5,12 @@ entry checks for method-entry listeners before touching the bytecode, which is
 the hook the tracing layers build on. The quick stub fires the same events but
 runs the compiled body, so a traced hot method does not fall back to the
 interpreter.
+
+The interpreter runs each call in one Python frame. It compares opcodes as
+plain ints (``core.Instruction`` stores them that way), since CPython 3.11
+specialises an int-to-int ``==`` and leaves an ``IntEnum`` operand on the
+generic compare path. The call edge ``call_ref`` resolves a callee with one
+dict get on the registry's key map.
 """
 
 from __future__ import annotations
@@ -15,20 +21,18 @@ import threading
 from .core import (
     _BIAS,
     _MASK,
+    _OPCODES,
     ClassRegistry,
     CompilationState,
     EntryPoint,
     MethodRecord,
     MethodRef,
-    Opcode,
 )
 from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
 from .jit import lower_method
 
 DEFAULT_MAX_STACK_DEPTH = 10_000
-
-_OPCODES = tuple(Opcode)  # definition order, unpacked into locals for the hot loop
 
 _headroom_lock = threading.Lock()
 _rlimit_raised = False
@@ -86,6 +90,7 @@ class VM:
         if max_stack_depth < 1:
             raise ValueError("max_stack_depth must be positive")
         self.registry = registry
+        self._records = registry._records  # the registry never rebinds this dict
         self.max_stack_depth = max_stack_depth
         self.instrumentation = Instrumentation(registry)
         self.interpreted_calls = 0
@@ -113,8 +118,14 @@ class VM:
         return self._dispatch(thread, record, list(args))
 
     def call_ref(self, thread: VMThread, ref: MethodRef, args: list):
-        """Internal call edge used by bytecode and lowered code."""
-        record = self.registry.lookup(ref)
+        """Internal call edge used by bytecode and lowered code.
+
+        One dict get on the registry's key map; ``lookup`` runs only on a
+        miss, to raise ``MethodNotFoundError``.
+        """
+        record = self._records.get(ref.key)
+        if record is None:
+            record = self.registry.lookup(ref)
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: list):
@@ -172,23 +183,16 @@ class VM:
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: list):
-        """Interpreter tier entry with the method-entry listener checkpoint."""
+        """Interpreter tier: listener checkpoint, bytecode loop and exit events.
+
+        One Python frame per interpreted call. An exception out of the loop,
+        including a callee's ``StackDepthError``, fires an abrupt exit and
+        re-raises; an ``IndexError`` is first turned into ``VMInternalError``.
+        """
         self.interpreted_calls += 1
         ins = self.instrumentation
-        ref = record.method_ref
         if ins.has_entry:
-            ins.method_enter_event(thread, ref, args)
-        try:
-            value = self._run_bytecode(thread, record, args)
-        except Exception:
-            if ins.has_exit:
-                ins.method_exit_event(thread, ref, None, abrupt=True)
-            raise
-        if ins.has_exit:
-            ins.method_exit_event(thread, ref, value)
-        return value
-
-    def _run_bytecode(self, thread: VMThread, record: MethodRecord, args: list):
+            ins.method_enter_event(thread, record.method_ref, args)
         code = record.bytecode
         stack: list = []
         push = stack.append
@@ -240,17 +244,23 @@ class VM:
                 elif op == O_JMP:
                     pc += arg
                 elif op == O_RET:
-                    return pop()
+                    value = pop()
+                    break
                 else:  # pragma: no cover - loader emits only known opcodes
                     raise VMInternalError(f"unknown opcode {op} at pc {pc}")
-        except VMInternalError:
+        except Exception as exc:
+            if ins.has_exit:
+                ins.method_exit_event(thread, record.method_ref, None, abrupt=True)
+            if isinstance(exc, IndexError):
+                # The validator proves stack depths, so underflow here means a
+                # bug in this VM, not in the program. Abort with diagnostics.
+                raise VMInternalError(
+                    f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
+                ) from exc
             raise
-        except IndexError as exc:
-            # The validator proves stack depths, so underflow here means a bug
-            # in this VM, not in the program. Abort with diagnostics.
-            raise VMInternalError(
-                f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
-            ) from exc
+        if ins.has_exit:
+            ins.method_exit_event(thread, record.method_ref, value)
+        return value
 
     def stats(self) -> dict:
         return {

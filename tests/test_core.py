@@ -1,3 +1,4 @@
+import copy
 import ctypes
 
 import pytest
@@ -135,5 +136,16 @@ def test_value_to_payload_maps_interned_strings():
 def test_instruction_shape():
     ins = Instruction(Opcode.PUSH_CONST, 7)
     op, arg = ins
-    assert op is Opcode.PUSH_CONST and arg == 7
+    # stored as a plain int (the interpreter's fast compare); .op maps it back
+    assert op == Opcode.PUSH_CONST and type(op) is int and arg == 7
+    assert ins.op is Opcode.PUSH_CONST and ins.op.name == "PUSH_CONST"
     assert Instruction(Opcode.RETURN).arg is None
+
+
+def test_instruction_normalises_the_opcode():
+    for ins in (Instruction(Opcode.ADD), Instruction(5)):
+        assert len(ins) == 2 and type(ins[0]) is int
+        assert ins == (5, None) and ins.op is Opcode.ADD and ins.arg is None
+    assert Instruction(Opcode.CALL, "x") == Instruction(10, "x")
+    ins = Instruction(Opcode.PUSH_CONST, 7)
+    assert copy.deepcopy(ins) == ins and type(copy.copy(ins)) is Instruction

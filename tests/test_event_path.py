@@ -121,12 +121,35 @@ def test_failing_action_leaves_the_call_alone(compiled, monkeypatch):
     assert vm.invoke(thread, "app.Main.top(int)", (4,)) == 12
     assert thread.in_interceptor is False
     assert thread.frames == []
-    # the stack capture ran before the argument capture failed; with no
-    # pending entry the exit counts as unmatched and emits nothing
-    assert [e.action for e in engine.drain().events] == [TraceAction.CAPTURE_STACK]
-    assert engine.unmatched_exits == 1
+    # the stack capture ran before the argument capture failed; the pending
+    # entry is still pushed, so the call is timed and only its args are lost
+    assert [e.action for e in engine.drain().events] == [TraceAction.CAPTURE_STACK,
+                                                         TraceAction.TIME_METHOD]
+    assert engine.unmatched_exits == 0
+    assert engine.action_errors == 1
+    assert thread.trace_pending == []
 
     monkeypatch.undo()
     assert vm.invoke(thread, "app.Main.top(int)", (4,)) == 12
     assert len(engine.drain().events) == 3
     assert thread.frames == [] and thread.trace_pending == []
+
+
+def test_failing_return_capture_is_counted(monkeypatch):
+    vm, engine = traced_vm((TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD), False)
+    thread = vm.new_thread()
+    real = vm.registry.value_to_payload
+
+    def broken_for_return(value):
+        if value == 12:
+            raise RuntimeError("payload bug")
+        return real(value)
+
+    monkeypatch.setattr(vm.registry, "value_to_payload", broken_for_return)
+    assert vm.invoke(thread, "app.Main.top(int)", (4,)) == 12
+    # timing is appended before the return payload fails
+    assert [e.action for e in engine.drain().events] == [TraceAction.TIME_METHOD]
+    assert engine.action_errors == 1 and engine.status()["action_errors"] == 1
+    assert engine.unmatched_exits == 0
+    assert thread.frames == [] and thread.trace_pending == []
+    assert thread.in_interceptor is False

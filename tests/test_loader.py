@@ -26,6 +26,49 @@ def test_fib_parses_to_expected_shape(fib_source):
     assert spec.n_locals == 0
 
 
+EVERY_OPCODE = """
+class c.C
+  method g(int)
+    loadarg 0
+    ret
+  method f(int)
+    pushconst 2
+    storelocal 0
+    loadlocal 0
+    loadarg 0
+    add
+    pushconst 1
+    sub
+    pushconst 3
+    mul
+    jz +4
+    loadarg 0
+    call c.C.g(int)
+    jmp +2
+    pushconst 0
+    ret
+"""
+
+
+def test_instructions_hold_plain_int_opcodes():
+    program = parse_program(EVERY_OPCODE)
+    seen = set()
+    for spec in program.methods:
+        for ins in spec.bytecode:
+            assert len(ins) == 2 and type(ins[0]) is int
+            assert ins.op is Opcode(ins[0]) and ins.op.name == Opcode(ins[0]).name
+            seen.add(ins.op)
+    assert seen == set(Opcode)
+    f = program.methods[1].bytecode
+    assert f[0].op is Opcode.PUSH_CONST and f[-1].op is Opcode.RETURN
+
+
+@pytest.mark.parametrize("mnemonic", ["add", "sub", "mul"])
+def test_arithmetic_underflow_names_the_opcode(mnemonic):
+    _expect(f"class c.C\n  method f()\n    pushconst 1\n    {mnemonic}\n    ret",
+            ProgramValidationError, f"stack underflow at {mnemonic}")
+
+
 def test_comments_blank_lines_and_strings():
     src = (
         "# header comment\n"

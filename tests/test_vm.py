@@ -3,7 +3,9 @@ import pytest
 from tracevm import (
     ArityMismatchError,
     EntryPoint,
+    EventKind,
     Instruction,
+    ListenerRegistration,
     MethodNotFoundError,
     MethodRef,
     Opcode,
@@ -37,6 +39,22 @@ def test_invoke_errors(fib_source):
         vm.invoke(thread, "demo.Math.nope()", ())
     with pytest.raises(ArityMismatchError):
         vm.invoke(thread, "demo.Math.fib(int)", (1, 2))
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["interpreted", "compiled"])
+def test_call_edge_to_an_unloaded_method(compiled):
+    from tracevm import parse_program
+
+    vm = VM(load_program("class a.A\n  method f()\n    call b.B.g()\n    ret"))
+    if compiled:
+        vm.jit_compile("a.A.f()")
+    thread = vm.new_thread()
+    with pytest.raises(MethodNotFoundError, match=r"b\.B\.g\(\)"):
+        vm.invoke(thread, "a.A.f()", ())
+    assert thread.frames == []
+    # a class loaded later is found by the same call site
+    vm.registry.load(parse_program("class b.B\n  method g()\n    pushconst 7\n    ret"))
+    assert vm.invoke(thread, "a.A.f()", ()) == 7
 
 
 def test_invoke_by_non_canonical_key_parses_on_miss(fib_source):
@@ -154,6 +172,77 @@ def test_corrupt_bytecode_aborts_with_internal_error():
     with pytest.raises(VMInternalError) as info:
         vm.invoke(vm.new_thread(), "a.A.g()", ())
     assert "a.A.g()" in str(info.value)
+
+
+def test_corrupt_bytecode_fires_one_abrupt_exit():
+    vm = VM(load_program("class a.A\n  method f()\n    pushconst 1\n    ret"))
+    g = MethodRef("a.A", "g", ())
+    vm.registry._records[g.key] = MethodRecord(
+        g, (Instruction(Opcode.ADD), Instruction(Opcode.RETURN)), 0, (0, None))
+    seen = []
+
+    def listener(thread, ref, kind, args, value, abrupt):
+        seen.append((ref.key, kind, value, abrupt))
+
+    vm.instrumentation.add_listener(ListenerRegistration(
+        "t", frozenset({EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED}), listener))
+    thread = vm.new_thread()
+    with pytest.raises(VMInternalError, match="a.A.g()") as info:
+        vm.invoke(thread, g, ())
+    assert isinstance(info.value.__cause__, IndexError)
+    assert seen == [(g.key, EventKind.METHOD_ENTERED, None, False),
+                    (g.key, EventKind.METHOD_EXITED, None, True)]
+    assert thread.frames == []
+
+
+TWO_TIER = """
+class t.T
+  method leaf(int)
+    loadarg 0
+    pushconst 1
+    add
+    ret
+  method mid(int)
+    loadarg 0
+    call t.T.leaf(int)
+    loadarg 0
+    call t.T.leaf(int)
+    add
+    ret
+  method top(int)
+    loadarg 0
+    call t.T.mid(int)
+    loadarg 0
+    call t.T.leaf(int)
+    add
+    ret
+"""
+
+
+def test_tier_counters_exact_on_a_two_tier_program():
+    # top and leaf are interpreted, mid is compiled: one top call runs top and
+    # leaf x3 interpreted and mid once compiled.
+    vm = VM(load_program(TWO_TIER))
+    vm.jit_compile("t.T.mid(int)")
+    thread = vm.new_thread()
+    for n in (1, 2, 3):
+        assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
+    assert (vm.interpreted_calls, vm.compiled_calls) == (12, 3)
+    assert vm.instrumentation.events_dispatched == 0
+
+    # A listener makes each interpreted call dispatch an entry and an exit;
+    # the quick stub on mid adds a pair per mid call.
+    vm.instrumentation.add_listener(ListenerRegistration(
+        "t", frozenset({EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED}),
+        lambda *event: None))
+    vm.instrumentation.install_stubs_for_method(
+        "t.T.mid(int)", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+    for n in (1, 2, 3):
+        assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
+    stats = vm.stats()
+    assert (stats["interpreted_calls"], stats["compiled_calls"]) == (24, 6)
+    assert stats["events_dispatched"] == 3 * (2 * 4 + 2)
+    assert thread.frames == []
 
 
 def test_string_constants_flow_as_intern_ids():
