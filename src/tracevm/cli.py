@@ -62,8 +62,8 @@ def cmd_trace(args) -> int:
         if out is not sys.stdout:
             out.close()
     print(f"result: {result}", file=sys.stderr)
-    print(f"events: {len(drained.events)} drained, {drained.dropped_total} dropped",
-          file=sys.stderr)
+    print(f"events: {len(drained.events)} drained, {drained.dropped_total} dropped, "
+          f"{engine.action_errors} action errors", file=sys.stderr)
     return 0
 
 

@@ -8,9 +8,10 @@ stub. Last, tracing starts through the normal entry point, which now only
 registers the event proxy.
 
 The proxy sees every dispatched event, filters to the target set, runs the
-configured actions under a synthetic interceptor frame, and appends raw records
-to a bounded sink, which builds the events when it is drained. Rollback undoes
-everything in reverse order and is idempotent.
+configured actions and appends raw records to a bounded sink, which builds the
+events when it is drained. Captured stacks start with the synthetic
+``INTERCEPT_REF``, which the VM's frame stack never holds. One session runs per
+VM. Rollback undoes everything in reverse order and is idempotent.
 
 Targets configured before their class is loaded are injected the moment the
 class arrives, via a registry load hook that the engine holds only while a
@@ -39,8 +40,7 @@ _CAPTURE_STACK = TraceAction.CAPTURE_STACK
 _CAPTURE_ARGS = TraceAction.CAPTURE_ARGS
 _TIME_METHOD = TraceAction.TIME_METHOD
 
-# Synthetic frame pushed while trace actions run, so captured stacks show the
-# interception point itself.
+# Synthetic innermost frame of every captured stack: the interception point.
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
 
 PROXY_LISTENER_ID = "xtrace-proxy"
@@ -146,13 +146,15 @@ class TraceEngine:
         self.spurious_filtered = 0
         self.unmatched_exits = 0
         self.action_errors = 0
+        self._failed_keys: set[str] = set()
 
     # -- phase operations ---------------------------------------------------
 
     def suppress_global_tracing(self) -> None:
         """Phase 1: make the built-in activation a no-op before anything else."""
         with self._lock:
-            self._require_phase(TracePhase.IDLE, "suppress_global_tracing")
+            self._require_free_vm("suppress_global_tracing")
+            self.mode = "targeted"
             self._saved_handler = self.instrumentation.set_activation_handler(_noop_activation)
             # Keep the exact callable: rollback must remove what was registered.
             self._load_hook = self._on_classes_loaded
@@ -169,7 +171,6 @@ class TraceEngine:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
             self._targets = target_set
-            injected = 0
             changed = 0
             warnings = []
             registry = self.vm.registry
@@ -181,9 +182,8 @@ class TraceEngine:
                 if self._install_target_stub(record):
                     changed += 1
                 self._injected.append(ref.key)
-                injected += 1
             self.phase = TracePhase.INJECTED
-            return ApplyReport("targeted", len(target_set), injected, changed,
+            return ApplyReport("targeted", len(target_set), len(self._injected), changed,
                                tuple(warnings), self._pending_actions())
 
     def install_dispatcher(self) -> ListenerRegistration:
@@ -219,7 +219,6 @@ class TraceEngine:
                                          adaptive=adaptive)
             self.install_dispatcher()
             self.activate()
-            self.mode = "targeted"
             return report
 
     def apply_global(self, target_set: TargetSet) -> ApplyReport:
@@ -229,14 +228,13 @@ class TraceEngine:
         the targeted mode; only the cost differs.
         """
         with self._lock:
-            self._require_phase(TracePhase.IDLE, "apply_global")
+            self._require_free_vm("apply_global")
             self._targets = target_set
             self._build_registration()
             report = self.instrumentation.native_trace_start(self._registration)
             self.phase = TracePhase.ACTIVE
             self.mode = "global"
-            changed = report.entry_points_replaced if report is not None else 0
-            return ApplyReport(self.mode, len(target_set), 0, changed)
+            return ApplyReport(self.mode, len(target_set), 0, report.entry_points_replaced)
 
     def rollback(self) -> dict:
         """Undo everything this engine changed, in reverse order. Idempotent."""
@@ -256,13 +254,12 @@ class TraceEngine:
             else:
                 restored = 0
                 for key in reversed(self._injected):
-                    record = self.vm.registry.get(key)
-                    if record is None:
-                        continue
-                    if self.instrumentation.restore_entry_point_for_method(record):
+                    if self.instrumentation.restore_entry_point_for_method(
+                            self.vm.registry.get(key)):
                         restored += 1
                 summary["entry_points_restored"] = restored
             self._injected.clear()
+            self._failed_keys.clear()
             self._targets = TargetSet()
             if self._load_hook is not None:
                 self.vm.registry.remove_on_load(self._load_hook)
@@ -304,6 +301,13 @@ class TraceEngine:
             raise PhaseError(f"{op} requires phase {expected.value}, engine is "
                              f"{self.phase.value}")
 
+    def _require_free_vm(self, op: str) -> None:
+        """A session starts only from idle, and only while no other one holds the VM."""
+        self._require_phase(TracePhase.IDLE, op)
+        ins = self.instrumentation
+        if not ins.is_default_activation or PROXY_LISTENER_ID in ins.listener_ids():
+            raise PhaseError(f"{op}: another trace session is up on this VM")
+
     def _pending_actions(self) -> int:
         """Actions of targets still waiting for their class; 0 outside a targeted session."""
         if self.mode == "global" or self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
@@ -324,7 +328,6 @@ class TraceEngine:
             listener_id=PROXY_LISTENER_ID,
             event_mask=frozenset({EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED}),
             callback=self._on_event,
-            description="target-filtering trace proxy",
         )
         return self._registration
 
@@ -355,56 +358,50 @@ class TraceEngine:
         if flags is None:
             self.spurious_filtered += 1
             return
+        stack, capture, timed = flags
         thread.in_interceptor = True
-        frames = thread.frames
-        frames.append(INTERCEPT_REF)
         try:
             if kind is METHOD_ENTERED:
-                self._on_target_enter(thread, ref, flags, args)
-            else:
-                self._on_target_exit(thread, ref, flags, value, abrupt)
+                if stack:
+                    self.sink.append((_clock(), ref, _CAPTURE_STACK,
+                                      [INTERCEPT_REF, *reversed(thread.frames)], False))
+                if capture or timed:
+                    args_payload = None
+                    if capture:
+                        try:
+                            args_payload = capture_args_payload(
+                                args, self.vm.registry.value_to_payload)
+                        except Exception:
+                            # Still push the entry, so the exit times the call
+                            # and skips only the argument event.
+                            self._action_failed(ref)
+                    thread.trace_pending.append((ref.key, _clock(), args_payload))
+            elif capture or timed:
+                pending = thread.trace_pending
+                if not (pending and pending[-1][0] == ref.key):
+                    # Exit with no matching entry: listener attached mid-call.
+                    self.unmatched_exits += 1
+                    return
+                _key, t0, args_payload = pending.pop()
+                now = _clock()
+                if timed:
+                    self.sink.append((now, ref, _TIME_METHOD, now - t0, abrupt))
+                if capture and args_payload is not None:
+                    # Serialize and redact now: the sink never holds a raw value.
+                    ret = None if abrupt else redact_value(
+                        self.vm.registry.value_to_payload(value))
+                    self.sink.append((now, ref, _CAPTURE_ARGS, (args_payload, ret), abrupt))
         except Exception:
-            self.action_errors += 1
-            log.exception("trace action failed for %s", ref.key)
+            self._action_failed(ref)
         finally:
-            frames.pop()
             thread.in_interceptor = False
 
-    def _on_target_enter(self, thread, ref, flags: ActionFlags, call_args: tuple) -> None:
-        stack, args, timed = flags
-        if stack:
-            self.sink.append((_clock(), ref, _CAPTURE_STACK, thread.frames[::-1], False))
-        if args or timed:
-            args_payload = None
-            if args:
-                try:
-                    args_payload = capture_args_payload(
-                        call_args, self.vm.registry.value_to_payload)
-                except Exception:
-                    # Still push the entry, so the exit times the call and
-                    # skips only the argument event.
-                    self.action_errors += 1
-                    log.exception("argument capture failed for %s", ref.key)
-            thread.trace_pending.append((ref.key, _clock(), args_payload))
-
-    def _on_target_exit(self, thread, ref, flags: ActionFlags, value, abrupt: bool) -> None:
-        _stack, args, timed = flags
-        if not (args or timed):
-            return
-        pending = thread.trace_pending
-        if pending and pending[-1][0] == ref.key:
-            _key, t0, args_payload = pending.pop()
-        else:
-            # Exit with no matching entry: listener attached mid-call.
-            self.unmatched_exits += 1
-            return
-        now = _clock()
-        if timed:
-            self.sink.append((now, ref, _TIME_METHOD, now - t0, abrupt))
-        if args and args_payload is not None:
-            # Serialize and redact now: the sink never holds a raw value.
-            ret = None if abrupt else redact_value(self.vm.registry.value_to_payload(value))
-            self.sink.append((now, ref, _CAPTURE_ARGS, (args_payload, ret), abrupt))
+    def _action_failed(self, ref: MethodRef) -> None:
+        """Count a failed action; log the traceback once per target per session."""
+        self.action_errors += 1
+        if ref.key not in self._failed_keys:
+            self._failed_keys.add(ref.key)
+            log.exception("trace action failed for %s", ref.key)
 
 
 def _noop_activation():

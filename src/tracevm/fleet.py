@@ -57,7 +57,6 @@ class FleetReport:
     trace_events: int
     status_after: ConfigStatus
     rolled_back_sessions: int = 0
-    warnings: tuple = ()
 
 
 @dataclass
@@ -106,13 +105,12 @@ class FleetManager:
         return sessions
 
     def run_workload(self, config_id: str, calls: list,
-                     *, crash_rate: float = 0.0, anr_rate: float = 0.0,
-                     fault_only_admitted: bool = True) -> HealthMetrics:
+                     *, crash_rate: float = 0.0, anr_rate: float = 0.0) -> HealthMetrics:
         """Drive every session through the call list and collect health counts.
 
         ``calls`` is a list of (method key, args) pairs. Fault injection is a
-        deterministic per-device hash draw, by default only against sessions
-        that actually applied the config.
+        deterministic per-device hash draw, only against sessions that
+        actually applied the config.
         """
         dep = self._deployment(config_id)
         metrics = HealthMetrics(thresholds=self.thresholds)
@@ -121,10 +119,9 @@ class FleetManager:
             for key, args in calls:
                 session.vm.invoke(thread, key, args)
                 session.calls_made += 1
-            faultable = session.admitted or not fault_only_admitted
-            session.crashed = faultable and _fault_gate(
+            session.crashed = session.admitted and _fault_gate(
                 session.device_id, f"crash:{config_id}", crash_rate)
-            session.anr = faultable and _fault_gate(
+            session.anr = session.admitted and _fault_gate(
                 session.device_id, f"anr:{config_id}", anr_rate)
             metrics.sessions += 1
             metrics.crashes += int(session.crashed)
@@ -157,18 +154,15 @@ class FleetManager:
         return total
 
     def simulate(self, config: TraceConfig, n_sessions: int, program: Program,
-                 calls: list, *, crash_rate: float = 0.0, anr_rate: float = 0.0,
-                 device_prefix: str = "device-",
-                 advance_lifecycle: bool = True) -> FleetReport:
+                 calls: list, *, crash_rate: float = 0.0, anr_rate: float = 0.0) -> FleetReport:
         """One full canary round: build, run, aggregate, advance or roll back."""
         self.register(config)
-        sessions = self.build_sessions(config.config_id, n_sessions, program,
-                                       device_prefix=device_prefix)
+        sessions = self.build_sessions(config.config_id, n_sessions, program)
         metrics = self.run_workload(config.config_id, calls,
                                     crash_rate=crash_rate, anr_rate=anr_rate)
         trace_events = self.drain_events(config.config_id)
         rolled_back = 0
-        if advance_lifecycle and config.status is ConfigStatus.CANARY:
+        if config.status is ConfigStatus.CANARY:
             before = config.status
             self.advance(config.config_id, metrics)
             if config.status is ConfigStatus.ROLLED_BACK and before is not config.status:

@@ -48,7 +48,6 @@ class ListenerRegistration:
     listener_id: str
     event_mask: frozenset
     callback: Callable
-    description: str = ""
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Virtual machine: threads, tiered dispatch and the interpreter loop.
 
-Every call dispatches through the callee's entry-point slot. The interpreter
-entry checks for method-entry listeners before touching the bytecode, which is
-the hook the tracing layers build on. The quick stub fires the same events but
-runs the compiled body, so a traced hot method does not fall back to the
-interpreter.
+Every call dispatches through the callee's entry-point slot, and only
+``_dispatch`` pushes or pops ``thread.frames``. The interpreter entry checks for
+method-entry listeners before touching the bytecode, the hook the tracing layers
+build on. The quick stub fires the same events but runs the compiled body, so a
+traced hot method does not fall back to the interpreter.
 
 The interpreter runs each call in one Python frame. It compares opcodes as
 plain ints (``core.Instruction`` stores them that way), since CPython 3.11
@@ -140,30 +140,25 @@ class VM:
                 self.compiled_calls += 1
                 return record.lowered_code(self, thread, args)
             if entry is EntryPoint.INSTRUMENTATION_QUICK_STUB:
-                return self._quick_stub(thread, record, args)
+                # Traced fast path: events around the compiled body. Installing
+                # the quick stub requires a compiled method and compiling is
+                # one-way, so the body runs without a tier check.
+                ins = self.instrumentation
+                ref = record.method_ref
+                ins.method_enter_event(thread, ref, args)
+                self.compiled_calls += 1
+                try:
+                    value = record.lowered_code(self, thread, args)
+                except Exception:
+                    ins.method_exit_event(thread, ref, None, abrupt=True)
+                    raise
+                ins.method_exit_event(thread, ref, value)
+                return value
             # InterpreterBridge and the interpreter stub both land here; the
             # interpreter's own listener checkpoint fires the events.
             return self.interpret(thread, record, args)
         finally:
             frames.pop()
-
-    def _quick_stub(self, thread: VMThread, record: MethodRecord, args: list):
-        """Traced fast path: fire entry/exit events around the compiled body.
-
-        Installing the quick stub requires a compiled method and compiling is
-        one-way, so the body runs without a tier check.
-        """
-        ins = self.instrumentation
-        ref = record.method_ref
-        ins.method_enter_event(thread, ref, args)
-        self.compiled_calls += 1
-        try:
-            value = record.lowered_code(self, thread, args)
-        except Exception:
-            ins.method_exit_event(thread, ref, None, abrupt=True)
-            raise
-        ins.method_exit_event(thread, ref, value)
-        return value
 
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
         """Lower a method and flip plain interpreted entries to the compiled tier.

@@ -20,6 +20,9 @@ from .errors import WorkloadError
 from .loader import parse_program
 
 _LAYERS = 4
+_BODY_OPS = (8, 28)  # instructions per generated method body, inclusive range
+_PROBE_OPS = 192
+_CALL_CHANCE = 0.35  # share of methods that call into the next layer
 
 PROBE_CLASS = "load.Probe"
 PROBE_TRACED = MethodRef(PROBE_CLASS, "hotTraced", ("int",))
@@ -189,8 +192,7 @@ class GeneratedWorkload:
 
 def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
                  target_count: int = 5, seed: int = 1234, *,
-                 hot_fraction: float = 0.3, body_ops: tuple[int, int] = (8, 28),
-                 probe_ops: int = 192, call_chance: float = 0.35) -> GeneratedWorkload:
+                 hot_fraction: float = 0.3) -> GeneratedWorkload:
     """Generate a layered program with hot methods, targets and latency probes."""
     if n_classes < 2:
         raise WorkloadError("need at least 2 classes")
@@ -226,10 +228,10 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
         for ref in refs_by_class[cls]:
             lines.append(f"  method {ref.method_name}({ref.signature_text})")
             callees = []
-            if next_layer and rng.random() < call_chance:
+            if next_layer and rng.random() < _CALL_CHANCE:
                 callees = rng.sample(next_layer, k=min(rng.randint(1, 2), len(next_layer)))
             asm = _Asm()
-            _emit_body(asm, rng, ref.arity, callees, rng.randint(*body_ops))
+            _emit_body(asm, rng, ref.arity, callees, rng.randint(*_BODY_OPS))
             lines.extend(asm.render())
         lines.append("")
 
@@ -237,7 +239,7 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
     for probe in (PROBE_TRACED, PROBE_UNTRACED):
         lines.append(f"  method {probe.method_name}({probe.signature_text})")
         asm = _Asm()
-        _emit_probe_body(asm, random.Random(seed + 99), probe_ops)
+        _emit_probe_body(asm, random.Random(seed + 99), _PROBE_OPS)
         lines.extend(asm.render())
     lines.append("")
 
@@ -288,8 +290,8 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
     )
 
 
-def gen_random_program(seed: int, *, n_methods: int | None = None,
-                       max_body_ops: int = 40) -> tuple[Program, list[MethodRef]]:
+def gen_random_program(seed: int, *,
+                       n_methods: int | None = None) -> tuple[Program, list[MethodRef]]:
     """Small random program for differential testing; returns entry refs too.
 
     Methods may only call higher-numbered methods, so call graphs are acyclic
@@ -308,7 +310,7 @@ def gen_random_program(seed: int, *, n_methods: int | None = None,
         if later and rng.random() < 0.5:
             callees = rng.sample(later, k=min(rng.randint(1, 2), len(later)))
         asm = _Asm()
-        _emit_body(asm, rng, ref.arity, callees, rng.randint(6, max_body_ops))
+        _emit_body(asm, rng, ref.arity, callees, rng.randint(6, 40))
         lines.extend(asm.render())
     source = "\n".join(lines)
     return parse_program(source), refs

@@ -105,6 +105,7 @@ def test_trace_emits_ndjson(program_file, config_file, capsys, mode):
     assert args_line["method"] == "cli.Demo.twice(int)"
     assert args_line["payload"] == {"args": [5], "return": 10}
     assert "result: 10" in captured.err
+    assert "0 dropped, 0 action errors" in captured.err
 
 
 def test_trace_writes_file(program_file, config_file, tmp_path, capsys):

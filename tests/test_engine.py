@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from tracevm import (
@@ -123,6 +125,46 @@ def test_failed_op_leaves_phase_unchanged():
     assert engine.phase is TracePhase.IDLE
     assert vm.registry.snapshot_state() == before
     assert vm.instrumentation.listener_ids() == []
+
+
+@pytest.mark.parametrize("first_mode", ["targeted", "global"])
+def test_second_session_on_one_vm_is_refused(first_mode):
+    vm, first = make_engine()
+    second = TraceEngine(vm, EventSink())
+    ts = targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)))
+    if first_mode == "targeted":
+        first.apply(ts)
+    else:
+        first.apply_global(ts)
+    ins = vm.instrumentation
+    before = (vm.registry.snapshot_state(), ins.listener_ids(),
+              list(vm.registry._on_load), ins.is_default_activation)
+    with pytest.raises(PhaseError):
+        second.apply(ts)
+    with pytest.raises(PhaseError):
+        second.apply_global(ts)
+    assert (vm.registry.snapshot_state(), ins.listener_ids(),
+            list(vm.registry._on_load), ins.is_default_activation) == before
+    assert second.status()["phase"] == "idle" and second.status()["mode"] is None
+    # the first session still traces, and its rollback brings the stock activation back
+    vm.invoke(vm.new_thread(), "app.Main.top(int)", (1,))
+    assert len(first.drain().events) == 1
+    second.rollback()
+    first.rollback()
+    assert ins.is_default_activation and ins.listener_ids() == []
+    assert vm.registry._on_load == []
+
+
+def test_mode_is_targeted_through_a_phase_by_phase_bring_up():
+    _, engine = make_engine()
+    engine.suppress_global_tracing()
+    engine.inject_targets(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    engine.install_dispatcher()
+    engine.activate()
+    assert engine.status()["phase"] == "active"
+    assert engine.status()["mode"] == "targeted"
+    engine.rollback()
+    assert engine.status()["mode"] is None
 
 
 # -- targeted bring-up -------------------------------------------------------------
@@ -263,44 +305,76 @@ def test_combined_actions_on_one_target():
     assert args_event.payload == {"args": [3], "return": 9}
 
 
-def test_interceptor_reentrancy_guard():
+def test_interceptor_reentrancy_guard(monkeypatch):
     vm, engine = make_engine()
-    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.CAPTURE_STACK,))))
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.CAPTURE_ARGS,))))
     thread = vm.new_thread()
-    # calls made from inside the interceptor must not trace again
-    calls = []
-    original = engine._on_target_enter
+    to_payload = vm.registry.value_to_payload
+    nested = []
 
-    def spying(th, ref, acts, call_args):
-        calls.append(True)
-        vm.invoke(th, "app.Main.leaf(int)", (1,))
-        original(th, ref, acts, call_args)
+    def reentrant(value):
+        # a call made from inside the proxy must not trace again
+        nested.append(vm.invoke(thread, "app.Main.leaf(int)", (5,)))
+        return to_payload(value)
 
-    engine._on_target_enter = spying
-    vm.invoke(thread, "app.Main.leaf(int)", (2,))
-    assert calls == [True]
-    assert len(engine.drain().events) == 1
+    monkeypatch.setattr(vm.registry, "value_to_payload", reentrant)
+    assert vm.invoke(thread, "app.Main.leaf(int)", (2,)) == 6
+    # one nested call for the argument at entry, one for the return value at exit
+    assert nested == [15, 15]
+    assert [e.payload for e in engine.drain().events] == [{"args": [2], "return": 6}]
+    # the nested calls were dispatched, and the guard dropped them before the filter
+    assert vm.instrumentation.events_dispatched == 6
+    assert engine.spurious_filtered == 0
     assert thread.in_interceptor is False
+    assert thread.frames == [] and thread.trace_pending == []
+
+
+def test_frames_are_method_refs_with_intercept_ref_innermost(monkeypatch):
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)",
+                          (TraceAction.CAPTURE_STACK, TraceAction.CAPTURE_ARGS))))
+    thread = vm.new_thread()
+    to_payload = vm.registry.value_to_payload
+    seen = []
+
+    def recording(value):
+        seen.append(list(thread.frames))  # read while the proxy runs its actions
+        return to_payload(value)
+
+    monkeypatch.setattr(vm.registry, "value_to_payload", recording)
+    vm.invoke(thread, "app.Main.mid(int)", (2,))
+    mid, leaf = MethodRef.parse("app.Main.mid(int)"), MethodRef.parse("app.Main.leaf(int)")
+    # the synthetic frame lives only in the snapshot, never on the VM's stack
+    assert seen == [[mid, leaf], [mid, leaf]]
+    assert all(type(f) is MethodRef for frames in seen for f in frames)
+    [stack] = [e.payload["stack"] for e in engine.drain().events
+               if e.action is TraceAction.CAPTURE_STACK]
+    assert stack == [INTERCEPT_REF.key, leaf.key, mid.key]
     assert thread.frames == []
 
 
-def test_frames_are_method_refs_with_intercept_ref_innermost():
+def test_failing_action_logs_one_traceback_per_target(caplog, monkeypatch):
     vm, engine = make_engine()
-    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
-    seen = []
-    original = engine._on_target_enter
+    ts = targets(("app.Main.leaf(int)", (TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD)))
+    engine.apply(ts)
+    thread = vm.new_thread()
 
-    def spying(th, ref, flags, call_args):
-        seen.append(list(th.frames))
-        original(th, ref, flags, call_args)
+    def broken(value):
+        raise RuntimeError("payload bug")
 
-    engine._on_target_enter = spying
-    vm.invoke(vm.new_thread(), "app.Main.mid(int)", (2,))
-    [frames] = seen
-    assert frames[-1] is INTERCEPT_REF
-    assert frames[:-1] == [MethodRef.parse("app.Main.mid(int)"),
-                           MethodRef.parse("app.Main.leaf(int)")]
-    assert all(type(f) is MethodRef for f in frames)
+    monkeypatch.setattr(vm.registry, "value_to_payload", broken)
+    with caplog.at_level(logging.ERROR, logger="tracevm.engine"):
+        for i in range(50):
+            assert vm.invoke(thread, "app.Main.leaf(int)", (i,)) == 3 * i
+        assert len(caplog.records) == 1 and caplog.records[0].exc_info is not None
+        assert engine.action_errors == 50
+        assert [e.action for e in engine.drain().events] == [TraceAction.TIME_METHOD] * 50
+        # a new session logs its first failure again
+        engine.rollback()
+        engine.apply(ts)
+        vm.invoke(thread, "app.Main.leaf(int)", (1,))
+    assert len(caplog.records) == 2
+    assert engine.action_errors == 51
 
 
 def test_unmatched_exit_is_tolerated():

@@ -1,3 +1,6 @@
+import hashlib
+import inspect
+
 import pytest
 
 from tracevm import VM, WorkloadError, gen_random_program, gen_workload
@@ -118,3 +121,16 @@ def test_sample_args_exercises_extremes():
     values = [v for _ in range(400) for v in sample_args(rng, 2)]
     assert any(abs(v) > 2**60 for v in values)
     assert all(-(2**63) <= v <= 2**63 - 1 for v in values)
+
+
+def test_generators_are_pinned_and_take_no_shape_knobs():
+    # The benchmark's programs come from these generators and seeds, so their
+    # output must not move; the body, probe and call sizes are constants.
+    assert gen_workload(seed=1234).fingerprint == "2e52dbc6ca943c28"
+    program, _refs = gen_random_program(7)
+    text = repr([(m.ref.key, [(op, getattr(arg, "key", arg)) for op, arg in m.bytecode])
+                 for m in program.methods])
+    assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == "6842ad477292f1a5"
+    assert {"body_ops", "probe_ops", "call_chance"}.isdisjoint(
+        inspect.signature(gen_workload).parameters)
+    assert "max_body_ops" not in inspect.signature(gen_random_program).parameters
