@@ -1,24 +1,42 @@
-"""Lowering pass from stack bytecode to straight Python source.
+"""Lowering pass from stack bytecode to Python expressions.
 
 The validator proves a single operand-stack depth for every reachable
-instruction, so each stack slot can become a plain variable instead of a list
-with push/pop traffic. Methods without jumps lower to straight-line code.
-Methods with jumps lower to a ``while`` loop dispatching on a block variable;
-every jump target starts a block.
+instruction, so the lowering keeps the operand stack at compile time. Inside a
+basic block it holds one expression string per stack slot: pushes add text,
+``add``/``sub``/``mul`` combine the top two entries into one expression, and
+``storelocal`` or a call emits a statement. The chunk
+``loadlocal 0; pushconst 7; add; storelocal 0`` becomes one line. Holding an
+entry back is safe because every entry is pure integer arithmetic on
+constants, arguments, locals and slots. The one hazard is a write to a
+variable that a pending entry reads: before such a write, the entry is
+written out to its slot ``s<d>``. A call writes out every entry below its
+arguments. An entry nested ``_NEST_CAP`` deep is written out too, since
+CPython's parser cannot take unbounded nesting. Jumps and fall-through into
+the next block leave the stack in the slots ``s0..s<d-1>``, so every block
+starts with the same state; ``ret`` returns the top entry and drops the rest.
 
-Arithmetic wraps to signed 64-bit exactly like the interpreter. Calls go back
-through ``vm.call_ref`` so the callee's own entry point still decides how the
-callee runs.
+Methods without jumps lower to straight-line code. Methods with jumps lower to
+a ``while`` loop dispatching on a block variable; every jump target starts a
+block.
+
+Arithmetic wraps to signed 64-bit like the interpreter, and only on overflow:
+``(t if _lo <= (t := a + b) <= _hi else _w(t))``, where ``_w`` is
+``core.wrap_i64``, the one place that spells the wrap. Calls go back through
+``vm.call_ref`` so the callee's own entry point still decides how the callee
+runs.
 """
 
 from __future__ import annotations
 
-from .core import _BIAS, _MASK, _OPCODES, MethodRecord
+from .core import _OPCODES, I64_MAX, I64_MIN, MethodRecord, wrap_i64
 from .errors import VMInternalError
 
 # Plain-int opcodes, as ``Instruction`` stores them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
 _WRAP_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
+
+# Deepest arithmetic nesting kept in one expression before it is written out.
+_NEST_CAP = 16
 
 
 def _mangle(key: str) -> str:
@@ -53,7 +71,7 @@ def lower_method(record: MethodRecord):
     block_id = {pc: idx for idx, pc in enumerate(block_starts)}
 
     name = f"_lowered_{_mangle(record.method_ref.key)}"
-    lines = [f"def {name}(vm, thread, args, _refs=_REFS):"]
+    lines = [f"def {name}(vm, thread, args, _refs=_REFS, _lo=_LO, _hi=_HI, _w=_W):"]
     body_indent = "    "
     if refs:
         lines.append(f"{body_indent}_call = vm.call_ref")
@@ -62,48 +80,84 @@ def lower_method(record: MethodRecord):
 
     def emit_block(start: int, indent: str):
         """Emit one basic block; returns after the block transfers control."""
+        # One (text, nesting) entry per operand-stack slot.
+        stack = [(f"s{d}", 0) for d in range(depths[start])]
+
+        def spill(d: int):
+            """Write entry ``d`` out to ``s<d>``, first spilling entries that read ``s<d>``."""
+            text = stack[d][0]
+            target = f"s{d}"
+            if text == target:
+                return
+            save(target, d)
+            lines.append(f"{indent}{target} = {text}")
+            stack[d] = (target, 0)
+
+        def save(var: str, below: int):
+            """Spill every entry under depth ``below`` that may read ``var``.
+
+            A substring test: ``l1`` also matches ``l12``, which costs a
+            needless spill but never a missed one.
+            """
+            for d in range(below):
+                if var in stack[d][0]:
+                    spill(d)
+
+        def flush():
+            for d in range(len(stack)):
+                spill(d)
+
+        def jump(target_pc: int, indent: str):
+            lines.append(f"{indent}_b = {block_id[target_pc]}")
+            lines.append(f"{indent}continue")
+
         pc = start
-        depth = depths[start]
         while True:
             op, arg = code[pc]
             if op == _PUSH:
-                lines.append(f"{indent}s{depth} = {arg!r}")
-                depth += 1
+                stack.append((repr(arg), 0))
             elif op == _LARG:
-                lines.append(f"{indent}s{depth} = args[{arg}]")
-                depth += 1
+                stack.append((f"args[{arg}]", 0))
             elif op == _LLOC:
-                lines.append(f"{indent}s{depth} = l{arg}")
-                depth += 1
+                stack.append((f"l{arg}", 0))
             elif op == _SLOC:
-                depth -= 1
-                lines.append(f"{indent}l{arg} = s{depth}")
+                text = stack.pop()[0]
+                local = f"l{arg}"
+                save(local, len(stack))
+                lines.append(f"{indent}{local} = {text}")
             elif op in _WRAP_SYMBOLS:
-                sym = _WRAP_SYMBOLS[op]
-                depth -= 1
-                a, b = f"s{depth - 1}", f"s{depth}"
-                lines.append(
-                    f"{indent}s{depth - 1} = ({a} {sym} {b} + {_BIAS} & {_MASK}) - {_BIAS}")
+                b_text, b_nest = stack.pop()
+                a_text, a_nest = stack[-1]
+                nest = max(a_nest, b_nest) + 1
+                stack[-1] = (
+                    f"(t if _lo <= (t := {a_text} {_WRAP_SYMBOLS[op]} {b_text}) <= _hi "
+                    f"else _w(t))", nest)
+                if nest >= _NEST_CAP:
+                    spill(len(stack) - 1)
             elif op == _JZ:
-                depth -= 1
-                lines.append(f"{indent}if s{depth} == 0:")
-                lines.append(f"{indent}    _b = {block_id[pc + arg]}")
-                lines.append(f"{indent}    continue")
+                # ``cond`` reads no slot under its own depth, so the flush
+                # cannot change it.
+                cond = stack.pop()[0]
+                flush()
+                lines.append(f"{indent}if {cond} == 0:")
+                jump(pc + arg, indent + "    ")
             elif op == _JMP:
-                lines.append(f"{indent}_b = {block_id[pc + arg]}")
-                lines.append(f"{indent}continue")
+                flush()
+                jump(pc + arg, indent)
                 return
             elif op == _CALL:
-                callee = arg
-                k = callee.arity
-                depth -= k
-                call_args = ", ".join(f"s{depth + j}" for j in range(k))
+                base = len(stack) - arg.arity
+                for d in range(base):
+                    spill(d)
+                call_args = ", ".join(entry[0] for entry in stack[base:])
+                del stack[base:]
                 lines.append(
-                    f"{indent}s{depth} = _call(thread, _refs[{ref_index[callee.key]}], "
+                    f"{indent}s{base} = _call(thread, _refs[{ref_index[arg.key]}], "
                     f"[{call_args}])")
-                depth += 1
+                stack.append((f"s{base}", 0))
             elif op == _RET:
-                lines.append(f"{indent}return s{depth - 1}")
+                # The entries under the top are pure, so dropping them is safe.
+                lines.append(f"{indent}return {stack[-1][0]}")
                 return
             else:  # pragma: no cover - validator rejects unknown opcodes
                 raise VMInternalError(f"cannot lower opcode {op}")
@@ -112,8 +166,8 @@ def lower_method(record: MethodRecord):
                 raise VMInternalError("lowering walked past the last instruction")
             if pc in block_id:
                 # Fall through into the next block.
-                lines.append(f"{indent}_b = {block_id[pc]}")
-                lines.append(f"{indent}continue")
+                flush()
+                jump(pc, indent)
                 return
 
     if not has_jumps:
@@ -127,6 +181,7 @@ def lower_method(record: MethodRecord):
             emit_block(start, body_indent + "        ")
 
     source = "\n".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "_REFS": tuple(refs)}
+    namespace = {"__builtins__": {}, "_REFS": tuple(refs),
+                 "_LO": I64_MIN, "_HI": I64_MAX, "_W": wrap_i64}
     exec(compile(source, f"<lowered {record.method_ref.key}>", "exec"), namespace)
     return namespace[name], source

@@ -9,8 +9,10 @@ traced hot method does not fall back to the interpreter.
 The interpreter runs each call in one Python frame. It compares opcodes as
 plain ints (``core.Instruction`` stores them that way), since CPython 3.11
 specialises an int-to-int ``==`` and leaves an ``IntEnum`` operand on the
-generic compare path. The call edge ``call_ref`` resolves a callee with one
-dict get on the registry's key map.
+generic compare path. ``add``, ``sub`` and ``mul`` call ``core.wrap_i64`` only
+when a result leaves the signed 64-bit range, the same rule as the lowered
+code. The call edge ``call_ref`` resolves a callee with one dict get on the
+registry's key map.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ import sys
 import threading
 
 from .core import (
-    _BIAS,
-    _MASK,
     _OPCODES,
+    I64_MAX,
+    I64_MIN,
     ClassRegistry,
     CompilationState,
     EntryPoint,
     MethodRecord,
     MethodRef,
+    wrap_i64,
 )
 from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
@@ -194,7 +197,7 @@ class VM:
         pop = stack.pop
         loc = [0] * record.n_locals if record.n_locals else None
         call = self.call_ref
-        bias, mask = _BIAS, _MASK
+        lo, hi, wrap = I64_MIN, I64_MAX, wrap_i64
         (O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP,
          O_CALL, O_RET) = _OPCODES
         pc = 0
@@ -208,16 +211,16 @@ class VM:
                     push(args[arg])
                     pc += 1
                 elif op == O_ADD:
-                    r = pop()
-                    stack[-1] = (stack[-1] + r + bias & mask) - bias
+                    r = stack[-2] + pop()
+                    stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_SUB:
-                    r = pop()
-                    stack[-1] = (stack[-1] - r + bias & mask) - bias
+                    r = stack[-2] - pop()
+                    stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_MUL:
-                    r = pop()
-                    stack[-1] = (stack[-1] * r + bias & mask) - bias
+                    r = stack[-2] * pop()
+                    stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_LLOC:
                     push(loc[arg])

@@ -9,11 +9,17 @@ from tracevm import (
     CompilationState,
     EntryPoint,
     VM,
+    gen_workload,
     load_program,
     parse_program,
+    wrap_i64,
 )
+from tracevm.jit import _NEST_CAP
 
 I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+I64_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1, 3037000500, -3037000500)
+OPERAND = st.one_of(st.sampled_from(I64_EDGES), I64)
+_PYOPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
 
 
 def _vm(src):
@@ -165,3 +171,98 @@ def test_compiled_interpreter_differential_on_random_programs():
                 args = sample_args(rng, ref.arity)
                 assert (vm_i.invoke(ti, ref, args) == vm_c.invoke(tc, ref, args)), (
                     seed, ref.key, args)
+
+
+def _method_src(body, params="int"):
+    lines = ["class a.A", f"  method f({params})"]
+    lines += [f"    {ins}" for ins in body]
+    return "\n".join(lines)
+
+
+def _both_tiers(src, key, args):
+    """Run ``key`` interpreted, then compiled, on one VM; return both results."""
+    vm = _vm(src)
+    thread = vm.new_thread()
+    interpreted = vm.invoke(thread, key, args)
+    vm.jit_compile(key)
+    compiled_before = vm.compiled_calls
+    compiled = vm.invoke(thread, key, args)
+    assert vm.compiled_calls > compiled_before
+    return interpreted, compiled
+
+
+@pytest.mark.parametrize("shape", ["accumulate", "nested"])
+@given(first=OPERAND, steps=st.lists(
+    st.tuples(st.sampled_from(sorted(_PYOPS)), OPERAND), min_size=2, max_size=4))
+def test_arith_chains_wrap_after_every_step(shape, first, steps):
+    # accumulate: ((x0 op1 x1) op2 x2) ...; nested: x0 op1 (x1 op2 (x2 ...)).
+    body = ["loadarg 0"]
+    if shape == "accumulate":
+        expected = first
+        for op, operand in steps:
+            body += [f"pushconst {operand}", op]
+            expected = wrap_i64(_PYOPS[op](expected, operand))
+    else:
+        body += [f"pushconst {operand}" for _, operand in steps]
+        body += [op for op, _ in reversed(steps)]
+        values = [first] + [operand for _, operand in steps]
+        expected = values[-1]
+        for (op, _), left in zip(reversed(steps), reversed(values[:-1])):
+            expected = wrap_i64(_PYOPS[op](left, expected))
+    body.append("ret")
+    assert _both_tiers(_method_src(body), "a.A.f(int)", (first,)) == (expected, expected)
+
+
+def test_deep_operand_chain_compiles():
+    body = ["pushconst 3"] * 300 + ["add"] * 299 + ["ret"]
+    assert _both_tiers(_method_src(body, params=""), "a.A.f()", ()) == (900, 900)
+
+
+STORE_HAZARDS = {
+    # A pending read of local 0 must not see the store that follows it.
+    "local_read": (["loadarg 0", "storelocal 0",
+                    "loadlocal 0", "pushconst 5", "storelocal 0", "loadlocal 0", "add", "ret"],
+                   lambda a: a + 5),
+    "local_in_expression": (["loadarg 0", "storelocal 0",
+                             "loadlocal 0", "pushconst 1", "add",
+                             "pushconst 5", "storelocal 0", "loadlocal 0", "mul", "ret"],
+                            lambda a: (a + 1) * 5),
+    # Entry 0 reads slot s1 (a call result); a nesting-capped entry is then
+    # written out to s1 while entry 0 is still pending.
+    "slot_read": (["loadarg 0", "call a.A.k()", "add"]
+                  + ["pushconst 1"] * (_NEST_CAP + 1) + ["add"] * _NEST_CAP
+                  + ["add", "ret"],
+                  lambda a: a + 10 + _NEST_CAP + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_HAZARDS))
+@pytest.mark.parametrize("arg", [4, 2**63 - 1, -(2**63)])
+def test_store_hazards_in_both_tiers(case, arg):
+    body, fold = STORE_HAZARDS[case]
+    src = _method_src(body) + "\n  method k()\n    pushconst 10\n    ret"
+    expected = wrap_i64(fold(arg))
+    assert _both_tiers(src, "a.A.f(int)", (arg,)) == (expected, expected)
+
+
+def test_benchmark_program_compiled_matches_interpreter():
+    w = gen_workload(n_classes=100, methods_per_class=10, seed=1234)
+    vm_i, vm_c = VM(w.program.instantiate()), VM(w.program.instantiate())
+    for spec in w.program.methods:
+        vm_c.jit_compile(spec.ref)
+    assert len(w.program.methods) == 1002
+    calls = w.traffic(500)
+    for probe in (w.latency_traced, w.latency_untraced):
+        calls += [(probe, (a,)) for a in (0, 1, -7, 12345, 2**63 - 1, -(2**63))]
+    ti, tc = vm_i.new_thread(), vm_c.new_thread()
+    expected = [vm_i.invoke(ti, key, args) for key, args in calls]
+    assert [vm_c.invoke(tc, key, args) for key, args in calls] == expected
+    assert vm_c.interpreted_calls == 0
+
+
+def test_probe_lowers_to_one_line_per_chunk(small_workload):
+    vm = VM(small_workload.program.instantiate())
+    rec = vm.jit_compile(small_workload.latency_untraced)
+    # Header: the def line and one zero-fill per local; then the return.
+    limit = len(rec.bytecode) // 4 + 1 + rec.n_locals + 1
+    assert len(rec.lowered_source.splitlines()) <= limit
