@@ -115,7 +115,7 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
     vm = VM(registry)
     for key in workload.hot_keys:
         vm.jit_compile(key)
-    pristine = registry.snapshot_state()
+    pristine = registry.snapshot_state()  # builds every record before any timed bring-up
 
     engine = TraceEngine(vm)
     targets = TargetSet(workload.target_entries)

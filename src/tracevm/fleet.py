@@ -1,9 +1,10 @@
 """Simulated device fleet for exercising config rollout end to end.
 
-Each session owns a private VM instantiated from a shared parsed program, an
-engine, and a sink. The gate decides which sessions apply the config; faults
-are injected deterministically so runs reproduce. Rolling a config back stops
-tracing in every session that applied it and restores their entry points.
+Each session owns a private VM, an engine and a sink. The VM's registry shares
+the parsed program and builds only the method records the session touches. The
+gate decides which sessions apply the config; faults are injected
+deterministically so runs reproduce. Rolling a config back stops tracing in
+every session that applied it and restores their entry points.
 """
 
 from __future__ import annotations

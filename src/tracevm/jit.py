@@ -75,8 +75,17 @@ def lower_method(record: MethodRecord):
     body_indent = "    "
     if refs:
         lines.append(f"{body_indent}_call = vm.call_ref")
+    # Zero-fill a local unless the entry's straight-line run, which every
+    # call executes before its first jump, stores it before reading it.
+    first_use = {}
+    for op, arg in code:
+        if op == _JZ or op == _JMP or op == _RET:
+            break
+        if op == _LLOC or op == _SLOC:
+            first_use.setdefault(arg, op)
     for slot in range(record.n_locals):
-        lines.append(f"{body_indent}l{slot} = 0")
+        if first_use.get(slot) != _SLOC:
+            lines.append(f"{body_indent}l{slot} = 0")
 
     def emit_block(start: int, indent: str):
         """Emit one basic block; returns after the block transfers control."""

@@ -203,8 +203,7 @@ def parse_program(text: str) -> Program:
     methods: list[MethodSpec] = []
     seen_keys: dict[str, int] = {}
     class_order: list[str] = []
-    interned: list[str] = []
-    interned_seen: set[str] = set()
+    intern_map: dict[int, str] = {}
 
     current_class: str | None = None
     builder: _MethodBuilder | None = None
@@ -269,10 +268,11 @@ def parse_program(text: str) -> Program:
                 raise ProgramParseError("pushconst needs an operand", line_no)
             if operand.startswith('"'):
                 text_value = _parse_string_literal(operand, line_no)
-                if text_value not in interned_seen:
-                    interned_seen.add(text_value)
-                    interned.append(text_value)
-                builder.add(Instruction(op, intern_id(text_value)), line_no)
+                value = intern_id(text_value)
+                if intern_map.setdefault(value, text_value) != text_value:
+                    raise ProgramValidationError(
+                        f"intern id collision: {intern_map[value]!r}, {text_value!r}", line=line_no)
+                builder.add(Instruction(op, value), line_no)
             else:
                 value = _parse_int(operand, line_no)
                 if not I64_MIN <= value <= I64_MAX:
@@ -294,7 +294,8 @@ def parse_program(text: str) -> Program:
     finish_builder()
     if not methods:
         raise ProgramParseError("program declares no methods", 1)
-    return Program(tuple(methods), tuple(class_order), tuple(interned))
+    specs = {spec.ref.key: spec[:4] for spec in methods}
+    return Program(tuple(methods), tuple(class_order), specs, intern_map)
 
 
 def load_program(text: str) -> ClassRegistry:

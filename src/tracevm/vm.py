@@ -12,7 +12,7 @@ specialises an int-to-int ``==`` and leaves an ``IntEnum`` operand on the
 generic compare path. ``add``, ``sub`` and ``mul`` call ``core.wrap_i64`` only
 when a result leaves the signed 64-bit range, the same rule as the lowered
 code. The call edge ``call_ref`` resolves a callee with one dict get on the
-registry's key map.
+registry's record map, and asks the registry only on a method's first touch.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .instrumentation import Instrumentation
 from .jit import lower_method
 
 DEFAULT_MAX_STACK_DEPTH = 10_000
+# Bound once, as read on every call: an Enum member read off its class is slow.
+_COMPILED, _QUICK = EntryPoint.COMPILED_DIRECT, EntryPoint.INSTRUMENTATION_QUICK_STUB
 
 _headroom_lock = threading.Lock()
 _rlimit_raised = False
@@ -123,12 +125,13 @@ class VM:
     def call_ref(self, thread: VMThread, ref: MethodRef, args: list):
         """Internal call edge used by bytecode and lowered code.
 
-        One dict get on the registry's key map; ``lookup`` runs only on a
-        miss, to raise ``MethodNotFoundError``.
+        One dict get on the registry's record map. A miss is a first touch,
+        which ``get`` builds the record for; ``lookup`` runs only when the
+        method does not exist, to raise ``MethodNotFoundError``.
         """
         record = self._records.get(ref.key)
         if record is None:
-            record = self.registry.lookup(ref)
+            record = self.registry.get(ref.key) or self.registry.lookup(ref)
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: list):
@@ -139,10 +142,10 @@ class VM:
         frames.append(record.method_ref)
         try:
             entry = record.entry_point
-            if entry is EntryPoint.COMPILED_DIRECT:
+            if entry is _COMPILED:
                 self.compiled_calls += 1
                 return record.lowered_code(self, thread, args)
-            if entry is EntryPoint.INSTRUMENTATION_QUICK_STUB:
+            if entry is _QUICK:
                 # Traced fast path: events around the compiled body. Installing
                 # the quick stub requires a compiled method and compiling is
                 # one-way, so the body runs without a tier check.

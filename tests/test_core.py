@@ -1,22 +1,27 @@
 import copy
 import ctypes
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tracevm import (
+    VM,
     EntryPoint,
     Instruction,
     MethodNotFoundError,
     MethodRef,
     Opcode,
     ProgramParseError,
+    ProgramValidationError,
     load_program,
     parse_program,
     wrap_i64,
 )
-from tracevm.core import INTERN_BASE, intern_id, parse_signature
+from tracevm.core import INTERN_BASE, MethodRecord, intern_id, parse_signature
 
 I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -103,7 +108,159 @@ def test_registry_fresh_instantiation_is_independent(fib_source):
     r1, r2 = program.instantiate(), program.instantiate()
     rec1 = r1.lookup("demo.Math.fib(int)")
     rec1.entry_point = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-    assert r2.lookup("demo.Math.fib(int)").entry_point is EntryPoint.INTERPRETER_BRIDGE
+    assert list(r2._records) == []  # untouched in r2: no record built yet
+    rec2 = r2.lookup("demo.Math.fib(int)")
+    assert rec2 is not rec1 and rec2.entry_point is EntryPoint.INTERPRETER_BRIDGE
+    assert rec2.bytecode is rec1.bytecode  # the parsed bytecode is shared
+    assert r1.get("demo.Math.fib(int)") is rec1
+
+
+TWO_CLASSES = """
+class a.A
+  method f()
+    pushconst 1
+    ret
+  method g(int)
+    loadarg 0
+    ret
+class b.B
+  method h()
+    call a.A.f()
+    ret
+"""
+
+
+def test_untouched_methods_answer_get_in_and_len():
+    registry = parse_program(TWO_CLASSES).instantiate()
+    assert "b.B.h()" in registry and "a.A.g(int)" in registry
+    assert "b.B.nope()" not in registry
+    assert len(registry) == 3
+    assert list(registry._records) == []
+    rec = registry.get("a.A.g(int)")
+    assert rec.method_ref.key == "a.A.g(int)" and rec.n_locals == 0
+    assert registry.get("b.B.nope()") is None
+    assert registry.lookup(MethodRef("a.A", "g", ("int",))) is rec
+    with pytest.raises(MethodNotFoundError):
+        registry.lookup("b.B.nope()")
+    assert list(registry._records) == ["a.A.g(int)"]
+
+
+def test_records_in_program_then_load_order():
+    registry = parse_program(TWO_CLASSES).instantiate()
+    registry.get("b.B.h()")
+    registry.get("a.A.g(int)")
+    registry.load(parse_program("class c.C\n  method k()\n    pushconst 3\n    ret"))
+    registry.load(parse_program("class d.D\n  method m()\n    pushconst 4\n    ret"))
+    keys = [rec.method_ref.key for rec in registry.records()]
+    assert keys == ["a.A.f()", "a.A.g(int)", "b.B.h()", "c.C.k()", "d.D.m()"]
+    assert len(registry) == 5
+    assert list(registry.snapshot_state()) == keys
+
+
+def test_load_rejects_an_untouched_method():
+    registry = parse_program(TWO_CLASSES).instantiate()
+    again = parse_program("class a.A\n  method g(int)\n    pushconst 9\n    ret")
+    with pytest.raises(ProgramValidationError, match="duplicate method a.A.g"):
+        registry.load(again)
+    assert len(registry) == 3 and list(registry._records) == []
+    assert registry.lookup("a.A.g(int)").bytecode[0].op is Opcode.LOAD_ARG
+
+
+def test_snapshot_state_equals_an_eager_build(small_workload):
+    program = small_workload.program
+    registry = program.instantiate()
+    eager = [MethodRecord(s.ref, s.bytecode, s.n_locals, s.stack_depths)
+             for s in program.methods]
+    want = {rec.method_ref.key: (rec.entry_point, rec.original_entry_point,
+                                 rec.compilation_state) for rec in eager}
+    assert registry.snapshot_state() == want
+    assert registry.snapshot_entry_points() == {k: v[0] for k, v in want.items()}
+    assert len(registry._records) == len(program.methods)
+
+
+def test_instantiating_10k_methods_builds_no_record(big_workload, monkeypatch):
+    built = []
+    init = MethodRecord.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0].key)
+        init(self, *args)
+
+    monkeypatch.setattr(MethodRecord, "__init__", counting_init)
+    registry = big_workload.program.instantiate()
+    assert len(registry) == 10_000 and built == []
+    key = big_workload.hot_keys[0]
+    registry.get(key)
+    registry.get(key)
+    assert built == [key]
+
+
+def test_intern_id_collisions_are_rejected(monkeypatch):
+    import tracevm.loader
+
+    monkeypatch.setattr(tracevm.loader, "intern_id", lambda text: INTERN_BASE)
+    with pytest.raises(ProgramValidationError, match="collision"):
+        parse_program('class s.S\n  method f()\n    pushconst "a"\n    pushconst "b"\n'
+                      '    add\n    ret')
+    registry = parse_program('class s.S\n  method f()\n    pushconst "a"\n    ret').instantiate()
+    with pytest.raises(ProgramValidationError, match="collision"):
+        registry.load(parse_program('class t.T\n  method g()\n    pushconst "b"\n    ret'))
+    assert registry.value_to_payload(INTERN_BASE) == "a"
+
+
+def test_concurrent_first_touch_builds_one_record_per_method(small_workload):
+    """Eight threads first-touch the same methods while a ninth walks the registry."""
+    program = small_workload.program
+    calls = small_workload.traffic(60, seed=5)
+    ref_vm = VM(program.instantiate())
+    ref_thread = ref_vm.new_thread()
+    expected = [ref_vm.invoke(ref_thread, key, args) for key, args in calls]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(40):
+            vm = VM(program.instantiate())
+            registry = vm.registry
+            barrier = threading.Barrier(9)
+            done = threading.Event()
+            results, seen, errors = {}, [], []
+
+            def worker(i):
+                order = list(calls)
+                random.Random(round_no * 8 + i).shuffle(order)
+                thread = vm.new_thread(f"t{i}")
+                barrier.wait()
+                # Odd threads touch through ``get`` first, even ones through ``invoke``.
+                got = {key: registry.get(key) for key, _ in order if i % 2}
+                results[i] = {(key, args): vm.invoke(thread, key, args) for key, args in order}
+                got.update({key: registry.get(key) for key, _ in order if key not in got})
+                seen.append(got)
+
+            def walker():
+                barrier.wait()
+                try:
+                    while not done.is_set():
+                        assert len(list(registry.records())) == len(registry)
+                        assert len(registry.snapshot_state()) == len(registry)
+                except Exception as exc:  # pragma: no cover - the failure being tested
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            threads.append(threading.Thread(target=walker))
+            for t in threads:
+                t.start()
+            for t in threads[:8]:
+                t.join()
+            done.set()
+            threads[8].join()
+            assert errors == []
+            for per_thread in results.values():
+                assert [per_thread[(key, args)] for key, args in calls] == expected
+            for got in seen:
+                for key, rec in got.items():
+                    assert rec is registry._records[key]
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_registry_on_load_hook(fib_source):

@@ -125,6 +125,58 @@ class a.A
     assert got_comp == expected
 
 
+def test_zero_fill_only_for_locals_read_first():
+    # In f, l1 is stored before any read; l2 is read before its store; l0 is
+    # stored only after a jump, which skips the store when the argument is 0.
+    # In g, the run before the first jump crosses a loop head (pc 2) and
+    # stores both locals before reading them.
+    src = """
+class a.A
+  method g()
+    pushconst 3
+    storelocal 0
+    loadlocal 0
+    pushconst 1
+    storelocal 1
+    loadlocal 1
+    sub
+    storelocal 0
+    loadlocal 0
+    jz +2
+    jmp -8
+    loadlocal 1
+    ret
+  method f(int)
+    pushconst 7
+    storelocal 1
+    loadlocal 2
+    pushconst 1
+    add
+    storelocal 2
+    loadarg 0
+    jz +3
+    pushconst 5
+    storelocal 0
+    loadlocal 0
+    loadlocal 1
+    add
+    loadlocal 2
+    add
+    ret
+"""
+    vm = _vm(src)
+    thread = vm.new_thread()
+    rec = vm.jit_compile("a.A.f(int)")
+    fills = [line.strip() for line in rec.lowered_source.splitlines()
+             if line.lstrip().startswith("l") and line.endswith(" = 0")]
+    assert fills == ["l0 = 0", "l2 = 0"]
+    assert [vm.invoke(thread, "a.A.f(int)", (a,)) for a in (0, 3)] == [8, 13]
+    assert vm.invoke(thread, "a.A.g()", ()) == 1
+    rec = vm.jit_compile("a.A.g()")
+    assert " = 0\n" not in rec.lowered_source.replace("_b = 0\n", "")
+    assert vm.invoke(thread, "a.A.g()", ()) == 1 and vm.compiled_calls == 3
+
+
 def test_calls_from_compiled_code_redispatch():
     src = """
 class a.A
@@ -263,6 +315,8 @@ def test_benchmark_program_compiled_matches_interpreter():
 def test_probe_lowers_to_one_line_per_chunk(small_workload):
     vm = VM(small_workload.program.instantiate())
     rec = vm.jit_compile(small_workload.latency_untraced)
-    # Header: the def line and one zero-fill per local; then the return.
-    limit = len(rec.bytecode) // 4 + 1 + rec.n_locals + 1
+    # Header: the def line and no zero-fill, since the probe's first
+    # instructions store its one local before reading it; then the return.
+    assert rec.n_locals == 1 and "l0 = 0" not in rec.lowered_source
+    limit = len(rec.bytecode) // 4 + 1 + 1
     assert len(rec.lowered_source.splitlines()) <= limit

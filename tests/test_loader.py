@@ -79,13 +79,13 @@ def test_comments_blank_lines_and_strings():
         "    ret\n"
     )
     program = parse_program(src)
-    assert program.interned == ("a # not a comment",)
+    assert list(program.intern_map.values()) == ["a # not a comment"]
 
 
 def test_string_escapes():
     program = parse_program(
         'class c.C\n  method f()\n    pushconst "say \\"hi\\" \\\\"\n    ret')
-    assert program.interned == ('say "hi" \\',)
+    assert list(program.intern_map.values()) == ['say "hi" \\']
 
 
 def test_locals_inferred():
