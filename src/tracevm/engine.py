@@ -39,6 +39,9 @@ _clock = time.perf_counter_ns
 _CAPTURE_STACK = TraceAction.CAPTURE_STACK
 _CAPTURE_ARGS = TraceAction.CAPTURE_ARGS
 _TIME_METHOD = TraceAction.TIME_METHOD
+_STATE_COMPILED = CompilationState.COMPILED
+_QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
+_INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
 
 # Synthetic innermost frame of every captured stack: the interception point.
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
@@ -62,8 +65,7 @@ class ActionFlags(NamedTuple):
 
     @classmethod
     def of(cls, acts: tuple) -> "ActionFlags":
-        return cls(TraceAction.CAPTURE_STACK in acts, TraceAction.CAPTURE_ARGS in acts,
-                   TraceAction.TIME_METHOD in acts)
+        return cls(_CAPTURE_STACK in acts, _CAPTURE_ARGS in acts, _TIME_METHOD in acts)
 
 
 class TargetSet:
@@ -317,11 +319,9 @@ class TraceEngine:
                    for key in self._targets.members if key not in injected)
 
     def _install_target_stub(self, record) -> bool:
-        if self._adaptive and record.compilation_state is CompilationState.COMPILED:
-            stub = EntryPoint.INSTRUMENTATION_QUICK_STUB
-        else:
-            stub = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-        return self.instrumentation.install_stubs_for_method(record, stub)
+        compiled = self._adaptive and record.compilation_state is _STATE_COMPILED
+        return self.instrumentation.install_stubs_for_method(
+            record, _QUICK if compiled else _INTERP_STUB)
 
     def _build_registration(self) -> ListenerRegistration:
         self._registration = ListenerRegistration(

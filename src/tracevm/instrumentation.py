@@ -41,6 +41,11 @@ class EventKind(Enum):
 # is cheaper than an enum class-attribute lookup.
 METHOD_ENTERED = EventKind.METHOD_ENTERED
 METHOD_EXITED = EventKind.METHOD_EXITED
+# Stub installs and restores read these once per method, the same way.
+_BRIDGE, _COMPILED = EntryPoint.INTERPRETER_BRIDGE, EntryPoint.COMPILED_DIRECT
+_QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
+_INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+_STATE_COMPILED = CompilationState.COMPILED
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,7 @@ class Instrumentation:
         if not stub.is_instrumentation_stub:
             raise InvalidStubError(f"{stub.value} is not an instrumentation stub")
         record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
-        if (stub is EntryPoint.INSTRUMENTATION_QUICK_STUB
-                and record.compilation_state is not CompilationState.COMPILED):
+        if stub is _QUICK and record.compilation_state is not _STATE_COMPILED:
             raise InvalidStubError(
                 f"quick stub needs a compiled method: {record.method_ref.key}")
         if record.original_entry_point is None:
@@ -171,9 +175,8 @@ class Instrumentation:
         original = record.original_entry_point
         if original is None:
             return False
-        if (original is EntryPoint.INTERPRETER_BRIDGE
-                and record.compilation_state is CompilationState.COMPILED):
-            original = EntryPoint.COMPILED_DIRECT
+        if original is _BRIDGE and record.compilation_state is _STATE_COMPILED:
+            original = _COMPILED
             log.info("%s was compiled while traced; restored to the compiled tier",
                      record.method_ref.key)
         record.entry_point = original
@@ -197,8 +200,7 @@ class Instrumentation:
         report = InstallationReport()
         for record in self.registry.records():
             report.methods_visited += 1
-            if self.install_stubs_for_method(
-                    record, EntryPoint.INSTRUMENTATION_INTERPRETER_STUB):
+            if self.install_stubs_for_method(record, _INTERP_STUB):
                 report.entry_points_replaced += 1
         return report
 

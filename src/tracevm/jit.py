@@ -28,6 +28,8 @@ runs.
 
 from __future__ import annotations
 
+import re
+
 from .core import _OPCODES, I64_MAX, I64_MIN, MethodRecord, wrap_i64
 from .errors import VMInternalError
 
@@ -38,12 +40,12 @@ _WRAP_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
 # Deepest arithmetic nesting kept in one expression before it is written out.
 _NEST_CAP = 16
 
+_NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
+
 
 def _mangle(key: str) -> str:
-    out = []
-    for ch in key:
-        out.append(ch if ch.isalnum() else "_")
-    return "".join(out)
+    """An identifier from a method key: every character outside ``[0-9A-Za-z]`` becomes ``_``."""
+    return _NON_IDENT_RE.sub("_", key)
 
 
 def lower_method(record: MethodRecord):

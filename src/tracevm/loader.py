@@ -12,6 +12,11 @@ The source format is line oriented::
 ``#`` starts a comment outside quoted strings. Indentation is not significant.
 Jump offsets are relative to the jump instruction itself.
 
+Each distinct instruction line is parsed once per ``parse_program`` call and
+its immutable ``Instruction`` is shared by every repeat inside a method. The
+operand checks depend only on the line, so they run once; the per-method
+checks below run on every method with each occurrence's own line number.
+
 Validation walks the control-flow graph of each method and rejects jumps out
 of range, operand-stack underflow, inconsistent stack depth at merge points,
 paths that fall off the end without ``ret``, and bad argument or local slots.
@@ -101,10 +106,6 @@ class _MethodBuilder:
         self.decl_line = decl_line
         self.instructions: list[Instruction] = []
         self.lines: list[int] = []
-
-    def add(self, instr: Instruction, line_no: int) -> None:
-        self.instructions.append(instr)
-        self.lines.append(line_no)
 
     def finish(self) -> MethodSpec:
         key = self.ref.key
@@ -199,11 +200,16 @@ class _MethodBuilder:
 
 
 def parse_program(text: str) -> Program:
-    """Parse and validate program text into an immutable ``Program``."""
+    """Parse and validate program text into an immutable ``Program``.
+
+    Each distinct instruction line is parsed once: ``parsed`` maps its raw text
+    to the ``Instruction`` it gave, and a repeat inside a method reuses it.
+    """
     methods: list[MethodSpec] = []
     seen_keys: dict[str, int] = {}
-    class_order: list[str] = []
+    class_order: dict[str, None] = {}
     intern_map: dict[int, str] = {}
+    parsed: dict[str, Instruction] = {}
 
     current_class: str | None = None
     builder: _MethodBuilder | None = None
@@ -215,6 +221,12 @@ def parse_program(text: str) -> Program:
             builder = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if builder is not None:
+            ins = parsed.get(raw)
+            if ins is not None:
+                add_ins(ins)
+                add_line(line_no)
+                continue
         line = _strip_comment(raw).strip()
         if not line:
             continue
@@ -229,8 +241,7 @@ def parse_program(text: str) -> Program:
             if not _DOTTED_RE.match(name):
                 raise ProgramParseError(f"bad class name {name!r}", line_no)
             current_class = name
-            if name not in class_order:
-                class_order.append(name)
+            class_order[name] = None
             continue
 
         if head == "method":
@@ -247,6 +258,7 @@ def parse_program(text: str) -> Program:
                     line_no)
             seen_keys[ref.key] = line_no
             builder = _MethodBuilder(ref, line_no)
+            add_ins, add_line = builder.instructions.append, builder.lines.append
             continue
 
         if builder is None:
@@ -262,7 +274,7 @@ def parse_program(text: str) -> Program:
         if op == _ADD or op == _SUB or op == _MUL or op == _RET:
             if operand is not None:
                 raise ProgramParseError(f"{mnemonic} takes no operand", line_no)
-            builder.add(Instruction(op), line_no)
+            ins = Instruction(op)
         elif op == _PUSH:
             if operand is None:
                 raise ProgramParseError("pushconst needs an operand", line_no)
@@ -272,24 +284,26 @@ def parse_program(text: str) -> Program:
                 if intern_map.setdefault(value, text_value) != text_value:
                     raise ProgramValidationError(
                         f"intern id collision: {intern_map[value]!r}, {text_value!r}", line=line_no)
-                builder.add(Instruction(op, value), line_no)
             else:
                 value = _parse_int(operand, line_no)
                 if not I64_MIN <= value <= I64_MAX:
                     raise ProgramParseError(f"constant {value} outside 64-bit range", line_no)
-                builder.add(Instruction(op, value), line_no)
+            ins = Instruction(op, value)
         elif op == _LARG or op == _LLOC or op == _SLOC:
             if operand is None:
                 raise ProgramParseError(f"{mnemonic} needs a slot operand", line_no)
-            builder.add(Instruction(op, _parse_int(operand, line_no, signed=False)), line_no)
+            ins = Instruction(op, _parse_int(operand, line_no, signed=False))
         elif op == _JZ or op == _JMP:
             if operand is None:
                 raise ProgramParseError(f"{mnemonic} needs a relative offset", line_no)
-            builder.add(Instruction(op, _parse_int(operand, line_no)), line_no)
-        elif op == _CALL:
+            ins = Instruction(op, _parse_int(operand, line_no))
+        else:  # call
             if operand is None:
                 raise ProgramParseError("call needs a method reference", line_no)
-            builder.add(Instruction(op, MethodRef.parse(operand)), line_no)
+            ins = Instruction(op, MethodRef.parse(operand))
+        parsed[raw] = ins
+        add_ins(ins)
+        add_line(line_no)
 
     finish_builder()
     if not methods:

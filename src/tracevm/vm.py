@@ -38,6 +38,7 @@ from .jit import lower_method
 DEFAULT_MAX_STACK_DEPTH = 10_000
 # Bound once, as read on every call: an Enum member read off its class is slow.
 _COMPILED, _QUICK = EntryPoint.COMPILED_DIRECT, EntryPoint.INSTRUMENTATION_QUICK_STUB
+_BRIDGE, _STATE_COMPILED = EntryPoint.INTERPRETER_BRIDGE, CompilationState.COMPILED
 
 _headroom_lock = threading.Lock()
 _rlimit_raised = False
@@ -173,14 +174,14 @@ class VM:
         changes. Compiling twice is a no-op.
         """
         record = self.registry.lookup(ref)
-        if record.compilation_state is CompilationState.COMPILED:
+        if record.compilation_state is _STATE_COMPILED:
             return record
         fn, source = lower_method(record)
         record.lowered_code = fn
         record.lowered_source = source
-        record.compilation_state = CompilationState.COMPILED
-        if record.entry_point is EntryPoint.INTERPRETER_BRIDGE:
-            record.entry_point = EntryPoint.COMPILED_DIRECT
+        record.compilation_state = _STATE_COMPILED
+        if record.entry_point is _BRIDGE:
+            record.entry_point = _COMPILED
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: list):

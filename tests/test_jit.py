@@ -73,6 +73,28 @@ def test_branchy_lowering_uses_block_dispatch(fib_source):
     assert "elif _b ==" in rec.lowered_source
 
 
+@pytest.mark.parametrize("token", ["int²", "n½"])
+def test_non_identifier_signature_token_compiles(token):
+    # ``str.isalnum`` holds for these characters, but no identifier may hold them.
+    key = f"a.B.m({token})"
+    src = (f"class a.B\n  method m({token})\n    loadarg 0\n    pushconst 3\n    mul\n    ret\n"
+           f"  method n({token})\n    loadarg 0\n    call {key}\n    pushconst 1\n    add\n    ret")
+    vm_i, vm_c = _vm(src), _vm(src)
+    outer = f"a.B.n({token})"
+    for ref in (key, outer):
+        assert vm_c.jit_compile(ref).lowered_code.__name__.isidentifier()
+    ti, tc = vm_i.new_thread(), vm_c.new_thread()
+    for arg in (0, 14, -(2**63)):
+        assert vm_c.invoke(tc, outer, (arg,)) == vm_i.invoke(ti, outer, (arg,))
+    assert vm_c.interpreted_calls == 0 and vm_i.interpreted_calls == 6
+
+
+def test_ascii_keys_keep_their_lowered_names(small_workload):
+    vm = VM(small_workload.program.instantiate())
+    rec = vm.jit_compile("load.Probe.hotPlain(int)")
+    assert rec.lowered_code.__name__ == "_lowered_load_Probe_hotPlain_int_"
+
+
 def test_jit_compile_idempotent(fib_source):
     vm = _vm(fib_source)
     rec1 = vm.jit_compile("demo.Math.fib(int)")

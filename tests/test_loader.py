@@ -1,6 +1,15 @@
+import hashlib
+
 import pytest
 
-from tracevm import Opcode, ProgramParseError, ProgramValidationError, parse_program
+from tracevm import (
+    Instruction,
+    Opcode,
+    ProgramParseError,
+    ProgramValidationError,
+    gen_workload,
+    parse_program,
+)
 
 # Hand-derived stack depth at entry of each fib instruction.
 FIB_DEPTHS = (0, 1, 0, 1, 2, 1, 0, 1, 2, 1, 1, 2, 3, 2, 2, 1, 0, 1, 0, 1)
@@ -214,3 +223,78 @@ class c.C
 """
     (spec,) = parse_program(src).methods
     assert spec.stack_depths[2] is None
+
+
+def test_generated_program_bytecode_is_pinned():
+    # Taken before instruction lines were shared: sharing must not move a byte.
+    program = gen_workload(seed=1234).program
+    text = repr([(m.ref.key, [(op, getattr(arg, "key", arg)) for op, arg in m.bytecode])
+                 for m in program.methods])
+    assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == "a7fe2d50b0f10629"
+
+
+def test_equal_instruction_lines_share_one_object():
+    program = parse_program(EVERY_OPCODE + "  method h(int)\n    loadarg 0\n    ret\n")
+    g, f, h = program.methods
+    assert g.bytecode[0] is f.bytecode[3] is h.bytecode[0]
+    assert g.bytecode[1] is f.bytecode[-1] is h.bytecode[1]
+    assert f.bytecode[3] is f.bytecode[10] and f.bytecode[5] is not f.bytecode[7]
+    # Each parse has its own table.
+    assert parse_program(EVERY_OPCODE).methods[0].bytecode[0] is not g.bytecode[0]
+
+
+def test_parse_constructs_one_instruction_per_distinct_line(big_workload, monkeypatch):
+    built = []
+    new = Instruction.__new__
+
+    def counting_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Instruction, "__new__", staticmethod(counting_new))
+    program = parse_program(big_workload.source)
+    distinct = {raw for raw in big_workload.source.splitlines()
+                if raw.split("#", 1)[0].strip()
+                and raw.split(None, 1)[0] not in ("class", "method")}
+    total = sum(len(m.bytecode) for m in program.methods)
+    assert 0 < len(built) <= len(distinct) < total // 10
+
+
+@pytest.mark.parametrize("first, second, fragment, line", [
+    ("loadarg 1;ret", "loadarg 1;ret", "loadarg 1 out of range for arity 1", 6),
+    ("jmp +2;pushconst 1;pushconst 2;ret", "jmp +2;ret", "jump target 2 out of range", 8),
+    ("pushconst 5;storelocal 1;pushconst 0;ret", "storelocal 1;ret",
+     "stack underflow at storelocal", 8),
+    ("pushconst 5;storelocal 1;pushconst 0;ret", "pushconst 0", "missing ret", 8),
+])
+def test_reused_line_failing_in_context_reports_its_own_line(first, second, fragment, line):
+    # Each line of ``second`` already parsed fine in ``f``; it fails only in ``g``.
+    body = lambda ops: "".join(f"    {op}\n" for op in ops.split(";"))
+    src = f"class c.C\n  method f(int,int)\n{body(first)}  method g(int)\n{body(second)}"
+    with pytest.raises(ProgramValidationError, match=fragment) as info:
+        parse_program(src)
+    assert (info.value.method, info.value.line) == ("c.C.g(int)", line)
+
+
+def test_reused_line_outside_a_method_keeps_its_error():
+    src = ("class c.C\n  method f()\n    pushconst 1\n    ret\n"
+           "class c.D\n    pushconst 1\n  method g()\n    pushconst 1\n    ret")
+    with pytest.raises(ProgramParseError, match="instruction outside a method: 'pushconst 1'") as info:
+        parse_program(src)
+    assert info.value.line == 6
+
+
+def test_comment_does_not_change_the_instruction():
+    src = ("class c.C\n  method f(int)\n    loadarg 0  # c\n    loadarg 0\n"
+           "    loadarg 0 # other\n    add\n    add\n    ret")
+    (spec,) = parse_program(src).methods
+    assert spec.bytecode[0] == spec.bytecode[1] == spec.bytecode[2] == (Opcode.LOAD_ARG, 0)
+
+
+def test_reopened_class_keeps_first_seen_order():
+    src = ("class a.X\n  method f()\n    pushconst 1\n    ret\n"
+           "class a.Y\n  method f()\n    pushconst 1\n    ret\n"
+           "class a.X\n  method g()\n    pushconst 1\n    ret")
+    program = parse_program(src)
+    assert program.class_order == ("a.X", "a.Y")
+    assert [m.ref.key for m in program.methods] == ["a.X.f()", "a.Y.f()", "a.X.g()"]
