@@ -13,9 +13,9 @@ events when it is drained. Captured stacks start with the synthetic
 ``INTERCEPT_REF``, which the VM's frame stack never holds. One session runs per
 VM. Rollback undoes everything in reverse order and is idempotent.
 
-Targets configured before their class is loaded are injected the moment the
-class arrives, via a registry load hook that the engine holds only while a
-targeted session is up.
+The target set and the registry are the only record of what is stubbed: each
+target whose class is loaded has its stub, and a later class load stubs its
+targets through a registry hook held only while a targeted session is up.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class TraceEngine:
         self.mode: str | None = None
         self._lock = threading.RLock()
         self._targets = TargetSet()
-        self._injected: list[str] = []
         self._registration: ListenerRegistration | None = None
         self._saved_handler = None
         self._load_hook = None
@@ -173,20 +172,12 @@ class TraceEngine:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
             self._targets = target_set
-            changed = 0
-            warnings = []
-            registry = self.vm.registry
-            for ref in target_set:
-                record = registry.get(ref.key)
-                if record is None:
-                    warnings.append(f"target not loaded yet, deferred: {ref.key}")
-                    continue
-                if self._install_target_stub(record):
-                    changed += 1
-                self._injected.append(ref.key)
+            warnings = tuple(f"target not loaded yet, deferred: {ref.key}"
+                             for ref in target_set if ref.key not in self.vm.registry)
+            changed = self._stub_loaded([ref.key for ref in target_set])
             self.phase = TracePhase.INJECTED
-            return ApplyReport("targeted", len(target_set), len(self._injected), changed,
-                               tuple(warnings), self._pending_actions())
+            injected, pending = self._counts()
+            return ApplyReport("targeted", len(target_set), injected, changed, warnings, pending)
 
     def install_dispatcher(self) -> ListenerRegistration:
         """Phase 3a: build the filtering proxy listener. Not yet registered."""
@@ -213,12 +204,13 @@ class TraceEngine:
         """Full targeted bring-up: suppress, inject, mount proxy, activate.
 
         ``pending`` entries join the target set like any other target, so one
-        whose class loaded after it was resolved is stubbed right here.
+        whose class loaded after it was resolved is stubbed right here. The set
+        is merged first, so a bad entry raises before anything has changed.
         """
         with self._lock:
+            target_set = TargetSet(target_set.entries() + list(pending))
             self.suppress_global_tracing()
-            report = self.inject_targets(TargetSet(target_set.entries() + list(pending)),
-                                         adaptive=adaptive)
+            report = self.inject_targets(target_set, adaptive=adaptive)
             self.install_dispatcher()
             self.activate()
             return report
@@ -254,13 +246,10 @@ class TraceEngine:
                 summary["entry_points_restored"] = (
                     self.instrumentation.restore_all_entry_points())
             else:
-                restored = 0
-                for key in reversed(self._injected):
-                    if self.instrumentation.restore_entry_point_for_method(
-                            self.vm.registry.get(key)):
-                        restored += 1
-                summary["entry_points_restored"] = restored
-            self._injected.clear()
+                registry = self.vm.registry
+                restore = self.instrumentation.restore_entry_point_for_method
+                summary["entry_points_restored"] = sum(
+                    restore(registry.get(ref.key)) for ref in self._targets if ref.key in registry)
             self._failed_keys.clear()
             self._targets = TargetSet()
             if self._load_hook is not None:
@@ -280,12 +269,13 @@ class TraceEngine:
 
     def status(self) -> dict:
         with self._lock:
+            injected, pending = self._counts()
             return {
                 "phase": self.phase.value,
                 "mode": self.mode,
                 "targets": sorted(self._targets.members),
-                "injected": len(self._injected),
-                "pending": self._pending_actions(),
+                "injected": injected,
+                "pending": pending,
                 "listener_active": self.phase is TracePhase.ACTIVE,
                 "events_buffered": len(self.sink),
                 "events_emitted": self.sink.emitted_count,
@@ -310,18 +300,25 @@ class TraceEngine:
         if not ins.is_default_activation or PROXY_LISTENER_ID in ins.listener_ids():
             raise PhaseError(f"{op}: another trace session is up on this VM")
 
-    def _pending_actions(self) -> int:
-        """Actions of targets still waiting for their class; 0 outside a targeted session."""
-        if self.mode == "global" or self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
-            return 0
-        injected = set(self._injected)
-        return sum(len(self._targets.actions_for(key))
-                   for key in self._targets.members if key not in injected)
+    def _counts(self) -> tuple[int, int]:
+        """Stubbed (loaded) targets and actions awaiting their class; 0s unless targeted."""
+        if self.mode != "targeted":
+            return 0, 0
+        targets, registry = self._targets, self.vm.registry
+        waiting = [key for key in targets.members if key not in registry]
+        return len(targets) - len(waiting), sum(len(targets.actions_for(k)) for k in waiting)
 
-    def _install_target_stub(self, record) -> bool:
-        compiled = self._adaptive and record.compilation_state is _STATE_COMPILED
-        return self.instrumentation.install_stubs_for_method(
-            record, _QUICK if compiled else _INTERP_STUB)
+    def _stub_loaded(self, keys: list[str]) -> int:
+        """Stub each loaded key to match its tier; return how many slots changed."""
+        registry = self.vm.registry
+        changed = 0
+        for key in keys:
+            record = registry.get(key)
+            if record is not None:
+                compiled = self._adaptive and record.compilation_state is _STATE_COMPILED
+                changed += self.instrumentation.install_stubs_for_method(
+                    record, _QUICK if compiled else _INTERP_STUB)
+        return changed
 
     def _build_registration(self) -> ListenerRegistration:
         self._registration = ListenerRegistration(
@@ -334,20 +331,14 @@ class TraceEngine:
     def _on_classes_loaded(self, new_keys: list[str]) -> None:
         """Deferred injection: stub targets whose class just arrived.
 
-        The registry rejects a key it already holds, so a newly loaded target
-        cannot have been injected before.
+        Outside ``INJECTED``/``ACTIVE`` the target set is empty, so nothing is.
         """
         with self._lock:
-            if self.phase not in (TracePhase.INJECTED, TracePhase.ACTIVE):
-                return
-            if len(self._injected) == len(self._targets):
-                return
-            registry = self.vm.registry
-            for key in new_keys:
-                if key in self._targets:
-                    self._install_target_stub(registry.get(key))
-                    self._injected.append(key)
-                    log.info("deferred injection of %s", key)
+            members = self._targets.members
+            keys = [key for key in new_keys if key in members]
+            for key in keys:
+                log.info("deferred injection of %s", key)
+            self._stub_loaded(keys)
 
     def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
                   abrupt: bool) -> None:

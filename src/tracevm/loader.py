@@ -58,11 +58,18 @@ _METHOD_RE = re.compile(r"method\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*\((.*)\)$")
 def _strip_comment(line: str) -> str:
     if "#" not in line:
         return line
-    in_string = False
+    in_string = escaped = False
     for i, ch in enumerate(line):
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        elif ch == "#" and not in_string:
+        if escaped:
+            escaped = False
+        elif in_string:
+            if ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "#":
             return line[:i]
     return line
 

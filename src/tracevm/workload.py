@@ -23,6 +23,8 @@ _LAYERS = 4
 _BODY_OPS = (8, 28)  # instructions per generated method body, inclusive range
 _PROBE_OPS = 192
 _CALL_CHANCE = 0.35  # share of methods that call into the next layer
+_HOT_FRACTION = 0.3  # share of generated methods that are hot
+_HOT_BIAS = 0.8      # share of traffic calls that go to hot roots
 
 PROBE_CLASS = "load.Probe"
 PROBE_TRACED = MethodRef(PROBE_CLASS, "hotTraced", ("int",))
@@ -164,14 +166,13 @@ class GeneratedWorkload:
     root_keys: tuple[str, ...]
     hot_root_keys: tuple[str, ...]
 
-    def traffic(self, n_calls: int, *, hot_bias: float = 0.8,
-                seed: int | None = None) -> list[tuple[str, tuple]]:
+    def traffic(self, n_calls: int, *, seed: int | None = None) -> list[tuple[str, tuple]]:
         """Deterministic call mix over root methods, biased toward hot ones."""
         rng = random.Random(self.seed + 0x5EED if seed is None else seed)
         cold_roots = tuple(k for k in self.root_keys if k not in set(self.hot_root_keys))
         calls = []
         for _ in range(n_calls):
-            if self.hot_root_keys and (not cold_roots or rng.random() < hot_bias):
+            if self.hot_root_keys and (not cold_roots or rng.random() < _HOT_BIAS):
                 key = rng.choice(self.hot_root_keys)
             else:
                 key = rng.choice(cold_roots)
@@ -191,8 +192,7 @@ class GeneratedWorkload:
 
 
 def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
-                 target_count: int = 5, seed: int = 1234, *,
-                 hot_fraction: float = 0.3) -> GeneratedWorkload:
+                 target_count: int = 5, seed: int = 1234) -> GeneratedWorkload:
     """Generate a layered program with hot methods, targets and latency probes."""
     if n_classes < 2:
         raise WorkloadError("need at least 2 classes")
@@ -201,8 +201,6 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
     total = n_classes * methods_per_class
     if not 2 <= target_count <= total // 2:
         raise WorkloadError(f"target_count {target_count} out of range for {total} methods")
-    if not 0.0 < hot_fraction < 1.0:
-        raise WorkloadError("hot_fraction must be in (0, 1)")
 
     rng = random.Random(seed)
     layer_of = lambda ci: min(ci * _LAYERS // n_classes, _LAYERS - 1)
@@ -247,20 +245,17 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
     program = parse_program(source)
 
     all_refs = [ref for methods in refs_by_class.values() for ref in methods]
-    hot_count = max(1, int(len(all_refs) * hot_fraction))
+    hot_count = max(1, int(len(all_refs) * _HOT_FRACTION))
     hot_refs = rng.sample(all_refs, k=hot_count)
     hot_keys = {ref.key for ref in hot_refs}
     hot_keys.add(PROBE_TRACED.key)
     hot_keys.add(PROBE_UNTRACED.key)
 
     # Targets: the traced probe plus a mix of deeper-layer methods, at least
-    # one of which stays interpreted.
+    # one of which stays interpreted. With at least 2 methods, some are cold.
     deeper = [r for r in all_refs if r.class_name != PROBE_CLASS]
     rng.shuffle(deeper)
-    try:
-        cold_pick = next(r for r in deeper if r.key not in hot_keys)
-    except StopIteration:
-        raise WorkloadError("hot_fraction leaves no interpreted method to target") from None
+    cold_pick = next(r for r in deeper if r.key not in hot_keys)
     target_refs = [PROBE_TRACED, cold_pick]
     for ref in deeper:
         if len(target_refs) >= target_count:

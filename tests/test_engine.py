@@ -127,6 +127,21 @@ def test_failed_op_leaves_phase_unchanged():
     assert vm.instrumentation.listener_ids() == []
 
 
+def test_failed_apply_changes_nothing():
+    vm, engine = make_engine()
+    hook = MethodRef.parse("late.Plugin.hook(int)")
+    ins = vm.instrumentation
+    before = vm.registry.snapshot_state()
+    with pytest.raises(ValueError, match="has no actions"):
+        engine.apply(TargetSet(), pending=[(hook, ())])
+    assert engine.phase is TracePhase.IDLE and engine.status()["mode"] is None
+    assert ins.is_default_activation and ins.listener_ids() == []
+    assert vm.registry._on_load == []
+    assert vm.registry.snapshot_state() == before
+    report = engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    assert (report.injected, engine.phase) == (1, TracePhase.ACTIVE)
+
+
 @pytest.mark.parametrize("first_mode", ["targeted", "global"])
 def test_second_session_on_one_vm_is_refused(first_mode):
     vm, first = make_engine()
@@ -530,6 +545,25 @@ def test_pending_target_loaded_before_apply_is_injected():
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     vm.invoke(vm.new_thread(), "late.Plugin.hook(int)", (4,))
     assert [e.payload for e in engine.drain().events] == [{"args": [4], "return": 5}]
+    assert engine.rollback()["entry_points_restored"] == 1
+    assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
+
+
+def test_load_in_flight_during_inject_counts_each_target_once():
+    # A hook registered before the engine's injects while the load is in
+    # flight; the engine's own hook then sees the same key arrive.
+    vm, engine = make_engine()
+    reports = []
+    vm.registry.on_load(lambda keys: reports.append(engine.inject_targets(targets(
+        ("late.Plugin.hook(int)", (TraceAction.TIME_METHOD,)),
+        ("late.Other.gone()", (TraceAction.CAPTURE_ARGS,))))))
+    engine.suppress_global_tracing()
+    vm.registry.load(parse_program(LATE_SRC))
+    assert (reports[0].injected, reports[0].entry_points_changed, reports[0].pending) == (1, 1, 1)
+    status = engine.status()
+    assert (status["injected"], status["pending"]) == (1, 1)
+    rec = vm.registry.lookup("late.Plugin.hook(int)")
+    assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     assert engine.rollback()["entry_points_restored"] == 1
     assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
 

@@ -79,16 +79,18 @@ def test_arithmetic_underflow_names_the_opcode(mnemonic):
 
 
 def test_comments_blank_lines_and_strings():
-    src = (
-        "# header comment\n"
-        "class c.C  # trailing\n"
-        "\n"
-        '  method f()\n'
-        '    pushconst "a # not a comment"  # real comment\n'
-        "    ret\n"
-    )
-    program = parse_program(src)
-    assert list(program.intern_map.values()) == ["a # not a comment"]
+    for line, text in (('pushconst "a # not a comment"  # real comment', "a # not a comment"),
+                       ('pushconst "a\\\\"  # c', "a\\")):
+        src = (
+            "# header comment\n"
+            "class c.C  # trailing\n"
+            "\n"
+            '  method f()\n'
+            f"    {line}\n"
+            "    ret\n"
+        )
+        program = parse_program(src)
+        assert list(program.intern_map.values()) == [text]
 
 
 def test_string_escapes():

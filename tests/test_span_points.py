@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tracevm  # noqa: F401 - the bindings below are read from sys.modules
-from tracevm import VM, load_program
+from tracevm import VM, MethodRef, TargetSet, TraceAction, TraceEngine, load_program, parse_program
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -100,3 +100,25 @@ def test_every_call_passes_the_vm_span_points(spans):
     assert stats["vm.call_ref"].count == 5 * 4
     assert tracer.edge_count("vm.interpret", "vm.call_ref", "guard") == 5 * 2
     assert stats["vm.invoke"].count == 5
+
+
+def test_control_plane_stub_calls_pass_the_span_points(spans):
+    """Stubs installed by ``apply`` and by a late class load, and restored by
+    ``rollback``, must go through the ``Instrumentation`` methods as looked up
+    on the class, or ``instrumentation.stubs_changed`` and
+    ``engine.deferred_injections`` silently read zero."""
+    vm = VM(load_program(TWO_TIER))
+    engine = TraceEngine(vm)
+    tracer = spans.Tracer()
+    tracer.enable("guard")
+    try:
+        engine.apply(TargetSet([(MethodRef.parse("t.T.leaf(int)"), (TraceAction.TIME_METHOD,)),
+                                (MethodRef.parse("t.L.late(int)"), (TraceAction.TIME_METHOD,))]))
+        vm.registry.load(parse_program("class t.L\n  method late(int)\n    loadarg 0\n    ret"))
+        engine.rollback()
+    finally:
+        tracer.disable()
+    stats = tracer.merged()
+    assert tracer.edge_count("engine.on_load", "instrumentation.install", "guard") == 1
+    assert stats["instrumentation.install"].truthy == 2
+    assert stats["instrumentation.restore"].count == 2

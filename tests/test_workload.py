@@ -64,7 +64,7 @@ def test_traffic_hot_bias(small_workload):
     hot = set(w.hot_root_keys)
     if not hot or hot == set(w.root_keys):
         pytest.skip("seed produced no cold roots to compare against")
-    calls = w.traffic(2_000, hot_bias=0.9)
+    calls = w.traffic(2_000)
     hot_share = sum(1 for k, _ in calls if k in hot) / len(calls)
     assert hot_share > 0.6
 
@@ -86,10 +86,6 @@ def test_workload_param_validation():
         gen_workload(n_classes=2, methods_per_class=2, target_count=3)
     with pytest.raises(WorkloadError):
         gen_workload(target_count=1)
-    with pytest.raises(WorkloadError):
-        gen_workload(hot_fraction=0.0)
-    with pytest.raises(WorkloadError):
-        gen_workload(hot_fraction=1.0)
 
 
 def test_random_programs_parse_and_terminate():
