@@ -143,13 +143,15 @@ def config_from_obj(obj) -> TraceConfig:
     for i, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
             raise ConfigError(f"entry {i} must be an object")
+        if "action" not in raw:
+            raise ConfigError(f"entry {i} is missing 'action'")
+        code = raw["action"]
         try:
-            action = TraceAction(raw["action"])
-        except KeyError:
-            raise ConfigError(f"entry {i} is missing 'action'") from None
+            if type(code) is not int:  # ``TraceAction`` would take ``True`` or ``2.0``
+                raise ValueError(code)
+            action = TraceAction(code)
         except ValueError:
-            raise ConfigError(
-                f"entry {i} has unknown action code {raw['action']!r}") from None
+            raise ConfigError(f"entry {i} has unknown action code {code!r}") from None
         class_name = raw.get("className")
         method_name = raw.get("methodName")
         if not isinstance(class_name, str) or not class_name:

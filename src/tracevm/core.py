@@ -78,19 +78,22 @@ class Opcode(IntEnum):
     RETURN = 11
 
 
-MNEMONIC_TO_OPCODE = {
-    "pushconst": Opcode.PUSH_CONST,
-    "loadarg": Opcode.LOAD_ARG,
-    "loadlocal": Opcode.LOAD_LOCAL,
-    "storelocal": Opcode.STORE_LOCAL,
-    "add": Opcode.ADD,
-    "sub": Opcode.SUB,
-    "mul": Opcode.MUL,
-    "jz": Opcode.JUMP_IF_ZERO,
-    "jmp": Opcode.JUMP,
-    "call": Opcode.CALL,
-    "ret": Opcode.RETURN,
+# The one opcode table: mnemonic, operand kind (None, "const", "slot", "offset"
+# or "method") and the fixed (pops, pushes). ``call`` pops its callee's arity.
+_OPCODE_TABLE = {
+    Opcode.PUSH_CONST: ("pushconst", "const", 0, 1),
+    Opcode.LOAD_ARG: ("loadarg", "slot", 0, 1),
+    Opcode.LOAD_LOCAL: ("loadlocal", "slot", 0, 1),
+    Opcode.STORE_LOCAL: ("storelocal", "slot", 1, 0),
+    Opcode.ADD: ("add", None, 2, 1),
+    Opcode.SUB: ("sub", None, 2, 1),
+    Opcode.MUL: ("mul", None, 2, 1),
+    Opcode.JUMP_IF_ZERO: ("jz", "offset", 1, 0),
+    Opcode.JUMP: ("jmp", "offset", 0, 0),
+    Opcode.CALL: ("call", "method", None, 1),
+    Opcode.RETURN: ("ret", None, 1, 0),
 }
+MNEMONIC_TO_OPCODE = {row[0]: op for op, row in _OPCODE_TABLE.items()}
 
 
 # Opcode values as plain ints in definition order: what ``Instruction`` stores,
@@ -286,9 +289,10 @@ class ClassRegistry:
                 raise ProgramValidationError(f"duplicate method {spec.ref.key}",
                                              line=spec.decl_line)
         pool = self._intern_by_value
-        for value, text in program.intern_map.items():
-            if pool.setdefault(value, text) != text:
+        for value, text in program.intern_map.items():  # check all before writing any
+            if pool.get(value, text) != text:
                 raise ProgramValidationError(f"intern id collision: {pool[value]!r}, {text!r}")
+        pool.update(program.intern_map)
         self._records.update({key: MethodRecord(*args) for key, args in program.specs.items()})
         new_keys = list(program.specs)
         self._loaded += new_keys  # after the records, for ``records``

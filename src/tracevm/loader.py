@@ -9,8 +9,14 @@ The source format is line oriented::
         ...
         ret
 
-``#`` starts a comment outside quoted strings. Indentation is not significant.
+``#`` starts a comment outside string literals. A literal is ``"..."`` whose
+only escapes are ``\\"`` and ``\\\\``; one with no closing quote runs to the end
+of the line and is rejected as unterminated. Indentation is not significant.
 Jump offsets are relative to the jump instruction itself.
+
+The opcode table in ``core`` gives each mnemonic its opcode, operand kind and
+stack effect. The parser reads an instruction's operand by its kind, and the
+validator applies its stack effect.
 
 Each distinct instruction line is parsed once per ``parse_program`` call and
 its immutable ``Instruction`` is shared by every repeat inside a method. The
@@ -29,6 +35,7 @@ from __future__ import annotations
 import re
 
 from .core import (
+    _OPCODE_TABLE,
     _OPCODES,
     I64_MAX,
     I64_MIN,
@@ -37,7 +44,6 @@ from .core import (
     MethodRef,
     MethodSpec,
     MNEMONIC_TO_OPCODE,
-    Opcode,
     Program,
     _DOTTED_RE,
     intern_id,
@@ -49,53 +55,37 @@ MAX_LOCAL_SLOTS = 256
 
 # Plain-int opcodes, as ``Instruction`` stores them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
+# The core table's (pops, pushes), keyed by plain-int opcode for the validator.
+_STACK_EFFECT = {op.value: row[2:] for op, row in _OPCODE_TABLE.items()}
+# What a missing operand of each kind is reported as needing.
+_NEEDS = {"const": "an operand", "slot": "a slot operand", "offset": "a relative offset",
+          "method": "a method reference"}
 
+# A string literal: '"', then characters other than '"' and '\' or a '\' with
+# the character it escapes, then the closing '"', without which the literal
+# runs to the end of the line. Only \" and \\ decode.
+_LITERAL = r'"((?:[^"\\]|\\.)*)("?)'
+_LITERAL_RE = re.compile(_LITERAL)
+_CODE_RE = re.compile(rf"(?:[^\"#]|{_LITERAL})*")  # a line up to its comment
+_ESCAPE_RE = re.compile(r"\\(.)")
 _INT_RE = re.compile(r"[+-]?\d+$")
 _CLASS_RE = re.compile(r"class\s+(\S+)$")
 _METHOD_RE = re.compile(r"method\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*\((.*)\)$")
 
 
 def _strip_comment(line: str) -> str:
-    if "#" not in line:
-        return line
-    in_string = escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif in_string:
-            if ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "#":
-            return line[:i]
-    return line
+    return _CODE_RE.match(line).group() if "#" in line else line
 
 
 def _parse_string_literal(text: str, line_no: int) -> str:
-    if len(text) < 2 or not text.endswith('"'):
+    m = _LITERAL_RE.match(text)
+    body, closed = m.groups()
+    if not closed:
         raise ProgramParseError(f"unterminated string literal {text!r}", line_no)
-    body = text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body):
-                raise ProgramParseError(f"dangling escape in {text!r}", line_no)
-            nxt = body[i + 1]
-            if nxt not in ('"', "\\"):
-                raise ProgramParseError(f"unknown escape \\{nxt} in {text!r}", line_no)
-            out.append(nxt)
-            i += 2
-        elif ch == '"':
-            raise ProgramParseError(f"stray quote inside {text!r}", line_no)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if m.end() != len(text) or not set(_ESCAPE_RE.findall(body)) <= {'"', "\\"}:
+        raise ProgramParseError(
+            f'bad string literal {text!r}: the only escapes are \\" and \\\\', line_no)
+    return _ESCAPE_RE.sub(r"\1", body)
 
 
 def _parse_int(token: str, line_no: int, *, signed: bool = True) -> int:
@@ -107,103 +97,69 @@ def _parse_int(token: str, line_no: int, *, signed: bool = True) -> int:
     return value
 
 
-class _MethodBuilder:
-    def __init__(self, ref: MethodRef, decl_line: int):
-        self.ref = ref
-        self.decl_line = decl_line
-        self.instructions: list[Instruction] = []
-        self.lines: list[int] = []
+def _method_spec(ref: MethodRef, decl_line: int, code: list, lines: list) -> MethodSpec:
+    """Check one method's local slots, prove its stack depths and freeze it."""
+    if not code:
+        raise ProgramValidationError("method has no instructions", ref.key, decl_line)
+    n_locals = 0
+    for (op, slot), line_no in zip(code, lines):
+        if op == _LLOC or op == _SLOC:
+            if slot >= MAX_LOCAL_SLOTS:
+                raise ProgramValidationError(f"local slot {slot} too large", ref.key, line_no)
+            n_locals = max(n_locals, slot + 1)
+    code = tuple(code)
+    return MethodSpec(ref, code, n_locals, _stack_depths(ref, code, lines), decl_line)
 
-    def finish(self) -> MethodSpec:
-        key = self.ref.key
-        code = tuple(self.instructions)
-        if not code:
-            raise ProgramValidationError("method has no instructions", key, self.decl_line)
-        n_locals = 0
-        for (op, slot), line_no in zip(code, self.lines):
-            if op == _LLOC or op == _SLOC:
-                if slot >= MAX_LOCAL_SLOTS:
-                    raise ProgramValidationError(f"local slot {slot} too large", key, line_no)
-                n_locals = max(n_locals, slot + 1)
-        depths = self._verify(code, n_locals)
-        return MethodSpec(self.ref, code, n_locals, depths, self.decl_line)
 
-    def _verify(self, code, n_locals: int) -> tuple:
-        """Prove a single stack depth per reachable instruction and full return coverage."""
-        key = self.ref.key
-        arity = self.ref.arity
-        n = len(code)
-        depths: list[int | None] = [None] * n
-        work = [(0, 0)]
-        while work:
-            pc, depth = work.pop()
-            while True:
-                if pc >= n or pc < 0:
+def _stack_depths(ref: MethodRef, code: tuple, lines: list) -> tuple:
+    """Prove a single stack depth per reachable instruction and full return coverage.
+
+    Jump targets are range-checked before they are followed and a step past
+    the last instruction is caught at once, so ``pc`` never leaves the method.
+    """
+    key, arity, n = ref.key, ref.arity, len(code)
+    depths: list[int | None] = [None] * n
+    work = [(0, 0)]
+    while work:
+        pc, depth = work.pop()
+        while True:
+            seen = depths[pc]
+            if seen is not None:
+                if seen != depth:
                     raise ProgramValidationError(
-                        f"control reaches pc {pc}, outside the method",
-                        key, self.lines[min(pc, n) - 1] if n else self.decl_line)
-                seen = depths[pc]
-                if seen is not None:
-                    if seen != depth:
-                        raise ProgramValidationError(
-                            f"inconsistent stack depth at pc {pc} ({seen} vs {depth})",
-                            key, self.lines[pc])
-                    break
-                depths[pc] = depth
-                op, arg = code[pc]
-                line_no = self.lines[pc]
-                if op == _PUSH:
-                    depth += 1
-                elif op == _LARG:
-                    if arg >= arity:
-                        raise ProgramValidationError(
-                            f"loadarg {arg} out of range for arity {arity}", key, line_no)
-                    depth += 1
-                elif op == _LLOC:
-                    depth += 1
-                elif op == _SLOC:
-                    if depth < 1:
-                        raise ProgramValidationError("stack underflow at storelocal", key, line_no)
-                    depth -= 1
-                elif op == _ADD or op == _SUB or op == _MUL:
-                    if depth < 2:
-                        raise ProgramValidationError(
-                            f"stack underflow at {Opcode(op).name.lower()}", key, line_no)
-                    depth -= 1
-                elif op == _JZ:
-                    if depth < 1:
-                        raise ProgramValidationError("stack underflow at jz", key, line_no)
-                    depth -= 1
-                    target = pc + arg
-                    if not 0 <= target < n:
-                        raise ProgramValidationError(
-                            f"jump target {target} out of range", key, line_no)
-                    work.append((target, depth))
-                elif op == _JMP:
-                    target = pc + arg
-                    if not 0 <= target < n:
-                        raise ProgramValidationError(
-                            f"jump target {target} out of range", key, line_no)
+                        f"inconsistent stack depth at pc {pc} ({seen} vs {depth})",
+                        key, lines[pc])
+                break
+            depths[pc] = depth
+            op, arg = code[pc]
+            pops, pushes = _STACK_EFFECT[op]
+            if pops is None:  # call
+                pops = arg.arity
+            if depth < pops:
+                callee = f" {arg.key}" if op == _CALL else ""
+                raise ProgramValidationError(
+                    f"stack underflow at {_OPCODE_TABLE[op][0]}{callee}", key, lines[pc])
+            depth += pushes - pops
+            if op == _LARG:
+                if arg >= arity:
+                    raise ProgramValidationError(
+                        f"loadarg {arg} out of range for arity {arity}", key, lines[pc])
+            elif op == _JZ or op == _JMP:
+                target = pc + arg
+                if not 0 <= target < n:
+                    raise ProgramValidationError(
+                        f"jump target {target} out of range", key, lines[pc])
+                if op == _JMP:
                     pc = target
                     continue
-                elif op == _CALL:
-                    callee: MethodRef = arg
-                    if depth < callee.arity:
-                        raise ProgramValidationError(
-                            f"stack underflow at call {callee.key}", key, line_no)
-                    depth = depth - callee.arity + 1
-                elif op == _RET:
-                    if depth < 1:
-                        raise ProgramValidationError("stack underflow at ret", key, line_no)
-                    break
-                else:  # pragma: no cover - parser emits only known opcodes
-                    raise ProgramValidationError(f"unknown opcode {op}", key, line_no)
-                pc += 1
-                if pc >= n:
-                    raise ProgramValidationError(
-                        "control falls off the end of the method; missing ret",
-                        key, self.lines[-1])
-        return tuple(depths)
+                work.append((target, depth))
+            elif op == _RET:
+                break
+            pc += 1
+            if pc >= n:
+                raise ProgramValidationError(
+                    "control falls off the end of the method; missing ret", key, lines[-1])
+    return tuple(depths)
 
 
 def parse_program(text: str) -> Program:
@@ -211,24 +167,19 @@ def parse_program(text: str) -> Program:
 
     Each distinct instruction line is parsed once: ``parsed`` maps its raw text
     to the ``Instruction`` it gave, and a repeat inside a method reuses it.
+    ``methods`` maps each key to its ``MethodSpec`` in program order; a method
+    joins it when the next header or the end of the text closes it.
     """
-    methods: list[MethodSpec] = []
-    seen_keys: dict[str, int] = {}
+    methods: dict[str, MethodSpec] = {}
     class_order: dict[str, None] = {}
     intern_map: dict[int, str] = {}
     parsed: dict[str, Instruction] = {}
 
     current_class: str | None = None
-    builder: _MethodBuilder | None = None
-
-    def finish_builder():
-        nonlocal builder
-        if builder is not None:
-            methods.append(builder.finish())
-            builder = None
+    ref: MethodRef | None = None  # the open method: decl_line, code and lines
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if builder is not None:
+        if ref is not None:
             ins = parsed.get(raw)
             if ins is not None:
                 add_ins(ins)
@@ -239,36 +190,33 @@ def parse_program(text: str) -> Program:
             continue
 
         head = line.split(None, 1)[0]
-        if head == "class":
-            m = _CLASS_RE.match(line)
+        if head == "class" or head == "method":
+            m = (_CLASS_RE if head == "class" else _METHOD_RE).match(line)
             if not m:
-                raise ProgramParseError(f"bad class header {line!r}", line_no)
-            finish_builder()
-            name = m.group(1)
-            if not _DOTTED_RE.match(name):
-                raise ProgramParseError(f"bad class name {name!r}", line_no)
-            current_class = name
-            class_order[name] = None
-            continue
-
-        if head == "method":
-            m = _METHOD_RE.match(line)
-            if not m:
-                raise ProgramParseError(f"bad method header {line!r}", line_no)
+                raise ProgramParseError(f"bad {head} header {line!r}", line_no)
+            if ref is not None:
+                methods[ref.key] = _method_spec(ref, decl_line, code, lines)
+                ref = None
+            if head == "class":
+                name = m.group(1)
+                if not _DOTTED_RE.match(name):
+                    raise ProgramParseError(f"bad class name {name!r}", line_no)
+                current_class = name
+                class_order[name] = None
+                continue
             if current_class is None:
                 raise ProgramParseError("method outside a class", line_no)
-            finish_builder()
             ref = MethodRef(current_class, m.group(1), parse_signature(m.group(2)))
-            if ref.key in seen_keys:
+            first = methods.get(ref.key)
+            if first is not None:
                 raise ProgramParseError(
-                    f"duplicate method {ref.key} (first declared on line {seen_keys[ref.key]})",
+                    f"duplicate method {ref.key} (first declared on line {first.decl_line})",
                     line_no)
-            seen_keys[ref.key] = line_no
-            builder = _MethodBuilder(ref, line_no)
-            add_ins, add_line = builder.instructions.append, builder.lines.append
+            decl_line, code, lines = line_no, [], []
+            add_ins, add_line = code.append, lines.append
             continue
 
-        if builder is None:
+        if ref is None:
             raise ProgramParseError(f"instruction outside a method: {line!r}", line_no)
 
         parts = line.split(None, 1)
@@ -278,45 +226,37 @@ def parse_program(text: str) -> Program:
         if op is None:
             raise ProgramParseError(f"unknown instruction {mnemonic!r}", line_no)
 
-        if op == _ADD or op == _SUB or op == _MUL or op == _RET:
+        kind = _OPCODE_TABLE[op][1]
+        arg = None
+        if kind is None:
             if operand is not None:
                 raise ProgramParseError(f"{mnemonic} takes no operand", line_no)
-            ins = Instruction(op)
-        elif op == _PUSH:
-            if operand is None:
-                raise ProgramParseError("pushconst needs an operand", line_no)
-            if operand.startswith('"'):
-                text_value = _parse_string_literal(operand, line_no)
-                value = intern_id(text_value)
-                if intern_map.setdefault(value, text_value) != text_value:
-                    raise ProgramValidationError(
-                        f"intern id collision: {intern_map[value]!r}, {text_value!r}", line=line_no)
-            else:
-                value = _parse_int(operand, line_no)
-                if not I64_MIN <= value <= I64_MAX:
-                    raise ProgramParseError(f"constant {value} outside 64-bit range", line_no)
-            ins = Instruction(op, value)
-        elif op == _LARG or op == _LLOC or op == _SLOC:
-            if operand is None:
-                raise ProgramParseError(f"{mnemonic} needs a slot operand", line_no)
-            ins = Instruction(op, _parse_int(operand, line_no, signed=False))
-        elif op == _JZ or op == _JMP:
-            if operand is None:
-                raise ProgramParseError(f"{mnemonic} needs a relative offset", line_no)
-            ins = Instruction(op, _parse_int(operand, line_no))
-        else:  # call
-            if operand is None:
-                raise ProgramParseError("call needs a method reference", line_no)
-            ins = Instruction(op, MethodRef.parse(operand))
-        parsed[raw] = ins
+        elif operand is None:
+            raise ProgramParseError(f"{mnemonic} needs {_NEEDS[kind]}", line_no)
+        elif kind == "method":
+            arg = MethodRef.parse(operand)
+        elif kind != "const":
+            arg = _parse_int(operand, line_no, signed=kind == "offset")
+        elif operand.startswith('"'):
+            text_value = _parse_string_literal(operand, line_no)
+            arg = intern_id(text_value)
+            if intern_map.setdefault(arg, text_value) != text_value:
+                raise ProgramValidationError(
+                    f"intern id collision: {intern_map[arg]!r}, {text_value!r}", line=line_no)
+        else:
+            arg = _parse_int(operand, line_no)
+            if not I64_MIN <= arg <= I64_MAX:
+                raise ProgramParseError(f"constant {arg} outside 64-bit range", line_no)
+        ins = parsed[raw] = Instruction(op, arg)
         add_ins(ins)
         add_line(line_no)
 
-    finish_builder()
+    if ref is not None:
+        methods[ref.key] = _method_spec(ref, decl_line, code, lines)
     if not methods:
         raise ProgramParseError("program declares no methods", 1)
-    specs = {spec.ref.key: spec[:4] for spec in methods}
-    return Program(tuple(methods), tuple(class_order), specs, intern_map)
+    specs = {key: spec[:4] for key, spec in methods.items()}
+    return Program(tuple(methods.values()), tuple(class_order), specs, intern_map)
 
 
 def load_program(text: str) -> ClassRegistry:

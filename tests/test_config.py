@@ -85,6 +85,8 @@ def test_parse_defaults():
     (lambda o: o["dynamic_trace_config"].__setitem__(0, "x"), "object"),
     (lambda o: o["dynamic_trace_config"][0].pop("action"), "action"),
     (lambda o: o["dynamic_trace_config"][0].update(action=9), "action"),
+    (lambda o: o["dynamic_trace_config"][0].update(action=True), "unknown action code"),
+    (lambda o: o["dynamic_trace_config"][0].update(action=2.0), "unknown action code"),
     (lambda o: o["dynamic_trace_config"][0].pop("className"), "className"),
     (lambda o: o["dynamic_trace_config"][0].update(methodName=""), "methodName"),
     (lambda o: o["dynamic_trace_config"][0].update(methodSign="int int"), "methodSign"),

@@ -206,6 +206,14 @@ def test_intern_id_collisions_are_rejected(monkeypatch):
     with pytest.raises(ProgramValidationError, match="collision"):
         registry.load(parse_program('class t.T\n  method g()\n    pushconst "b"\n    ret'))
     assert registry.value_to_payload(INTERN_BASE) == "a"
+    # A rejected load adds none of its strings, not even those before the collision.
+    ids = {"a": INTERN_BASE, "b": INTERN_BASE + 1, "c": INTERN_BASE}
+    monkeypatch.setattr(tracevm.loader, "intern_id", ids.__getitem__)
+    with pytest.raises(ProgramValidationError, match="collision"):
+        registry.load(parse_program('class u.U\n  method h()\n    pushconst "b"\n'
+                                    '    pushconst "c"\n    add\n    ret'))
+    assert registry.value_to_payload(INTERN_BASE + 1) == INTERN_BASE + 1
+    assert "u.U.h()" not in registry
 
 
 def test_concurrent_first_touch_builds_one_record_per_method(small_workload):

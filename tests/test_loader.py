@@ -72,10 +72,18 @@ def test_instructions_hold_plain_int_opcodes():
     assert f[0].op is Opcode.PUSH_CONST and f[-1].op is Opcode.RETURN
 
 
-@pytest.mark.parametrize("mnemonic", ["add", "sub", "mul"])
+@pytest.mark.parametrize("mnemonic", ["add", "sub", "mul", "storelocal", "jz", "ret", "call"])
 def test_arithmetic_underflow_names_the_opcode(mnemonic):
-    _expect(f"class c.C\n  method f()\n    pushconst 1\n    {mnemonic}\n    ret",
-            ProgramValidationError, f"stack underflow at {mnemonic}")
+    # Every popping opcode, one value short of what it pops.
+    pops = 2 if mnemonic in ("add", "sub", "mul", "call") else 1
+    operand = {"storelocal": " 0", "jz": " +1", "call": " c.C.g(int,int)"}.get(mnemonic, "")
+    src = ("class c.C\n  method f()\n" + "    pushconst 1\n" * (pops - 1)
+           + f"    {mnemonic}{operand}\n    pushconst 0\n    ret\n"
+           "  method g(int,int)\n    loadarg 0\n    ret\n")
+    with pytest.raises(ProgramValidationError) as info:
+        parse_program(src)
+    callee = operand if mnemonic == "call" else ""
+    assert str(info.value) == f"c.C.f(): line {2 + pops}: stack underflow at {mnemonic}{callee}"
 
 
 def test_comments_blank_lines_and_strings():
@@ -193,6 +201,13 @@ def test_parse_errors():
             ProgramParseError, "unterminated string")
     _expect("class 9bad\n  method f()\n    pushconst 1\n    ret",
             ProgramParseError, "bad class")
+
+
+@pytest.mark.parametrize("literal", ['"a\\n"', '"a\\"', '"a"b"'])
+def test_bad_string_literal_rejected(literal):
+    with pytest.raises(ProgramParseError) as info:
+        parse_program(f"class c.C\n  method f()\n    pushconst {literal}\n    ret")
+    assert info.value.line == 3
 
 
 def test_empty_method_rejected():
