@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable
 
 from .actions import TraceAction
-from .core import ClassRegistry, MethodRef, parse_signature
+from .core import _DOTTED_RE, _NAME_RE, ClassRegistry, MethodRef, parse_signature
 from .engine import TargetSet
 from .errors import ConfigError, ProgramParseError
 
@@ -154,10 +154,11 @@ def config_from_obj(obj) -> TraceConfig:
             raise ConfigError(f"entry {i} has unknown action code {code!r}") from None
         class_name = raw.get("className")
         method_name = raw.get("methodName")
-        if not isinstance(class_name, str) or not class_name:
-            raise ConfigError(f"entry {i} needs a className")
-        if not isinstance(method_name, str) or not method_name:
-            raise ConfigError(f"entry {i} needs a methodName")
+        # The program grammar's names: any other key could never resolve.
+        if not isinstance(class_name, str) or not _DOTTED_RE.fullmatch(class_name):
+            raise ConfigError(f"entry {i} needs a dotted className, got {class_name!r}")
+        if not isinstance(method_name, str) or not _NAME_RE.fullmatch(method_name):
+            raise ConfigError(f"entry {i} needs an identifier methodName, got {method_name!r}")
         sign = raw.get("methodSign", "")
         if not isinstance(sign, str):
             raise ConfigError(f"entry {i} methodSign must be a string")
@@ -203,17 +204,19 @@ def resolve_targets(config: TraceConfig, registry: ClassRegistry):
     return TargetSet(found), warnings, pending
 
 
+def _hash_admits(text: str, fraction: float) -> bool:
+    """Whether blake2b-64 of ``text`` is below ``fraction`` of 2**64."""
+    if fraction <= 0.0:
+        return False
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") < int(fraction * _GATE_SPAN)
+
+
 def session_gate(device_id: str, config: TraceConfig) -> bool:
     """Deterministic admission: hash(device, config) under the fraction cut."""
     if config.status is ConfigStatus.ROLLED_BACK:
         return False
-    fraction = config.rollout_fraction
-    if fraction <= 0.0:
-        return False
-    threshold = int(fraction * _GATE_SPAN)
-    digest = hashlib.blake2b(
-        f"{device_id}:{config.config_id}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") < threshold
+    return _hash_admits(f"{device_id}:{config.config_id}", config.rollout_fraction)
 
 
 def transition(config: TraceConfig, new_status: ConfigStatus) -> ConfigStatus:

@@ -4,6 +4,9 @@ Values are 64-bit signed integers with wrap-around arithmetic. String constants
 exist only as interned ids taken from a reserved band far below zero, so the
 arg-capture path can map them back to text. A parsed ``Program`` is shared:
 each registry made from it builds a method's ``MethodRecord`` on first touch.
+
+A method's tier is its ``lowered_code``, which only ``VM.jit_compile`` sets.
+The Enum members that other modules test by identity are bound here, once.
 """
 
 from __future__ import annotations
@@ -54,14 +57,18 @@ class EntryPoint(Enum):
         return self in _INSTRUMENTATION_STUBS
 
 
-_INSTRUMENTATION_STUBS = frozenset(
-    {EntryPoint.INSTRUMENTATION_INTERPRETER_STUB, EntryPoint.INSTRUMENTATION_QUICK_STUB}
-)
-
-
 class CompilationState(Enum):
     INTERPRETED = "interpreted"
     COMPILED = "compiled"
+
+
+# The members every module tests by identity, bound once here: an Enum member
+# read off its class costs ~0.1 us on CPython 3.11.
+_BRIDGE, _COMPILED = EntryPoint.INTERPRETER_BRIDGE, EntryPoint.COMPILED_DIRECT
+_INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+_QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
+_STATE_INTERPRETED, _STATE_COMPILED = CompilationState.INTERPRETED, CompilationState.COMPILED
+_INSTRUMENTATION_STUBS = frozenset({_INTERP_STUB, _QUICK})
 
 
 class Opcode(IntEnum):
@@ -194,10 +201,6 @@ def parse_signature(sig: str) -> tuple[str, ...]:
     return tuple(params)
 
 
-# Bound once: reading an Enum member off its class costs ~0.1 us on CPython 3.11.
-_INTERPRETED, _BRIDGE = CompilationState.INTERPRETED, EntryPoint.INTERPRETER_BRIDGE
-
-
 class MethodRecord:
     """Mutable per-method runtime state attached to immutable bytecode."""
 
@@ -206,7 +209,6 @@ class MethodRecord:
         "bytecode",
         "n_locals",
         "stack_depths",
-        "compilation_state",
         "entry_point",
         "original_entry_point",
         "lowered_code",
@@ -219,7 +221,6 @@ class MethodRecord:
         self.bytecode = bytecode
         self.n_locals = n_locals
         self.stack_depths = stack_depths
-        self.compilation_state = _INTERPRETED
         self.entry_point = _BRIDGE
         self.original_entry_point: EntryPoint | None = None
         self.lowered_code = None
@@ -228,6 +229,11 @@ class MethodRecord:
     @property
     def arity(self) -> int:
         return self.method_ref.arity
+
+    @property
+    def compilation_state(self) -> CompilationState:
+        """Read off ``lowered_code``, the one record of the tier."""
+        return _STATE_INTERPRETED if self.lowered_code is None else _STATE_COMPILED
 
     def __repr__(self) -> str:
         return (f"MethodRecord({self.method_ref.key!r}, {self.compilation_state.value}, "

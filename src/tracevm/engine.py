@@ -27,21 +27,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .actions import EventSink, TraceAction, capture_args_payload, redact_value
-from .core import CompilationState, EntryPoint, MethodRef
+from .actions import (_CAPTURE_ARGS, _CAPTURE_STACK, _TIME_METHOD, EventSink, TraceAction,
+                      capture_args_payload, redact_value)
+from .core import _INTERP_STUB, _QUICK, MethodRef
 from .errors import PhaseError
 from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
 
 log = logging.getLogger(__name__)
 
 _clock = time.perf_counter_ns
-
-_CAPTURE_STACK = TraceAction.CAPTURE_STACK
-_CAPTURE_ARGS = TraceAction.CAPTURE_ARGS
-_TIME_METHOD = TraceAction.TIME_METHOD
-_STATE_COMPILED = CompilationState.COMPILED
-_QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
-_INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
 
 # Synthetic innermost frame of every captured stack: the interception point.
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
@@ -315,7 +309,7 @@ class TraceEngine:
         for key in keys:
             record = registry.get(key)
             if record is not None:
-                compiled = self._adaptive and record.compilation_state is _STATE_COMPILED
+                compiled = self._adaptive and record.lowered_code is not None
                 changed += self.instrumentation.install_stubs_for_method(
                     record, _QUICK if compiled else _INTERP_STUB)
         return changed

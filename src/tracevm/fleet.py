@@ -9,7 +9,6 @@ every session that applied it and restores their entry points.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .config import (
@@ -17,6 +16,7 @@ from .config import (
     HealthMetrics,
     Thresholds,
     TraceConfig,
+    _hash_admits,
     lifecycle_advance,
     resolve_targets,
     session_gate,
@@ -26,13 +26,6 @@ from .core import Program
 from .engine import TraceEngine, TracePhase
 from .errors import ConfigError
 from .vm import VM
-
-
-def _fault_gate(device_id: str, salt: str, rate: float) -> bool:
-    if rate <= 0.0:
-        return False
-    digest = hashlib.blake2b(f"{salt}:{device_id}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") < int(rate * 2**64)
 
 
 @dataclass
@@ -120,10 +113,10 @@ class FleetManager:
             for key, args in calls:
                 session.vm.invoke(thread, key, args)
                 session.calls_made += 1
-            session.crashed = session.admitted and _fault_gate(
-                session.device_id, f"crash:{config_id}", crash_rate)
-            session.anr = session.admitted and _fault_gate(
-                session.device_id, f"anr:{config_id}", anr_rate)
+            session.crashed = session.admitted and _hash_admits(
+                f"crash:{config_id}:{session.device_id}", crash_rate)
+            session.anr = session.admitted and _hash_admits(
+                f"anr:{config_id}:{session.device_id}", anr_rate)
             metrics.sessions += 1
             metrics.crashes += int(session.crashed)
             metrics.anrs += int(session.anr)

@@ -15,7 +15,9 @@ Starting tracing the built-in way registers the listener and then hands
 control to the activation handler. The stock handler walks every loaded
 method and installs the interpreter stub on all of them, which is exactly the
 whole-runtime slowdown the targeted engine exists to avoid. The handler slot
-is swappable so that engine can suppress the global walk.
+is swappable so that engine can suppress the global walk. A stub install saves
+the entry it replaces, which ``VM.jit_compile`` keeps on the method's tier, and
+restore puts that entry back as it is.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import ClassRegistry, CompilationState, EntryPoint, MethodRecord, MethodRef
+from .core import _INTERP_STUB, _QUICK, ClassRegistry, EntryPoint, MethodRecord, MethodRef
 from .errors import DuplicateListenerError, InvalidStubError, UnknownListenerError
 
 log = logging.getLogger(__name__)
@@ -41,11 +43,6 @@ class EventKind(Enum):
 # is cheaper than an enum class-attribute lookup.
 METHOD_ENTERED = EventKind.METHOD_ENTERED
 METHOD_EXITED = EventKind.METHOD_EXITED
-# Stub installs and restores read these once per method, the same way.
-_BRIDGE, _COMPILED = EntryPoint.INTERPRETER_BRIDGE, EntryPoint.COMPILED_DIRECT
-_QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
-_INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-_STATE_COMPILED = CompilationState.COMPILED
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class Instrumentation:
         if not stub.is_instrumentation_stub:
             raise InvalidStubError(f"{stub.value} is not an instrumentation stub")
         record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
-        if stub is _QUICK and record.compilation_state is not _STATE_COMPILED:
+        if stub is _QUICK and record.lowered_code is None:
             raise InvalidStubError(
                 f"quick stub needs a compiled method: {record.method_ref.key}")
         if record.original_entry_point is None:
@@ -165,20 +162,11 @@ class Instrumentation:
         return True
 
     def restore_entry_point_for_method(self, ref: "MethodRef | str | MethodRecord") -> bool:
-        """Put back the saved original entry point. No-op without one.
-
-        A method compiled while its stub was installed gets ``COMPILED_DIRECT``
-        back rather than the interpreter bridge it had before, so rollback
-        never leaves a method on a slower tier than it would have untraced.
-        """
+        """Put back the saved original entry point. No-op without one."""
         record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
         original = record.original_entry_point
         if original is None:
             return False
-        if original is _BRIDGE and record.compilation_state is _STATE_COMPILED:
-            original = _COMPILED
-            log.info("%s was compiled while traced; restored to the compiled tier",
-                     record.method_ref.key)
         record.entry_point = original
         record.original_entry_point = None
         return True

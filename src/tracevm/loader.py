@@ -97,6 +97,14 @@ def _parse_int(token: str, line_no: int, *, signed: bool = True) -> int:
     return value
 
 
+def _at_line(parse, text: str, line_no: int):
+    """Run a core parser, giving the ``ProgramParseError`` it raises a line number."""
+    try:
+        return parse(text)
+    except ProgramParseError as exc:
+        raise ProgramParseError(exc.args[0], line_no) from None
+
+
 def _method_spec(ref: MethodRef, decl_line: int, code: list, lines: list) -> MethodSpec:
     """Check one method's local slots, prove its stack depths and freeze it."""
     if not code:
@@ -206,7 +214,7 @@ def parse_program(text: str) -> Program:
                 continue
             if current_class is None:
                 raise ProgramParseError("method outside a class", line_no)
-            ref = MethodRef(current_class, m.group(1), parse_signature(m.group(2)))
+            ref = MethodRef(current_class, m.group(1), _at_line(parse_signature, m.group(2), line_no))
             first = methods.get(ref.key)
             if first is not None:
                 raise ProgramParseError(
@@ -234,7 +242,7 @@ def parse_program(text: str) -> Program:
         elif operand is None:
             raise ProgramParseError(f"{mnemonic} needs {_NEEDS[kind]}", line_no)
         elif kind == "method":
-            arg = MethodRef.parse(operand)
+            arg = _at_line(MethodRef.parse, operand, line_no)
         elif kind != "const":
             arg = _parse_int(operand, line_no, signed=kind == "offset")
         elif operand.startswith('"'):

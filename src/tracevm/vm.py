@@ -4,7 +4,8 @@ Every call dispatches through the callee's entry-point slot, and only
 ``_dispatch`` pushes or pops ``thread.frames``. The interpreter entry checks for
 method-entry listeners before touching the bytecode, the hook the tracing layers
 build on. The quick stub fires the same events but runs the compiled body, so a
-traced hot method does not fall back to the interpreter.
+traced hot method does not fall back to the interpreter. Only ``jit_compile``
+changes a tier: it moves the live entry, or the one a stub saved, to compiled.
 
 The interpreter runs each call in one Python frame. It compares opcodes as
 plain ints (``core.Instruction`` stores them that way), since CPython 3.11
@@ -17,16 +18,18 @@ registry's record map, and asks the registry only on a method's first touch.
 
 from __future__ import annotations
 
+import logging
 import sys
 import threading
 
 from .core import (
+    _BRIDGE,
+    _COMPILED,
     _OPCODES,
+    _QUICK,
     I64_MAX,
     I64_MIN,
     ClassRegistry,
-    CompilationState,
-    EntryPoint,
     MethodRecord,
     MethodRef,
     wrap_i64,
@@ -35,10 +38,9 @@ from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
 from .jit import lower_method
 
+log = logging.getLogger(__name__)
+
 DEFAULT_MAX_STACK_DEPTH = 10_000
-# Bound once, as read on every call: an Enum member read off its class is slow.
-_COMPILED, _QUICK = EntryPoint.COMPILED_DIRECT, EntryPoint.INSTRUMENTATION_QUICK_STUB
-_BRIDGE, _STATE_COMPILED = EntryPoint.INTERPRETER_BRIDGE, CompilationState.COMPILED
 
 _headroom_lock = threading.Lock()
 _rlimit_raised = False
@@ -168,20 +170,23 @@ class VM:
             frames.pop()
 
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
-        """Lower a method and flip plain interpreted entries to the compiled tier.
+        """Lower a method and move its entry to the compiled tier.
 
-        Instrumentation stubs are left in place; only the tier behind them
-        changes. Compiling twice is a no-op.
+        An installed stub stays in the slot and the entry it saved moves
+        instead. Compiling twice is a no-op.
         """
         record = self.registry.lookup(ref)
-        if record.compilation_state is _STATE_COMPILED:
+        if record.lowered_code is not None:
             return record
         fn, source = lower_method(record)
         record.lowered_code = fn
         record.lowered_source = source
-        record.compilation_state = _STATE_COMPILED
         if record.entry_point is _BRIDGE:
             record.entry_point = _COMPILED
+        elif record.original_entry_point is _BRIDGE:
+            record.original_entry_point = _COMPILED
+            log.info("%s was compiled while traced; restores to the compiled tier",
+                     record.method_ref.key)
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: list):

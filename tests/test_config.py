@@ -89,6 +89,10 @@ def test_parse_defaults():
     (lambda o: o["dynamic_trace_config"][0].update(action=2.0), "unknown action code"),
     (lambda o: o["dynamic_trace_config"][0].pop("className"), "className"),
     (lambda o: o["dynamic_trace_config"][0].update(methodName=""), "methodName"),
+    *(pytest.param(lambda o, v=v: o["dynamic_trace_config"][0].update(className=v),
+                   "className", id=f"className={v!r}") for v in ("a b", "a..b", "a.b\n")),
+    *(pytest.param(lambda o, v=v: o["dynamic_trace_config"][0].update(methodName=v),
+                   "methodName", id=f"methodName={v!r}") for v in ("f(int)", "a.f")),
     (lambda o: o["dynamic_trace_config"][0].update(methodSign="int int"), "methodSign"),
     (lambda o: o["dynamic_trace_config"][0].update(methodSign=3), "methodSign"),
 ])

@@ -456,13 +456,13 @@ def test_rollback_notes_compile_while_traced(caplog):
     vm, engine = make_engine()
     engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
     # the method gets compiled while the interpreter stub is installed
-    vm.jit_compile("app.Main.leaf(int)")
+    with caplog.at_level("INFO", logger="tracevm.vm"):
+        vm.jit_compile("app.Main.leaf(int)")
     rec = vm.registry.lookup("app.Main.leaf(int)")
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-    with caplog.at_level("INFO", logger="tracevm.instrumentation"):
-        engine.rollback()
-    # rollback restores the entry point that fits the tier, not the saved
-    # interpreter bridge that predates the compile
+    engine.rollback()
+    # the compile moved the saved entry to the compiled tier, so rollback
+    # puts back CompiledDirect, not the interpreter bridge it replaced
     assert rec.entry_point is EntryPoint.COMPILED_DIRECT
     assert rec.original_entry_point is None
     assert any("compiled while traced" in r.message for r in caplog.records)

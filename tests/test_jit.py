@@ -108,10 +108,11 @@ def test_jit_keeps_installed_stub():
     ins = vm.instrumentation
     ins.install_stubs_for_method("a.A.f()", EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
     rec = vm.jit_compile("a.A.f()")
-    # Tier changed, dispatch slot untouched: the stub stays until restore.
+    # Tier changed, dispatch slot untouched: the stub stays until restore,
+    # which puts back the saved entry, now on the compiled tier.
     assert rec.compilation_state is CompilationState.COMPILED
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
-    assert rec.original_entry_point is EntryPoint.INTERPRETER_BRIDGE
+    assert rec.original_entry_point is EntryPoint.COMPILED_DIRECT
 
 
 def test_locals_and_loops_compile_correctly():

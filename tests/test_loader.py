@@ -210,6 +210,17 @@ def test_bad_string_literal_rejected(literal):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("src, line, fragment", [
+    ("class c.C\n  method f()\n    call c.C\n    ret", 3, "bad method reference 'c.C'"),
+    ("class c.C\n  method f(in t)\n    pushconst 1\n    ret", 2, "bad signature token"),
+], ids=["call-operand", "method-header"])
+def test_method_reference_error_carries_line_number(src, line, fragment):
+    with pytest.raises(ProgramParseError) as info:
+        parse_program(src)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: {fragment}")
+
+
 def test_empty_method_rejected():
     _expect("class c.C\n  method f()\n  method g()\n    pushconst 1\n    ret",
             ProgramValidationError, "no instructions")
