@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .actions import EventSink
-from .engine import TargetSet, TraceEngine
+from .engine import ApplyReport, TargetSet, TraceEngine
 from .errors import BenchmarkError
 from .vm import VM
 from .workload import GeneratedWorkload
@@ -33,6 +33,19 @@ class AblationMode(Enum):
     FULL = "full"
     GLOBAL = "global"
     INTERPRETER = "interpreter"
+
+
+def bring_up(engine: TraceEngine, mode: AblationMode, targets: TargetSet,
+             pending=()) -> ApplyReport | None:
+    """Start ``mode``'s session on ``engine``: the one map from a mode to its bring-up.
+
+    ``baseline`` starts none; ``global`` walks every loaded method and takes no ``pending``.
+    """
+    if mode is AblationMode.GLOBAL:
+        return engine.apply_global(targets)
+    if mode is AblationMode.BASELINE:
+        return None
+    return engine.apply(targets, adaptive=mode is AblationMode.FULL, pending=pending)
 
 
 @dataclass
@@ -119,30 +132,18 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
 
     engine = TraceEngine(vm)
     targets = TargetSet(workload.target_entries)
-
-    def bring_up():
-        if mode is AblationMode.FULL:
-            engine.apply(targets)
-        elif mode is AblationMode.INTERPRETER:
-            engine.apply(targets, adaptive=False)
-        elif mode is AblationMode.GLOBAL:
-            engine.apply_global(targets)
-
-    def tear_down():
-        engine.rollback()
-
     startup_times = []
     modified = 0
     clock = time.perf_counter_ns
     for rep in range(startup_reps):
         before = registry.snapshot_entry_points()
         t0 = clock()
-        bring_up()
+        bring_up(engine, mode, targets)
         startup_times.append(clock() - t0)
         after = registry.snapshot_entry_points()
         modified = sum(1 for key, entry in after.items() if before[key] is not entry)
         if rep < startup_reps - 1:
-            tear_down()
+            engine.rollback()
             _check_pristine(registry, pristine, mode)
 
     thread = vm.new_thread("bench")
@@ -166,7 +167,7 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
         vm, thread, traced_ref, untraced_ref, probe_args, latency_calls, sink)
 
     trace_events_emitted = sink.emitted_count
-    tear_down()
+    engine.rollback()
     _check_pristine(registry, pristine, mode)
 
     return AblationMetrics(

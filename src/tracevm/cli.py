@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bench import AblationMode, run_modes
+from .bench import AblationMode, bring_up, run_modes
 from .config import begin_canary, parse_config, resolve_targets
 from .engine import TraceEngine
 from .errors import TraceVMError
@@ -44,11 +44,7 @@ def cmd_trace(args) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    if args.mode == "global":
-        engine.apply_global(targets)
-    else:
-        engine.apply(targets, adaptive=(args.mode == "full"), pending=pending)
-
+    bring_up(engine, AblationMode(args.mode), targets, pending)
     thread = vm.new_thread("cli")
     result = vm.invoke(thread, args.entry, tuple(args.args))
     engine.rollback()
@@ -141,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--config", required=True, help="trace config JSON file")
     p_trace.add_argument("--entry", required=True)
     p_trace.add_argument("--args", nargs="*", type=int, default=[])
-    p_trace.add_argument("--mode", choices=["full", "global", "interpreter"],
-                         default="full")
+    p_trace.add_argument("--mode", choices=[m.value for m in AblationMode], default="full")
     p_trace.add_argument("--out", default="-", help="NDJSON output path, - for stdout")
     p_trace.set_defaults(func=cmd_trace)
 

@@ -254,15 +254,18 @@ class Program(NamedTuple):
     """Immutable parse result, shared read-only by every registry made from it.
 
     ``parse_program`` builds both tables once: ``specs`` maps each key, in
-    program order, to its ``MethodRecord`` arguments, and ``intern_map`` maps
-    each interned id to its text. ``instantiate`` is O(1): the registry
-    builds a record the first time something touches its method.
+    program order, to its ``MethodSpec``, whose first four fields are the
+    ``MethodRecord`` arguments, and ``intern_map`` maps each interned id to
+    its text. ``instantiate`` is O(1): the registry builds a record the first
+    time something touches its method.
     """
 
-    methods: tuple[MethodSpec, ...]
-    class_order: tuple[str, ...]
-    specs: dict[str, tuple]
+    specs: dict[str, MethodSpec]
     intern_map: dict[int, str]
+
+    @property
+    def methods(self) -> tuple[MethodSpec, ...]:
+        return tuple(self.specs.values())
 
     def instantiate(self) -> "ClassRegistry":
         return ClassRegistry(self)
@@ -290,16 +293,15 @@ class ClassRegistry:
 
     def load(self, program: Program) -> list[str]:
         """Merge another parsed program and notify load hooks."""
-        for spec in program.methods:
-            if spec.ref.key in self:
-                raise ProgramValidationError(f"duplicate method {spec.ref.key}",
-                                             line=spec.decl_line)
+        for key, spec in program.specs.items():
+            if key in self:
+                raise ProgramValidationError(f"duplicate method {key}", line=spec.decl_line)
         pool = self._intern_by_value
         for value, text in program.intern_map.items():  # check all before writing any
             if pool.get(value, text) != text:
                 raise ProgramValidationError(f"intern id collision: {pool[value]!r}, {text!r}")
         pool.update(program.intern_map)
-        self._records.update({key: MethodRecord(*args) for key, args in program.specs.items()})
+        self._records.update({key: MethodRecord(*spec[:4]) for key, spec in program.specs.items()})
         new_keys = list(program.specs)
         self._loaded += new_keys  # after the records, for ``records``
         for hook in list(self._on_load):
@@ -324,9 +326,9 @@ class ClassRegistry:
     def get(self, key: str) -> MethodRecord | None:
         record = self._records.get(key)
         if record is None:
-            args = self._specs.get(key)
-            if args is not None:
-                record = self._records.setdefault(key, MethodRecord(*args))
+            spec = self._specs.get(key)
+            if spec is not None:
+                record = self._records.setdefault(key, MethodRecord(*spec[:4]))
         return record
 
     def records(self) -> Iterator[MethodRecord]:

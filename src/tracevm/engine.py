@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple
 from .actions import (_CAPTURE_ARGS, _CAPTURE_STACK, _TIME_METHOD, EventSink, TraceAction,
                       capture_args_payload, redact_value)
 from .core import _INTERP_STUB, _QUICK, MethodRef
-from .errors import PhaseError
+from .errors import PhaseError, UnknownListenerError
 from .instrumentation import METHOD_ENTERED, EventKind, ListenerRegistration
 
 log = logging.getLogger(__name__)
@@ -66,49 +67,46 @@ class TargetSet:
     """Immutable set of traced methods with their configured actions.
 
     Updates replace the whole object, so a dispatch that grabbed a reference
-    keeps a consistent view. Duplicate entries for one method merge their
-    actions in first-seen order. ``flags`` maps each member key to its
-    ``ActionFlags``; a key missing from it is not a target.
+    keeps a consistent view. ``_table`` maps each member key to its
+    ``(ref, actions)``; duplicate entries for one method keep the first ref
+    and merge their actions in first-seen order. ``flags`` maps the same keys
+    to ``ActionFlags`` for the proxy; a key missing from it is not a target.
     """
 
-    __slots__ = ("members", "flags", "_actions", "_refs")
+    __slots__ = ("members", "flags", "_table")
 
     def __init__(self, entries: Iterable[tuple[MethodRef, Iterable[TraceAction]]] = ()):
-        actions: dict[str, tuple] = {}
-        refs: dict[str, MethodRef] = {}
+        table: dict[str, tuple[MethodRef, tuple]] = {}
         for ref, acts in entries:
             acts = tuple(acts)
             if not acts:
                 raise ValueError(f"target {ref.key} has no actions")
-            key = ref.key
-            if key in actions:
-                merged = actions[key] + tuple(a for a in acts if a not in actions[key])
-                actions[key] = merged
-            else:
-                actions[key] = acts
-                refs[key] = ref
-        self._actions = actions
-        self._refs = refs
-        self.members = frozenset(actions)
-        self.flags = {key: ActionFlags.of(acts) for key, acts in actions.items()}
+            first = table.get(ref.key)
+            if first is not None:
+                ref, seen = first
+                acts = seen + tuple(a for a in acts if a not in seen)
+            table[ref.key] = (ref, acts)
+        self._table = table
+        self.flags = {key: ActionFlags.of(acts) for key, (_ref, acts) in table.items()}
+        self.members = self.flags.keys()  # a read-only view, not a copy
 
     def actions_for(self, key: str) -> tuple:
-        return self._actions.get(key, ())
+        return self._table.get(key, (None, ()))[1]
 
     def entries(self) -> list[tuple[MethodRef, tuple]]:
-        return [(ref, self._actions[key]) for key, ref in self._refs.items()]
+        return list(self._table.values())
 
     def with_target(self, ref: MethodRef, acts: Iterable[TraceAction]) -> "TargetSet":
         return TargetSet(self.entries() + [(ref, tuple(acts))])
 
     def __contains__(self, key: str) -> bool:
-        return key in self.members
+        return key in self.flags
 
     def __len__(self) -> int:
-        return len(self._actions)
+        return len(self._table)
 
     def __iter__(self):
-        return iter(self._refs.values())
+        return (ref for ref, _acts in self._table.values())
 
 
 @dataclass
@@ -199,14 +197,19 @@ class TraceEngine:
 
         ``pending`` entries join the target set like any other target, so one
         whose class loaded after it was resolved is stubbed right here. The set
-        is merged first, so a bad entry raises before anything has changed.
+        is merged first, so a bad entry raises before anything has changed. If
+        a phase after suppression raises, ``apply`` rolls back and re-raises.
         """
         with self._lock:
             target_set = TargetSet(target_set.entries() + list(pending))
             self.suppress_global_tracing()
-            report = self.inject_targets(target_set, adaptive=adaptive)
-            self.install_dispatcher()
-            self.activate()
+            try:
+                report = self.inject_targets(target_set, adaptive=adaptive)
+                self.install_dispatcher()
+                self.activate()
+            except BaseException:
+                self.rollback()
+                raise
             return report
 
     def apply_global(self, target_set: TargetSet) -> ApplyReport:
@@ -232,7 +235,8 @@ class TraceEngine:
             if self.phase is TracePhase.IDLE:
                 return summary
             if self.phase is TracePhase.ACTIVE:
-                self.instrumentation.remove_listener(self._registration.listener_id)
+                with suppress(UnknownListenerError):  # a proxy already gone counts as removed
+                    self.instrumentation.remove_listener(PROXY_LISTENER_ID)
                 summary["listener_removed"] = True
             self._registration = None
 

@@ -175,11 +175,10 @@ def parse_program(text: str) -> Program:
 
     Each distinct instruction line is parsed once: ``parsed`` maps its raw text
     to the ``Instruction`` it gave, and a repeat inside a method reuses it.
-    ``methods`` maps each key to its ``MethodSpec`` in program order; a method
+    ``specs`` maps each key to its ``MethodSpec`` in program order; a method
     joins it when the next header or the end of the text closes it.
     """
-    methods: dict[str, MethodSpec] = {}
-    class_order: dict[str, None] = {}
+    specs: dict[str, MethodSpec] = {}
     intern_map: dict[int, str] = {}
     parsed: dict[str, Instruction] = {}
 
@@ -203,19 +202,18 @@ def parse_program(text: str) -> Program:
             if not m:
                 raise ProgramParseError(f"bad {head} header {line!r}", line_no)
             if ref is not None:
-                methods[ref.key] = _method_spec(ref, decl_line, code, lines)
+                specs[ref.key] = _method_spec(ref, decl_line, code, lines)
                 ref = None
             if head == "class":
                 name = m.group(1)
                 if not _DOTTED_RE.match(name):
                     raise ProgramParseError(f"bad class name {name!r}", line_no)
                 current_class = name
-                class_order[name] = None
                 continue
             if current_class is None:
                 raise ProgramParseError("method outside a class", line_no)
             ref = MethodRef(current_class, m.group(1), _at_line(parse_signature, m.group(2), line_no))
-            first = methods.get(ref.key)
+            first = specs.get(ref.key)
             if first is not None:
                 raise ProgramParseError(
                     f"duplicate method {ref.key} (first declared on line {first.decl_line})",
@@ -260,11 +258,10 @@ def parse_program(text: str) -> Program:
         add_line(line_no)
 
     if ref is not None:
-        methods[ref.key] = _method_spec(ref, decl_line, code, lines)
-    if not methods:
+        specs[ref.key] = _method_spec(ref, decl_line, code, lines)
+    if not specs:
         raise ProgramParseError("program declares no methods", 1)
-    specs = {key: spec[:4] for key, spec in methods.items()}
-    return Program(tuple(methods.values()), tuple(class_order), specs, intern_map)
+    return Program(specs, intern_map)
 
 
 def load_program(text: str) -> ClassRegistry:

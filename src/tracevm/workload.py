@@ -83,8 +83,7 @@ def _arith_chunk(asm: _Asm, rng: random.Random, arity: int) -> None:
 
 
 def _emit_body(asm: _Asm, rng: random.Random, arity: int,
-               callees: list[MethodRef], n_ops: int, *,
-               allow_loop: bool = True, allow_branch: bool = True) -> None:
+               callees: list[MethodRef], n_ops: int) -> None:
     if arity:
         asm.ins("loadarg", 0)
     else:
@@ -92,7 +91,7 @@ def _emit_body(asm: _Asm, rng: random.Random, arity: int,
     asm.ins("storelocal", 0)
     budget = n_ops
 
-    if allow_loop and budget >= 16 and rng.random() < 0.3:
+    if budget >= 16 and rng.random() < 0.3:
         head = f"loop{rng.randrange(1 << 30)}"
         done = f"done{rng.randrange(1 << 30)}"
         asm.ins("pushconst", rng.randint(2, 6))
@@ -109,7 +108,7 @@ def _emit_body(asm: _Asm, rng: random.Random, arity: int,
         asm.label(done)
         budget -= 16
 
-    if allow_branch and budget >= 8 and rng.random() < 0.35:
+    if budget >= 8 and rng.random() < 0.35:
         skip = f"skip{rng.randrange(1 << 30)}"
         if arity:
             asm.ins("loadarg", rng.randrange(arity))

