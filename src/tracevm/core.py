@@ -40,8 +40,8 @@ def intern_id(text: str) -> int:
 
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-_DOTTED_RE = re.compile(rf"{_IDENT}(\.{_IDENT})*$")
-_NAME_RE = re.compile(rf"{_IDENT}$")
+_DOTTED_RE = re.compile(rf"{_IDENT}(\.{_IDENT})*")
+_NAME_RE = re.compile(_IDENT)
 
 
 class EntryPoint(Enum):
@@ -164,9 +164,9 @@ class MethodRef:
         if dot <= 0:
             raise ProgramParseError(f"bad method reference {text!r}: need class and method name")
         class_name, method_name = path[:dot], path[dot + 1 :]
-        if not _DOTTED_RE.match(class_name):
+        if not _DOTTED_RE.fullmatch(class_name):
             raise ProgramParseError(f"bad class name {class_name!r}")
-        if not _NAME_RE.match(method_name):
+        if not _NAME_RE.fullmatch(method_name):
             raise ProgramParseError(f"bad method name {method_name!r}")
         return MethodRef(class_name, method_name, parse_signature(sig))
 

@@ -216,15 +216,19 @@ class TraceEngine:
         """Bring-up without suppression or injection: the stock global walk runs.
 
         The proxy still filters to the target set, so the trace output matches
-        the targeted mode; only the cost differs.
+        the targeted mode; only the cost differs. If the walk raises,
+        ``apply_global`` rolls back and re-raises.
         """
         with self._lock:
             self._require_free_vm("apply_global")
             self._targets = target_set
-            self._build_registration()
-            report = self.instrumentation.native_trace_start(self._registration)
             self.phase = TracePhase.ACTIVE
             self.mode = "global"
+            try:
+                report = self.instrumentation.native_trace_start(self._build_registration())
+            except BaseException:
+                self.rollback()
+                raise
             return ApplyReport(self.mode, len(target_set), 0, report.entry_points_replaced)
 
     def rollback(self) -> dict:

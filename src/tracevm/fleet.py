@@ -157,9 +157,8 @@ class FleetManager:
         trace_events = self.drain_events(config.config_id)
         rolled_back = 0
         if config.status is ConfigStatus.CANARY:
-            before = config.status
             self.advance(config.config_id, metrics)
-            if config.status is ConfigStatus.ROLLED_BACK and before is not config.status:
+            if config.status is ConfigStatus.ROLLED_BACK:
                 rolled_back = sum(
                     1 for s in sessions if s.engine.phase is TracePhase.IDLE and s.admitted)
         return FleetReport(

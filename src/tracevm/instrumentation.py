@@ -6,9 +6,10 @@ call's arguments as a tuple with ``value=None, abrupt=False``, exit events pass
 ``args=()`` with the return value, or ``None`` and ``abrupt=True`` when the
 call raised.
 
-Dispatch walks an immutable snapshot of the callback list, so registration
-changes never mutate a list another thread is iterating; in-flight dispatch
-just finishes on the old snapshot. A listener that raises is logged and
+The VM fires an event only when ``has_entry`` or ``has_exit`` says someone
+listens. Dispatch walks an immutable snapshot of the callback list, so
+registration changes never mutate a list another thread is iterating; in-flight
+dispatch just finishes on the old snapshot. A listener that raises is logged and
 counted, never propagated into the traced call.
 
 Starting tracing the built-in way registers the listener and then hands
@@ -112,11 +113,8 @@ class Instrumentation:
 
     def method_enter_event(self, thread, ref: MethodRef, args) -> None:
         self.events_dispatched += 1
-        callbacks = self._entry_callbacks
-        if not callbacks:
-            return
         args = tuple(args)
-        for callback in callbacks:
+        for callback in self._entry_callbacks:
             try:
                 callback(thread, ref, METHOD_ENTERED, args, None, False)
             except Exception:
@@ -125,10 +123,7 @@ class Instrumentation:
 
     def method_exit_event(self, thread, ref: MethodRef, value, abrupt: bool = False) -> None:
         self.events_dispatched += 1
-        callbacks = self._exit_callbacks
-        if not callbacks:
-            return
-        for callback in callbacks:
+        for callback in self._exit_callbacks:
             try:
                 callback(thread, ref, METHOD_EXITED, (), value, abrupt)
             except Exception:

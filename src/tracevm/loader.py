@@ -46,6 +46,7 @@ from .core import (
     MNEMONIC_TO_OPCODE,
     Program,
     _DOTTED_RE,
+    _IDENT,
     intern_id,
     parse_signature,
 )
@@ -69,8 +70,8 @@ _LITERAL_RE = re.compile(_LITERAL)
 _CODE_RE = re.compile(rf"(?:[^\"#]|{_LITERAL})*")  # a line up to its comment
 _ESCAPE_RE = re.compile(r"\\(.)")
 _INT_RE = re.compile(r"[+-]?\d+$")
-_CLASS_RE = re.compile(r"class\s+(\S+)$")
-_METHOD_RE = re.compile(r"method\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*\((.*)\)$")
+_CLASS_RE = re.compile(r"class\s+(\S+)")
+_METHOD_RE = re.compile(rf"method\s+({_IDENT})\s*\((.*)\)")
 
 
 def _strip_comment(line: str) -> str:
@@ -198,7 +199,7 @@ def parse_program(text: str) -> Program:
 
         head = line.split(None, 1)[0]
         if head == "class" or head == "method":
-            m = (_CLASS_RE if head == "class" else _METHOD_RE).match(line)
+            m = (_CLASS_RE if head == "class" else _METHOD_RE).fullmatch(line)
             if not m:
                 raise ProgramParseError(f"bad {head} header {line!r}", line_no)
             if ref is not None:
@@ -206,7 +207,7 @@ def parse_program(text: str) -> Program:
                 ref = None
             if head == "class":
                 name = m.group(1)
-                if not _DOTTED_RE.match(name):
+                if not _DOTTED_RE.fullmatch(name):
                     raise ProgramParseError(f"bad class name {name!r}", line_no)
                 current_class = name
                 continue

@@ -1,9 +1,10 @@
 """Virtual machine: threads, tiered dispatch and the interpreter loop.
 
 Every call dispatches through the callee's entry-point slot, and only
-``_dispatch`` pushes or pops ``thread.frames``. The interpreter entry checks for
-method-entry listeners before touching the bytecode, the hook the tracing layers
-build on. The quick stub fires the same events but runs the compiled body, so a
+``_dispatch`` pushes or pops ``thread.frames``. ``_dispatch`` is also the one
+place that fires method entry and exit events, the hook the tracing layers build
+on: every entry but ``CompiledDirect`` asks whether anyone listens and fires the
+events around the body, which is the compiled body for the quick stub, so a
 traced hot method does not fall back to the interpreter. Only ``jit_compile``
 changes a tier: it moves the live entry, or the one a stub saved, to compiled.
 
@@ -138,6 +139,11 @@ class VM:
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: list):
+        """Run a call on its entry point; the one site that fires method events.
+
+        Every entry but ``CompiledDirect`` fires them around its body when a
+        listener is registered, with an abrupt exit when the body raised.
+        """
         frames = thread.frames
         if len(frames) >= self.max_stack_depth:
             raise StackDepthError(
@@ -148,24 +154,24 @@ class VM:
             if entry is _COMPILED:
                 self.compiled_calls += 1
                 return record.lowered_code(self, thread, args)
-            if entry is _QUICK:
-                # Traced fast path: events around the compiled body. Installing
-                # the quick stub requires a compiled method and compiling is
-                # one-way, so the body runs without a tier check.
-                ins = self.instrumentation
-                ref = record.method_ref
-                ins.method_enter_event(thread, ref, args)
-                self.compiled_calls += 1
-                try:
+            ins = self.instrumentation
+            if ins.has_entry:
+                ins.method_enter_event(thread, record.method_ref, args)
+            try:
+                if entry is _QUICK:
+                    # Installing the quick stub requires a compiled method and
+                    # compiling is one-way, so the body runs without a tier check.
+                    self.compiled_calls += 1
                     value = record.lowered_code(self, thread, args)
-                except Exception:
-                    ins.method_exit_event(thread, ref, None, abrupt=True)
-                    raise
-                ins.method_exit_event(thread, ref, value)
-                return value
-            # InterpreterBridge and the interpreter stub both land here; the
-            # interpreter's own listener checkpoint fires the events.
-            return self.interpret(thread, record, args)
+                else:
+                    value = self.interpret(thread, record, args)
+            except Exception:
+                if ins.has_exit:
+                    ins.method_exit_event(thread, record.method_ref, None, abrupt=True)
+                raise
+            if ins.has_exit:
+                ins.method_exit_event(thread, record.method_ref, value)
+            return value
         finally:
             frames.pop()
 
@@ -190,16 +196,12 @@ class VM:
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: list):
-        """Interpreter tier: listener checkpoint, bytecode loop and exit events.
+        """Interpreter tier: the bytecode loop, one Python frame per call.
 
-        One Python frame per interpreted call. An exception out of the loop,
-        including a callee's ``StackDepthError``, fires an abrupt exit and
-        re-raises; an ``IndexError`` is first turned into ``VMInternalError``.
+        It fires no event; ``_dispatch`` does that around it. An ``IndexError``
+        out of the loop is turned into ``VMInternalError``.
         """
         self.interpreted_calls += 1
-        ins = self.instrumentation
-        if ins.has_entry:
-            ins.method_enter_event(thread, record.method_ref, args)
         code = record.bytecode
         stack: list = []
         push = stack.append
@@ -251,23 +253,15 @@ class VM:
                 elif op == O_JMP:
                     pc += arg
                 elif op == O_RET:
-                    value = pop()
-                    break
+                    return pop()
                 else:  # pragma: no cover - loader emits only known opcodes
                     raise VMInternalError(f"unknown opcode {op} at pc {pc}")
-        except Exception as exc:
-            if ins.has_exit:
-                ins.method_exit_event(thread, record.method_ref, None, abrupt=True)
-            if isinstance(exc, IndexError):
-                # The validator proves stack depths, so underflow here means a
-                # bug in this VM, not in the program. Abort with diagnostics.
-                raise VMInternalError(
-                    f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
-                ) from exc
-            raise
-        if ins.has_exit:
-            ins.method_exit_event(thread, record.method_ref, value)
-        return value
+        except IndexError as exc:
+            # The validator proves stack depths, so underflow here means a bug
+            # in this VM, not in the program. Abort with diagnostics.
+            raise VMInternalError(
+                f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
+            ) from exc
 
     def stats(self) -> dict:
         return {

@@ -168,16 +168,16 @@ class GeneratedWorkload:
     def traffic(self, n_calls: int, *, seed: int | None = None) -> list[tuple[str, tuple]]:
         """Deterministic call mix over root methods, biased toward hot ones."""
         rng = random.Random(self.seed + 0x5EED if seed is None else seed)
-        cold_roots = tuple(k for k in self.root_keys if k not in set(self.hot_root_keys))
+        hot = set(self.hot_root_keys)
+        cold_roots = tuple(k for k in self.root_keys if k not in hot)
+        specs = self.program.specs
         calls = []
         for _ in range(n_calls):
             if self.hot_root_keys and (not cold_roots or rng.random() < _HOT_BIAS):
                 key = rng.choice(self.hot_root_keys)
             else:
                 key = rng.choice(cold_roots)
-            sig = key[key.index("(") + 1:-1]
-            arity = len(sig.split(",")) if sig else 0
-            calls.append((key, tuple(rng.randint(-50, 50) for _ in range(arity))))
+            calls.append((key, tuple(rng.randint(-50, 50) for _ in range(specs[key].ref.arity))))
         return calls
 
     def build_config(self, config_id: str = "cfg-bench",

@@ -68,6 +68,7 @@ def test_methodref_key_and_parse_roundtrip():
     "a.b.C.m(in t)",
     "a..C.m()",
     "a.b.C.1m()",
+    "a.B\n.f()",
 ])
 def test_methodref_parse_rejects(bad):
     with pytest.raises(ProgramParseError):

@@ -492,11 +492,8 @@ def test_rollback_after_a_failed_restore_finishes(monkeypatch):
     assert vm.registry._on_load == []
 
 
-def test_apply_rolls_back_when_a_stub_install_fails(monkeypatch):
-    vm, engine = make_engine()
-    vm.jit_compile("app.Main.leaf(int)")
-    pristine = vm.registry.snapshot_state()
-    ins = vm.instrumentation
+def fail_second_install(monkeypatch, ins):
+    """Make the second stub install raise; return the keys of every install tried."""
     install = ins.install_stubs_for_method
     calls = []
 
@@ -507,6 +504,15 @@ def test_apply_rolls_back_when_a_stub_install_fails(monkeypatch):
         return install(record, stub)
 
     monkeypatch.setattr(ins, "install_stubs_for_method", install_failing_second)
+    return calls
+
+
+def test_apply_rolls_back_when_a_stub_install_fails(monkeypatch):
+    vm, engine = make_engine()
+    vm.jit_compile("app.Main.leaf(int)")
+    pristine = vm.registry.snapshot_state()
+    ins = vm.instrumentation
+    calls = fail_second_install(monkeypatch, ins)
     with pytest.raises(RuntimeError, match="install fault"):
         engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
                              ("app.Main.mid(int)", (TraceAction.CAPTURE_ARGS,))))
@@ -517,6 +523,23 @@ def test_apply_rolls_back_when_a_stub_install_fails(monkeypatch):
     assert ins.listener_ids() == []
     assert ins.is_default_activation
     assert vm.registry._on_load == []
+    # nothing is left behind that blocks the next session
+    monkeypatch.undo()
+    assert engine.apply(targets(("app.Main.mid(int)", (TraceAction.TIME_METHOD,)))).injected == 1
+
+
+def test_apply_global_rolls_back_when_a_stub_install_fails(monkeypatch):
+    vm, engine = make_engine()
+    pristine = vm.registry.snapshot_state()
+    ins = vm.instrumentation
+    calls = fail_second_install(monkeypatch, ins)
+    with pytest.raises(RuntimeError, match="install fault"):
+        engine.apply_global(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
+    assert len(calls) == 2
+    assert engine.phase is TracePhase.IDLE and engine.mode is None
+    assert ins.listener_ids() == []
+    assert vm.registry.snapshot_state() == pristine
+    assert ins.is_default_activation
     # nothing is left behind that blocks the next session
     monkeypatch.undo()
     assert engine.apply(targets(("app.Main.mid(int)", (TraceAction.TIME_METHOD,)))).injected == 1

@@ -230,17 +230,22 @@ def test_tier_counters_exact_on_a_two_tier_program():
     assert (vm.interpreted_calls, vm.compiled_calls) == (12, 3)
     assert vm.instrumentation.events_dispatched == 0
 
+    # With no listener, the quick stub on mid dispatches no event either.
+    vm.instrumentation.install_stubs_for_method(
+        "t.T.mid(int)", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+    for n in (1, 2, 3):
+        assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
+    assert vm.instrumentation.events_dispatched == 0
+
     # A listener makes each interpreted call dispatch an entry and an exit;
     # the quick stub on mid adds a pair per mid call.
     vm.instrumentation.add_listener(ListenerRegistration(
         "t", frozenset({EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED}),
         lambda *event: None))
-    vm.instrumentation.install_stubs_for_method(
-        "t.T.mid(int)", EntryPoint.INSTRUMENTATION_QUICK_STUB)
     for n in (1, 2, 3):
         assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
     stats = vm.stats()
-    assert (stats["interpreted_calls"], stats["compiled_calls"]) == (24, 6)
+    assert (stats["interpreted_calls"], stats["compiled_calls"]) == (36, 9)
     assert stats["events_dispatched"] == 3 * (2 * 4 + 2)
     assert thread.frames == []
 
