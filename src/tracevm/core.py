@@ -5,8 +5,10 @@ exist only as interned ids taken from a reserved band far below zero, so the
 arg-capture path can map them back to text. A parsed ``Program`` is shared:
 each registry made from it builds a method's ``MethodRecord`` on first touch.
 
-A method's tier is its ``lowered_code``, which only ``VM.jit_compile`` sets.
-The Enum members that other modules test by identity are bound here, once.
+A method's ``code``, exact ``(int_op, arg)`` tuples, is its only stored form;
+``bytecode`` views it as ``Instruction``s. Its tier is its ``lowered_code``,
+which only ``VM.jit_compile`` sets. The Enum members that other modules test
+by identity are bound here, once.
 """
 
 from __future__ import annotations
@@ -103,19 +105,18 @@ _OPCODE_TABLE = {
 MNEMONIC_TO_OPCODE = {row[0]: op for op, row in _OPCODE_TABLE.items()}
 
 
-# Opcode values as plain ints in definition order: what ``Instruction`` stores,
+# Opcode values as plain ints in definition order: what stored code holds,
 # unpacked into named ints by the interpreter, the validator and the lowering pass.
 _OPCODES = tuple(op.value for op in Opcode)
 _OPCODE_BY_VALUE = {op.value: op for op in Opcode}
 
 
 class Instruction(tuple):
-    """One bytecode instruction: the 2-tuple ``(opcode, arg)``.
+    """Introspection view of one stored ``(op, arg)`` pair; ``op`` gives the ``Opcode``.
 
-    The opcode is stored as a plain ``int``, converted once here. The
-    interpreter loop compares it against int constants on every instruction,
-    and CPython 3.11 specialises an int-to-int ``==`` but not one whose
-    operand is an ``IntEnum`` member. ``op`` still returns the ``Opcode``.
+    Stored code holds exact tuples: CPython 3.11 specialises the interpreter's
+    ``op, arg = code[pc]`` only on an exact ``tuple``, and its ``op == <const>``
+    only on two exact ``int``s, so a subclass or an ``IntEnum`` runs generic.
     """
 
     __slots__ = ()
@@ -201,12 +202,16 @@ def parse_signature(sig: str) -> tuple[str, ...]:
     return tuple(params)
 
 
+# ``bytecode`` on ``MethodSpec`` and ``MethodRecord``: read-only, a fresh tuple per read.
+_BYTECODE_VIEW = property(lambda self: tuple(Instruction(*pair) for pair in self.code))
+
+
 class MethodRecord:
-    """Mutable per-method runtime state attached to immutable bytecode."""
+    """Mutable per-method runtime state attached to immutable ``code``."""
 
     __slots__ = (
         "method_ref",
-        "bytecode",
+        "code",
         "n_locals",
         "stack_depths",
         "entry_point",
@@ -215,10 +220,12 @@ class MethodRecord:
         "lowered_source",
     )
 
-    def __init__(self, method_ref: MethodRef, bytecode: tuple[Instruction, ...],
+    bytecode = _BYTECODE_VIEW
+
+    def __init__(self, method_ref: MethodRef, code: tuple[tuple[int, object], ...],
                  n_locals: int, stack_depths: tuple):
         self.method_ref = method_ref
-        self.bytecode = bytecode
+        self.code = code
         self.n_locals = n_locals
         self.stack_depths = stack_depths
         self.entry_point = _BRIDGE
@@ -244,10 +251,12 @@ class MethodSpec(NamedTuple):
     """Parsed, validated method shape shared by every registry instantiation."""
 
     ref: MethodRef
-    bytecode: tuple[Instruction, ...]
+    code: tuple[tuple[int, object], ...]
     n_locals: int
     stack_depths: tuple
     decl_line: int
+
+    bytecode = _BYTECODE_VIEW
 
 
 class Program(NamedTuple):

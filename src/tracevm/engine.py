@@ -13,9 +13,11 @@ events when it is drained. Captured stacks start with the synthetic
 ``INTERCEPT_REF``, which the VM's frame stack never holds. One session runs per
 VM. Rollback undoes everything in reverse order and is idempotent.
 
-The target set and the registry are the only record of what is stubbed: each
-target whose class is loaded has its stub, and a later class load stubs its
-targets through a registry hook held only while a targeted session is up.
+The target set and the registry are the only record of what is stubbed: a
+target is injected when its record holds a stub and pending otherwise. A later
+class load stubs its targets through a registry hook held only while a targeted
+session is up; a stub install that fails there leaves its target pending and
+never raises into the app's loader.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ class TraceEngine:
         self.spurious_filtered = 0
         self.unmatched_exits = 0
         self.action_errors = 0
+        self.load_hook_errors = 0
         self._failed_keys: set[str] = set()
 
     # -- phase operations ---------------------------------------------------
@@ -285,6 +288,7 @@ class TraceEngine:
                 "spurious_filtered": self.spurious_filtered,
                 "unmatched_exits": self.unmatched_exits,
                 "action_errors": self.action_errors,
+                "load_hook_errors": self.load_hook_errors,
                 "callback_errors": self.instrumentation.callback_errors,
             }
 
@@ -303,11 +307,12 @@ class TraceEngine:
             raise PhaseError(f"{op}: another trace session is up on this VM")
 
     def _counts(self) -> tuple[int, int]:
-        """Stubbed (loaded) targets and actions awaiting their class; 0s unless targeted."""
+        """Stubbed targets, and the actions of the unstubbed rest; 0s unless targeted."""
         if self.mode != "targeted":
             return 0, 0
-        targets, registry = self._targets, self.vm.registry
-        waiting = [key for key in targets.members if key not in registry]
+        targets, get = self._targets, self.vm.registry.get
+        waiting = [key for key in targets.members
+                   if (rec := get(key)) is None or not rec.entry_point.is_instrumentation_stub]
         return len(targets) - len(waiting), sum(len(targets.actions_for(k)) for k in waiting)
 
     def _stub_loaded(self, keys: list[str]) -> int:
@@ -334,13 +339,19 @@ class TraceEngine:
         """Deferred injection: stub targets whose class just arrived.
 
         Outside ``INJECTED``/``ACTIVE`` the target set is empty, so nothing is.
+        It runs inside the app's ``ClassRegistry.load``, so a failed install is
+        logged and counted, never raised, and leaves its target pending.
         """
         with self._lock:
             members = self._targets.members
-            keys = [key for key in new_keys if key in members]
-            for key in keys:
-                log.info("deferred injection of %s", key)
-            self._stub_loaded(keys)
+            for key in new_keys:
+                if key in members:
+                    log.info("deferred injection of %s", key)
+                    try:
+                        self._stub_loaded([key])
+                    except Exception:
+                        self.load_hook_errors += 1
+                        log.exception("deferred injection of %s failed; it stays pending", key)
 
     def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
                   abrupt: bool) -> None:

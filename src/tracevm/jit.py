@@ -33,7 +33,7 @@ import re
 from .core import _OPCODES, I64_MAX, I64_MIN, MethodRecord, wrap_i64
 from .errors import VMInternalError
 
-# Plain-int opcodes, as ``Instruction`` stores them.
+# Plain-int opcodes, as stored code holds them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
 _WRAP_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
 
@@ -49,8 +49,8 @@ def _mangle(key: str) -> str:
 
 
 def lower_method(record: MethodRecord):
-    """Return ``(function, source)`` for the record's bytecode."""
-    code = record.bytecode
+    """Return ``(function, source)`` for the record's code."""
+    code = record.code
     depths = record.stack_depths
     n = len(code)
 

@@ -18,8 +18,8 @@ The opcode table in ``core`` gives each mnemonic its opcode, operand kind and
 stack effect. The parser reads an instruction's operand by its kind, and the
 validator applies its stack effect.
 
-Each distinct instruction line is parsed once per ``parse_program`` call and
-its immutable ``Instruction`` is shared by every repeat inside a method. The
+Each distinct instruction line is parsed once per ``parse_program`` call into
+one exact ``(int_op, arg)`` tuple, shared by every repeat inside a method. The
 operand checks depend only on the line, so they run once; the per-method
 checks below run on every method with each occurrence's own line number.
 
@@ -40,7 +40,6 @@ from .core import (
     I64_MAX,
     I64_MIN,
     ClassRegistry,
-    Instruction,
     MethodRef,
     MethodSpec,
     MNEMONIC_TO_OPCODE,
@@ -54,7 +53,7 @@ from .errors import ProgramParseError, ProgramValidationError
 
 MAX_LOCAL_SLOTS = 256
 
-# Plain-int opcodes, as ``Instruction`` stores them.
+# Plain-int opcodes, as stored code holds them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
 # The core table's (pops, pushes), keyed by plain-int opcode for the validator.
 _STACK_EFFECT = {op.value: row[2:] for op, row in _OPCODE_TABLE.items()}
@@ -175,13 +174,13 @@ def parse_program(text: str) -> Program:
     """Parse and validate program text into an immutable ``Program``.
 
     Each distinct instruction line is parsed once: ``parsed`` maps its raw text
-    to the ``Instruction`` it gave, and a repeat inside a method reuses it.
+    to the ``(int_op, arg)`` pair it gave, and a repeat inside a method reuses it.
     ``specs`` maps each key to its ``MethodSpec`` in program order; a method
     joins it when the next header or the end of the text closes it.
     """
     specs: dict[str, MethodSpec] = {}
     intern_map: dict[int, str] = {}
-    parsed: dict[str, Instruction] = {}
+    parsed: dict[str, tuple[int, object]] = {}
 
     current_class: str | None = None
     ref: MethodRef | None = None  # the open method: decl_line, code and lines
@@ -254,7 +253,7 @@ def parse_program(text: str) -> Program:
             arg = _parse_int(operand, line_no)
             if not I64_MIN <= arg <= I64_MAX:
                 raise ProgramParseError(f"constant {arg} outside 64-bit range", line_no)
-        ins = parsed[raw] = Instruction(op, arg)
+        ins = parsed[raw] = (op.value, arg)
         add_ins(ins)
         add_line(line_no)
 

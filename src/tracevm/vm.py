@@ -8,13 +8,18 @@ events around the body, which is the compiled body for the quick stub, so a
 traced hot method does not fall back to the interpreter. Only ``jit_compile``
 changes a tier: it moves the live entry, or the one a stub saved, to compiled.
 
-The interpreter runs each call in one Python frame. It compares opcodes as
-plain ints (``core.Instruction`` stores them that way), since CPython 3.11
-specialises an int-to-int ``==`` and leaves an ``IntEnum`` operand on the
-generic compare path. ``add``, ``sub`` and ``mul`` call ``core.wrap_i64`` only
-when a result leaves the signed 64-bit range, the same rule as the lowered
-code. The call edge ``call_ref`` resolves a callee with one dict get on the
-registry's record map, and asks the registry only on a method's first touch.
+The interpreter runs each call in one Python frame, over the record's
+``code`` of exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
+``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+(``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
+ints. The if-chain follows the instruction mix of fleet traffic: loadlocal
+24%, storelocal 22%, loadarg 13%, pushconst 12%, add 9%, sub 5%, jz 4%, ret
+4%, mul 3%, jmp 2%, call 2%; pushconst and mul move up a place for the
+latency probe, which is 25% pushconst and 10% mul. ``add``, ``sub`` and
+``mul`` call ``core.wrap_i64`` only when a result leaves the signed 64-bit
+range, the same rule as the lowered code. The call edge ``call_ref`` resolves a
+callee with one dict get on the registry's record map, and asks the registry
+only on a method's first touch.
 """
 
 from __future__ import annotations
@@ -202,7 +207,7 @@ class VM:
         out of the loop is turned into ``VMInternalError``.
         """
         self.interpreted_calls += 1
-        code = record.bytecode
+        code = record.code
         stack: list = []
         push = stack.append
         pop = stack.pop
@@ -215,7 +220,13 @@ class VM:
         try:
             while True:
                 op, arg = code[pc]
-                if op == O_PUSH:
+                if op == O_LLOC:
+                    push(loc[arg])
+                    pc += 1
+                elif op == O_SLOC:
+                    loc[arg] = pop()
+                    pc += 1
+                elif op == O_PUSH:
                     push(arg)
                     pc += 1
                 elif op == O_LARG:
@@ -225,22 +236,18 @@ class VM:
                     r = stack[-2] + pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
-                elif op == O_SUB:
-                    r = stack[-2] - pop()
-                    stack[-1] = r if lo <= r <= hi else wrap(r)
-                    pc += 1
                 elif op == O_MUL:
                     r = stack[-2] * pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
-                elif op == O_LLOC:
-                    push(loc[arg])
-                    pc += 1
-                elif op == O_SLOC:
-                    loc[arg] = pop()
+                elif op == O_SUB:
+                    r = stack[-2] - pop()
+                    stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_JZ:
                     pc = pc + arg if pop() == 0 else pc + 1
+                elif op == O_JMP:
+                    pc += arg
                 elif op == O_CALL:
                     n = arg.arity
                     if n:
@@ -250,8 +257,6 @@ class VM:
                         cargs = []
                     push(call(thread, arg, cargs))
                     pc += 1
-                elif op == O_JMP:
-                    pc += arg
                 elif op == O_RET:
                     return pop()
                 else:  # pragma: no cover - loader emits only known opcodes

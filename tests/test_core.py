@@ -112,7 +112,7 @@ def test_registry_fresh_instantiation_is_independent(fib_source):
     assert list(r2._records) == []  # untouched in r2: no record built yet
     rec2 = r2.lookup("demo.Math.fib(int)")
     assert rec2 is not rec1 and rec2.entry_point is EntryPoint.INTERPRETER_BRIDGE
-    assert rec2.bytecode is rec1.bytecode  # the parsed bytecode is shared
+    assert rec2.code is rec1.code  # the parsed code is shared
     assert r1.get("demo.Math.fib(int)") is rec1
 
 
@@ -170,7 +170,7 @@ def test_load_rejects_an_untouched_method():
 def test_snapshot_state_equals_an_eager_build(small_workload):
     program = small_workload.program
     registry = program.instantiate()
-    eager = [MethodRecord(s.ref, s.bytecode, s.n_locals, s.stack_depths)
+    eager = [MethodRecord(s.ref, s.code, s.n_locals, s.stack_depths)
              for s in program.methods]
     want = {rec.method_ref.key: (rec.entry_point, rec.original_entry_point,
                                  rec.compilation_state) for rec in eager}

@@ -615,6 +615,31 @@ def test_target_in_unloaded_class_injects_on_load():
     assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
 
 
+def test_failed_deferred_install_stays_inside_the_load_hook(monkeypatch, caplog):
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,)),
+                         ("late.Plugin.hook(int)", (TraceAction.CAPTURE_ARGS,))))
+    ins = vm.instrumentation
+
+    def failing_install(record, stub):
+        raise RuntimeError("install fault")
+
+    monkeypatch.setattr(ins, "install_stubs_for_method", failing_install)
+    with caplog.at_level(logging.ERROR, logger="tracevm.engine"):
+        assert vm.registry.load(parse_program(LATE_SRC)) == ["late.Plugin.hook(int)"]
+    assert [r.message for r in caplog.records if r.levelno >= logging.ERROR] == [
+        "deferred injection of late.Plugin.hook(int) failed; it stays pending"]
+    assert vm.invoke(vm.new_thread(), "late.Plugin.hook(int)", (4,)) == 5
+    rec = vm.registry.lookup("late.Plugin.hook(int)")
+    assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
+    status = engine.status()
+    assert (status["injected"], status["pending"], status["load_hook_errors"]) == (1, 1, 1)
+    engine.rollback()
+    assert engine.phase is TracePhase.IDLE and engine.status()["phase"] == "idle"
+    assert ins.listener_ids() == [] and vm.registry._on_load == []
+    assert vm.registry.lookup("app.Main.leaf(int)").entry_point is EntryPoint.INTERPRETER_BRIDGE
+
+
 def test_late_target_keeps_every_pending_action():
     vm, engine = make_engine()
     hook = MethodRef.parse("late.Plugin.hook(int)")

@@ -4,7 +4,6 @@ from tracevm import (
     ArityMismatchError,
     EntryPoint,
     EventKind,
-    Instruction,
     ListenerRegistration,
     MethodNotFoundError,
     MethodRef,
@@ -166,7 +165,7 @@ def test_corrupt_bytecode_aborts_with_internal_error():
     vm = VM(load_program("class a.A\n  method f()\n    pushconst 1\n    ret"))
     # Bypass the loader: underflowing bytecode must abort, not wrap around.
     broken = MethodRecord(MethodRef("a.A", "g", ()),
-                          (Instruction(Opcode.ADD), Instruction(Opcode.RETURN)),
+                          ((Opcode.ADD.value, None), (Opcode.RETURN.value, None)),
                           0, (0, None))
     vm.registry._records["a.A.g()"] = broken
     with pytest.raises(VMInternalError) as info:
@@ -178,7 +177,7 @@ def test_corrupt_bytecode_fires_one_abrupt_exit():
     vm = VM(load_program("class a.A\n  method f()\n    pushconst 1\n    ret"))
     g = MethodRef("a.A", "g", ())
     vm.registry._records[g.key] = MethodRecord(
-        g, (Instruction(Opcode.ADD), Instruction(Opcode.RETURN)), 0, (0, None))
+        g, ((Opcode.ADD.value, None), (Opcode.RETURN.value, None)), 0, (0, None))
     seen = []
 
     def listener(thread, ref, kind, args, value, abrupt):
