@@ -20,14 +20,12 @@ gated advancement on fleet health.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .actions import TraceAction
-from .core import _DOTTED_RE, _NAME_RE, ClassRegistry, MethodRef, parse_signature
+from .core import _DOTTED_RE, _NAME_RE, ClassRegistry, MethodRef, _blake2b_64, parse_signature
 from .engine import TargetSet
 from .errors import ConfigError, ProgramParseError
 
@@ -208,8 +206,7 @@ def _hash_admits(text: str, fraction: float) -> bool:
     """Whether blake2b-64 of ``text`` is below ``fraction`` of 2**64."""
     if fraction <= 0.0:
         return False
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") < int(fraction * _GATE_SPAN)
+    return _blake2b_64(text) < int(fraction * _GATE_SPAN)
 
 
 def session_gate(device_id: str, config: TraceConfig) -> bool:
@@ -239,8 +236,7 @@ def begin_canary(config: TraceConfig) -> ConfigStatus:
 
 
 def lifecycle_advance(config: TraceConfig, metrics: HealthMetrics,
-                      *, min_sessions: int = MIN_CANARY_SESSIONS,
-                      on_rollback: Callable[[], None] | None = None) -> ConfigStatus:
+                      *, min_sessions: int = MIN_CANARY_SESSIONS) -> ConfigStatus:
     """Advance a canary on healthy metrics, roll it back on a threshold breach.
 
     Below ``min_sessions`` the canary keeps gathering data and the status is
@@ -256,6 +252,4 @@ def lifecycle_advance(config: TraceConfig, metrics: HealthMetrics,
         config.rollout_fraction = 1.0
     else:
         transition(config, ConfigStatus.ROLLED_BACK)
-        if on_rollback is not None:
-            on_rollback()
     return config.status

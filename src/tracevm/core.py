@@ -36,9 +36,13 @@ def wrap_i64(value: int) -> int:
     return ((value + _BIAS) & _MASK) - _BIAS
 
 
+def _blake2b_64(text: str) -> int:
+    """blake2b of ``text`` with an 8-byte digest, read as a big-endian int."""
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
+
+
 def intern_id(text: str) -> int:
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return INTERN_BASE + int.from_bytes(digest, "big") % _INTERN_SPAN
+    return INTERN_BASE + _blake2b_64(text) % _INTERN_SPAN
 
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"

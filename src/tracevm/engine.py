@@ -14,10 +14,12 @@ events when it is drained. Captured stacks start with the synthetic
 VM. Rollback undoes everything in reverse order and is idempotent.
 
 The target set and the registry are the only record of what is stubbed: a
-target is injected when its record holds a stub and pending otherwise. A later
-class load stubs its targets through a registry hook held only while a targeted
-session is up; a stub install that fails there leaves its target pending and
-never raises into the app's loader.
+target is injected when its record holds a stub and pending otherwise. A
+registry hook, held only while a session is up, stubs what a later class load
+brings: its targets in targeted mode, and every new method on the interpreter
+stub in global mode, as the stock walk would have. A stub install that fails
+there is counted, leaves its method unstubbed and never raises into the app's
+loader.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .actions import (_CAPTURE_ARGS, _CAPTURE_STACK, _TIME_METHOD, EventSink, TraceAction,
                       capture_args_payload, redact_value)
@@ -53,62 +55,51 @@ class TracePhase(Enum):
     ACTIVE = "active"
 
 
-class ActionFlags(NamedTuple):
-    """Which actions a target runs, precomputed so the proxy never scans them."""
-
-    capture_stack: bool
-    capture_args: bool
-    time_method: bool
-
-    @classmethod
-    def of(cls, acts: tuple) -> "ActionFlags":
-        return cls(_CAPTURE_STACK in acts, _CAPTURE_ARGS in acts, _TIME_METHOD in acts)
-
-
 class TargetSet:
     """Immutable set of traced methods with their configured actions.
 
     Updates replace the whole object, so a dispatch that grabbed a reference
-    keeps a consistent view. ``_table`` maps each member key to its
-    ``(ref, actions)``; duplicate entries for one method keep the first ref
-    and merge their actions in first-seen order. ``flags`` maps the same keys
-    to ``ActionFlags`` for the proxy; a key missing from it is not a target.
+    keeps a consistent view. ``table`` maps each member key to one exact tuple
+    ``(ref, actions, stack, args, time)``, whose flags are precomputed so the
+    proxy never scans ``actions``; a key missing from it is not a target.
+    Duplicate entries for one method keep the first ref and merge their
+    actions in first-seen order.
     """
 
-    __slots__ = ("members", "flags", "_table")
+    __slots__ = ("members", "table")
 
     def __init__(self, entries: Iterable[tuple[MethodRef, Iterable[TraceAction]]] = ()):
-        table: dict[str, tuple[MethodRef, tuple]] = {}
+        table: dict[str, tuple[MethodRef, tuple, bool, bool, bool]] = {}
         for ref, acts in entries:
             acts = tuple(acts)
             if not acts:
                 raise ValueError(f"target {ref.key} has no actions")
             first = table.get(ref.key)
             if first is not None:
-                ref, seen = first
+                ref, seen = first[:2]
                 acts = seen + tuple(a for a in acts if a not in seen)
-            table[ref.key] = (ref, acts)
-        self._table = table
-        self.flags = {key: ActionFlags.of(acts) for key, (_ref, acts) in table.items()}
-        self.members = self.flags.keys()  # a read-only view, not a copy
+            table[ref.key] = (ref, acts, _CAPTURE_STACK in acts, _CAPTURE_ARGS in acts,
+                              _TIME_METHOD in acts)
+        self.table = table
+        self.members = table.keys()  # a read-only view, not a copy
 
     def actions_for(self, key: str) -> tuple:
-        return self._table.get(key, (None, ()))[1]
+        return self.table.get(key, (None, ()))[1]
 
     def entries(self) -> list[tuple[MethodRef, tuple]]:
-        return list(self._table.values())
+        return [entry[:2] for entry in self.table.values()]
 
     def with_target(self, ref: MethodRef, acts: Iterable[TraceAction]) -> "TargetSet":
         return TargetSet(self.entries() + [(ref, tuple(acts))])
 
     def __contains__(self, key: str) -> bool:
-        return key in self.flags
+        return key in self.table
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)
 
     def __iter__(self):
-        return (ref for ref, _acts in self._table.values())
+        return (entry[0] for entry in self.table.values())
 
 
 @dataclass
@@ -219,14 +210,18 @@ class TraceEngine:
         """Bring-up without suppression or injection: the stock global walk runs.
 
         The proxy still filters to the target set, so the trace output matches
-        the targeted mode; only the cost differs. If the walk raises,
-        ``apply_global`` rolls back and re-raises.
+        the targeted mode; only the cost differs. The load hook puts every
+        method that loads during the session on the interpreter stub too. If
+        the walk raises, ``apply_global`` rolls back and re-raises.
         """
         with self._lock:
             self._require_free_vm("apply_global")
             self._targets = target_set
             self.phase = TracePhase.ACTIVE
             self.mode = "global"
+            self._adaptive = False
+            self._load_hook = self._on_classes_loaded
+            self.vm.registry.on_load(self._load_hook)
             try:
                 report = self.instrumentation.native_trace_start(self._build_registration())
             except BaseException:
@@ -310,10 +305,10 @@ class TraceEngine:
         """Stubbed targets, and the actions of the unstubbed rest; 0s unless targeted."""
         if self.mode != "targeted":
             return 0, 0
-        targets, get = self._targets, self.vm.registry.get
-        waiting = [key for key in targets.members
+        table, get = self._targets.table, self.vm.registry.get
+        waiting = [entry[1] for key, entry in table.items()
                    if (rec := get(key)) is None or not rec.entry_point.is_instrumentation_stub]
-        return len(targets) - len(waiting), sum(len(targets.actions_for(k)) for k in waiting)
+        return len(table) - len(waiting), sum(map(len, waiting))
 
     def _stub_loaded(self, keys: list[str]) -> int:
         """Stub each loaded key to match its tier; return how many slots changed."""
@@ -336,33 +331,35 @@ class TraceEngine:
         return self._registration
 
     def _on_classes_loaded(self, new_keys: list[str]) -> None:
-        """Deferred injection: stub targets whose class just arrived.
+        """Stub what just loaded: the targets, or every method in global mode.
 
-        Outside ``INJECTED``/``ACTIVE`` the target set is empty, so nothing is.
-        It runs inside the app's ``ClassRegistry.load``, so a failed install is
-        logged and counted, never raised, and leaves its target pending.
+        Before ``INJECTED`` the target set is empty, so nothing is. It runs
+        inside the app's ``ClassRegistry.load``, so a failed install is logged
+        and counted, never raised, and leaves its method unstubbed.
         """
         with self._lock:
             members = self._targets.members
             for key in new_keys:
                 if key in members:
                     log.info("deferred injection of %s", key)
-                    try:
-                        self._stub_loaded([key])
-                    except Exception:
-                        self.load_hook_errors += 1
-                        log.exception("deferred injection of %s failed; it stays pending", key)
+                elif self.mode != "global":
+                    continue
+                try:
+                    self._stub_loaded([key])
+                except Exception:
+                    self.load_hook_errors += 1
+                    log.exception("deferred injection of %s failed; it stays pending", key)
 
     def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
                   abrupt: bool) -> None:
         """Proxy listener: filter to targets, run actions, never re-enter."""
         if thread.in_interceptor:
             return
-        flags = self._targets.flags.get(ref.key)
-        if flags is None:
+        entry = self._targets.table.get(ref.key)
+        if entry is None:
             self.spurious_filtered += 1
             return
-        stack, capture, timed = flags
+        _ref, _acts, stack, capture, timed = entry
         thread.in_interceptor = True
         try:
             if kind is METHOD_ENTERED:

@@ -124,10 +124,11 @@ class FleetManager:
 
     def advance(self, config_id: str, metrics: HealthMetrics) -> ConfigStatus:
         """Run the lifecycle gate; a threshold breach rolls back the whole fleet."""
-        dep = self._deployment(config_id)
-        return lifecycle_advance(
-            dep.config, metrics, min_sessions=self.min_sessions,
-            on_rollback=lambda: self.rollback(config_id))
+        status = lifecycle_advance(self._deployment(config_id).config, metrics,
+                                   min_sessions=self.min_sessions)
+        if status is ConfigStatus.ROLLED_BACK:
+            self.rollback(config_id)
+        return status
 
     def rollback(self, config_id: str) -> int:
         """Force the config to rolled-back and stop tracing in every session."""

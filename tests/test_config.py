@@ -243,11 +243,11 @@ def test_advance_rolls_back_on_breach():
                 HealthMetrics(sessions=2_000, anrs=100)):
         config = make_config()
         begin_canary(config)
-        called = []
-        status = lifecycle_advance(config, bad, on_rollback=lambda: called.append(True))
-        assert status is ConfigStatus.ROLLED_BACK
-        assert called == [True]
+        status = lifecycle_advance(config, bad)
+        assert status is ConfigStatus.ROLLED_BACK and config.status is ConfigStatus.ROLLED_BACK
         assert not session_gate("any-device", config)
+        with pytest.raises(ConfigError):
+            lifecycle_advance(config, HealthMetrics(sessions=5_000))
 
 
 def test_advance_requires_canary():

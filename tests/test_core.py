@@ -85,6 +85,9 @@ def test_intern_ids_deterministic_and_far_negative():
     assert a == intern_id("alice@example.com")
     assert a != intern_id("bob@example.com")
     assert INTERN_BASE <= a < INTERN_BASE + 2**48
+    # pinned: interned constants are part of every parsed program's code
+    assert a == -4611578985552621558
+    assert intern_id("bob@example.com") == -4611596594884821601
 
 
 def test_entrypoint_stub_predicate():

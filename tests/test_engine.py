@@ -701,15 +701,16 @@ def test_load_in_flight_during_inject_counts_each_target_once():
     assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
 
 
-def test_load_hook_held_only_while_targeted_session_is_up():
+def test_load_hook_held_only_while_a_session_is_up():
     vm = VM(load_program(SRC))
     hooks = vm.registry._on_load
     idle = [TraceEngine(vm) for _ in range(100)]
     assert hooks == []
     glob = TraceEngine(vm)
     glob.apply_global(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
-    assert hooks == []
+    assert len(hooks) == 1
     glob.rollback()
+    assert hooks == []
     for engine in idle:
         engine.apply(targets(("app.Main.leaf(int)", (TraceAction.TIME_METHOD,))))
         assert len(hooks) == 1
@@ -774,6 +775,36 @@ def test_apply_global_rollback_restores_all():
     assert summary["entry_points_restored"] == len(vm.registry)
     assert summary["handler_restored"] is False
     assert vm.registry.snapshot_state() == pristine
+
+
+def test_apply_global_stubs_classes_loaded_during_the_session(caplog):
+    # The stock walk puts every loaded method on the interpreter stub; a class
+    # loaded mid-session must join it, or a later compile untraces its methods.
+    vm, engine = make_engine()
+    engine.apply_global(targets(("late.Plugin.hook(int)", (TraceAction.TIME_METHOD,))))
+    with caplog.at_level(logging.INFO, logger="tracevm.engine"):
+        new_keys = vm.registry.load(parse_program(LATE_SRC + """
+class late.Extra
+  method helper()
+    pushconst 2
+    ret
+"""))
+    assert new_keys == ["late.Plugin.hook(int)", "late.Extra.helper()"]
+    assert [r.message for r in caplog.records] == ["deferred injection of late.Plugin.hook(int)"]
+    for key in new_keys:
+        assert vm.registry.lookup(key).entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    thread = vm.new_thread()
+    assert vm.invoke(thread, "late.Plugin.hook(int)", (4,)) == 5
+    vm.jit_compile("late.Plugin.hook(int)")
+    assert vm.invoke(thread, "late.Plugin.hook(int)", (4,)) == 5
+    assert [e.method_ref.key for e in engine.drain().events] == ["late.Plugin.hook(int)"] * 2
+    status = engine.status()
+    assert (status["injected"], status["pending"]) == (0, 0)
+    assert engine.rollback()["entry_points_restored"] == len(vm.registry)
+    rec = vm.registry.lookup("late.Plugin.hook(int)")
+    assert rec.entry_point is EntryPoint.COMPILED_DIRECT and rec.original_entry_point is None
+    assert vm.registry.lookup("late.Extra.helper()").entry_point is EntryPoint.INTERPRETER_BRIDGE
+    assert vm.registry._on_load == []
 
 
 def test_status_reports_session_shape():

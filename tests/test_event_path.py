@@ -2,7 +2,7 @@
 
 A target's enter and exit events pass the proxy's one-lookup filter, run the
 precomputed actions under the shared intercept frame, and append to the sink.
-These tests pin the exact stream that path produces, the flag records it
+These tests pin the exact stream that path produces, the target table it
 reads, and that a failing action never reaches the traced program.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
                      load_program)
-from tracevm.engine import INTERCEPT_REF, ActionFlags
+from tracevm.engine import INTERCEPT_REF
 
 SRC = """
 class app.Main
@@ -93,20 +93,25 @@ def test_action_matrix_exact_stream(acts, compiled):
 
 def test_flags_agree_with_actions_after_merges():
     f, g = MethodRef.parse("a.A.f()"), MethodRef.parse("b.B.g()")
-    ts = TargetSet([(f, (TraceAction.TIME_METHOD,)),
-                    (f, (TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD))])
-    assert ts.flags == {"a.A.f()": ActionFlags(False, True, True)}
+    stack, args, time = TraceAction.CAPTURE_STACK, TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD
+    ts = TargetSet([(f, (time,)), (f, (args, time))])
+    assert ts.table == {"a.A.f()": (f, (time, args), False, True, True)}
 
-    grown = ts.with_target(g, (TraceAction.CAPTURE_STACK,))
-    grown = grown.with_target(f, (TraceAction.CAPTURE_STACK,))
-    assert grown.flags == {"a.A.f()": ActionFlags(True, True, True),
-                           "b.B.g()": ActionFlags(True, False, False)}
-    for ref in grown:
-        assert grown.flags[ref.key] == ActionFlags.of(grown.actions_for(ref.key))
-    assert set(grown.flags) == grown.members
+    grown = ts.with_target(g, (stack,))
+    grown = grown.with_target(f, (stack,))
+    assert grown.table == {"a.A.f()": (f, (time, args, stack), True, True, True),
+                           "b.B.g()": (g, (stack,), True, False, False)}
+    for target_set in (ts, grown):
+        for key, value in target_set.table.items():
+            # an exact tuple: the proxy's unpack takes CPython's specialised path
+            assert type(value) is tuple
+            acts = target_set.actions_for(key)
+            assert value[1] == acts
+            assert value[2:] == (stack in acts, args in acts, time in acts)
+    assert set(grown.table) == grown.members
     # the source set is unchanged
-    assert ts.flags == {"a.A.f()": ActionFlags(False, True, True)}
-    assert TargetSet().flags == {}
+    assert ts.table == {"a.A.f()": (f, (time, args), False, True, True)}
+    assert TargetSet().table == {}
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["quick_stub", "interpreter_stub"])

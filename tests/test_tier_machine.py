@@ -2,9 +2,11 @@
 
 A hypothesis state machine interleaves targeted bring-up (adaptive or not),
 global bring-up, rollback, JIT compiles, a late class load that carries a
-pending target, and invokes on a small program. Every result must equal the
-prediction of ``perfbench/refeval.py``, an evaluator written apart from
-``vm`` and ``jit``. After every rollback each loaded method must enter through
+pending target, and invokes on a small program. Every result and every trace
+event must equal the prediction of ``perfbench/refeval.py``, an evaluator
+written apart from ``vm`` and ``jit``: a session's targets trace in both modes,
+through any tier change, until rollback. After every rollback each loaded
+method must enter through
 its tier's entry with no saved original, so no method is left on a slower
 tier than it would be on untraced.
 """
@@ -74,22 +76,27 @@ i64 = st.integers(-(2**63), 2**63 - 1)
 
 
 class TierMachine(RuleBasedStateMachine):
-    """Subclassed by the test with ``reference`` set to ``refeval.RefEval``."""
+    """Subclassed by the test with ``oracle`` set to the ``refeval`` module."""
 
-    reference = None
+    oracle = None
 
     @initialize()
     def start(self):
         self.vm = VM(MAIN.instantiate())
         self.engine = TraceEngine(self.vm)
         self.thread = self.vm.new_thread()
-        self.expected = self.reference(MAIN)
+        self.expected = self.oracle.RefEval(MAIN)
+        self.traced: dict[str, set[int]] = {}  # the session's targets and their actions
 
     def idle(self):
         return self.engine.phase is TracePhase.IDLE
 
     def loaded(self):
         return [key for key in KEYS if key in self.vm.registry]
+
+    def trace(self, chosen):
+        for key, action in chosen:
+            self.traced.setdefault(key, set()).add(int(action))
 
     @precondition(idle)
     @rule(chosen=targets, adaptive=st.booleans())
@@ -99,15 +106,18 @@ class TierMachine(RuleBasedStateMachine):
             (loaded if key in self.vm.registry else pending).append(
                 (MethodRef.parse(key), (action,)))
         self.engine.apply(TargetSet(loaded), adaptive=adaptive, pending=pending)
+        self.trace(chosen)
 
     @precondition(idle)
     @rule(chosen=targets)
     def apply_global(self, chosen):
         self.engine.apply_global(TargetSet((MethodRef.parse(k), (a,)) for k, a in chosen))
+        self.trace(chosen)
 
     @rule()
     def rollback(self):
         self.engine.rollback()
+        self.traced = {}
         for record in self.vm.registry.records():
             compiled = record.compilation_state is CompilationState.COMPILED
             tier_entry = EntryPoint.COMPILED_DIRECT if compiled else EntryPoint.INTERPRETER_BRIDGE
@@ -127,8 +137,10 @@ class TierMachine(RuleBasedStateMachine):
     @rule(data=st.data(), arg=i64)
     def invoke(self, data, arg):
         key = data.draw(st.sampled_from(self.loaded()))
-        assert self.vm.invoke(self.thread, key, (arg,)) == self.expected.run(key, [arg])
-        self.engine.drain()
+        events = []
+        assert self.vm.invoke(self.thread, key, (arg,)) == self.expected.run(
+            key, [arg], self.traced, events)
+        assert [self.oracle.normalise_event(e) for e in self.engine.drain().events] == events
 
     def teardown(self):
         self.rollback()
@@ -145,6 +157,6 @@ def refeval(monkeypatch):
 
 def test_tier_machine_matches_the_reference(refeval):
     class Machine(TierMachine):
-        reference = refeval.RefEval
+        oracle = refeval
 
     run_state_machine_as_test(Machine, settings=settings(stateful_step_count=50))
