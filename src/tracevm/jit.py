@@ -19,11 +19,18 @@ Methods without jumps lower to straight-line code. Methods with jumps lower to
 a ``while`` loop dispatching on a block variable; every jump target starts a
 block.
 
-Arithmetic wraps to signed 64-bit like the interpreter, and only on overflow:
-``(t if _lo <= (t := a + b) <= _hi else _w(t))``, where ``_w`` is
-``core.wrap_i64``, the one place that spells the wrap. Calls go back through
-``vm.call_ref`` so the callee's own entry point still decides how the callee
-runs.
+Arithmetic wraps to signed 64-bit like the interpreter, but only where a value
+is observed: wrapping mod 2**64 commutes with ``+``, ``-`` and ``*``, so
+``add``/``sub``/``mul`` emit plain ``(a + b)`` on Python's unbounded ints.
+Each entry, and each local the block stores, carries a signed width, the
+two's-complement bits its value fits in; 64 means in range. A wider value is
+wrapped by ``(t if _lo <= (t := x) <= _hi else _w(t))``, where ``_w`` is
+``core.wrap_i64``, the one place that spells the wrap, when it is returned,
+passed to a call, tested by ``jz``, or left in a slot or local at a block
+exit, so every block starts from wrapped state. An operation whose width
+would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
+long. Calls go back through ``vm.call_ref`` so the callee's own entry point
+still decides how the callee runs.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ from .errors import VMInternalError
 
 # Plain-int opcodes, as stored code holds them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
-_WRAP_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
+_ARITH_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*"}
 
 # Deepest arithmetic nesting kept in one expression before it is written out.
 _NEST_CAP = 16
+# Widest signed width an operation may produce before it is wrapped in place.
+_WIDE = 128
 
 _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
 
@@ -46,6 +55,11 @@ _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
 def _mangle(key: str) -> str:
     """An identifier from a method key: every character outside ``[0-9A-Za-z]`` becomes ``_``."""
     return _NON_IDENT_RE.sub("_", key)
+
+
+def _checked(text: str) -> str:
+    """``text`` wrapped to signed 64-bit, calling ``_w`` only on overflow."""
+    return f"(t if _lo <= (t := {text}) <= _hi else _w(t))"
 
 
 def lower_method(record: MethodRecord):
@@ -91,18 +105,24 @@ def lower_method(record: MethodRecord):
 
     def emit_block(start: int, indent: str):
         """Emit one basic block; returns after the block transfers control."""
-        # One (text, nesting) entry per operand-stack slot.
-        stack = [(f"s{d}", 0) for d in range(depths[start])]
+        # One (text, nesting, width) entry per operand-stack slot; the
+        # widths of the locals stored in this block. Any other value is in range.
+        stack = [(f"s{d}", 0, 64) for d in range(depths[start])]
+        local_bits = {}
+
+        def observed(entry) -> str:
+            text, _, bits = entry
+            return _checked(text) if bits > 64 else text
 
         def spill(d: int):
             """Write entry ``d`` out to ``s<d>``, first spilling entries that read ``s<d>``."""
-            text = stack[d][0]
+            text, _, bits = stack[d]
             target = f"s{d}"
             if text == target:
                 return
             save(target, d)
             lines.append(f"{indent}{target} = {text}")
-            stack[d] = (target, 0)
+            stack[d] = (target, 0, bits)
 
         def save(var: str, below: int):
             """Spill every entry under depth ``below`` that may read ``var``.
@@ -114,9 +134,15 @@ def lower_method(record: MethodRecord):
                 if var in stack[d][0]:
                     spill(d)
 
-        def flush():
+        def leave():
+            """Wrap the stack into its slots and the stored locals in place."""
             for d in range(len(stack)):
+                stack[d] = (observed(stack[d]), 0, 64)
                 spill(d)
+            for slot, bits in local_bits.items():
+                if bits > 64:
+                    lines.append(f"{indent}l{slot} = {_checked(f'l{slot}')}")
+            local_bits.clear()
 
         def jump(target_pc: int, indent: str):
             lines.append(f"{indent}_b = {block_id[target_pc]}")
@@ -126,49 +152,53 @@ def lower_method(record: MethodRecord):
         while True:
             op, arg = code[pc]
             if op == _PUSH:
-                stack.append((repr(arg), 0))
+                stack.append((repr(arg), 0, (arg if arg >= 0 else ~arg).bit_length() + 1))
             elif op == _LARG:
-                stack.append((f"args[{arg}]", 0))
+                stack.append((f"args[{arg}]", 0, 64))
             elif op == _LLOC:
-                stack.append((f"l{arg}", 0))
+                stack.append((f"l{arg}", 0, local_bits.get(arg, 64)))
             elif op == _SLOC:
-                text = stack.pop()[0]
+                text, _, bits = stack.pop()
                 local = f"l{arg}"
                 save(local, len(stack))
                 lines.append(f"{indent}{local} = {text}")
-            elif op in _WRAP_SYMBOLS:
-                b_text, b_nest = stack.pop()
-                a_text, a_nest = stack[-1]
+                local_bits[arg] = bits
+            elif op in _ARITH_SYMBOLS:
+                b_text, b_nest, b_bits = stack.pop()
+                a_text, a_nest, a_bits = stack[-1]
                 nest = max(a_nest, b_nest) + 1
-                stack[-1] = (
-                    f"(t if _lo <= (t := {a_text} {_WRAP_SYMBOLS[op]} {b_text}) <= _hi "
-                    f"else _w(t))", nest)
+                bits = a_bits + b_bits if op == _MUL else max(a_bits, b_bits) + 1
+                expr = f"{a_text} {_ARITH_SYMBOLS[op]} {b_text}"
+                if bits > _WIDE:
+                    stack[-1] = (_checked(expr), nest, 64)
+                else:
+                    stack[-1] = (f"({expr})", nest, bits)
                 if nest >= _NEST_CAP:
                     spill(len(stack) - 1)
             elif op == _JZ:
                 # ``cond`` reads no slot under its own depth, so the flush
-                # cannot change it.
-                cond = stack.pop()[0]
-                flush()
+                # cannot change it, and wrapping a local keeps its value mod 2**64.
+                cond = observed(stack.pop())
+                leave()
                 lines.append(f"{indent}if {cond} == 0:")
                 jump(pc + arg, indent + "    ")
             elif op == _JMP:
-                flush()
+                leave()
                 jump(pc + arg, indent)
                 return
             elif op == _CALL:
                 base = len(stack) - arg.arity
                 for d in range(base):
                     spill(d)
-                call_args = ", ".join(entry[0] for entry in stack[base:])
+                call_args = ", ".join(observed(entry) for entry in stack[base:])
                 del stack[base:]
                 lines.append(
                     f"{indent}s{base} = _call(thread, _refs[{ref_index[arg.key]}], "
                     f"[{call_args}])")
-                stack.append((f"s{base}", 0))
+                stack.append((f"s{base}", 0, 64))
             elif op == _RET:
                 # The entries under the top are pure, so dropping them is safe.
-                lines.append(f"{indent}return {stack[-1][0]}")
+                lines.append(f"{indent}return {observed(stack[-1])}")
                 return
             else:  # pragma: no cover - validator rejects unknown opcodes
                 raise VMInternalError(f"cannot lower opcode {op}")
@@ -177,7 +207,7 @@ def lower_method(record: MethodRecord):
                 raise VMInternalError("lowering walked past the last instruction")
             if pc in block_id:
                 # Fall through into the next block.
-                flush()
+                leave()
                 jump(pc, indent)
                 return
 

@@ -17,9 +17,9 @@ ints. The if-chain follows the instruction mix of fleet traffic: loadlocal
 4%, mul 3%, jmp 2%, call 2%; pushconst and mul move up a place for the
 latency probe, which is 25% pushconst and 10% mul. ``add``, ``sub`` and
 ``mul`` call ``core.wrap_i64`` only when a result leaves the signed 64-bit
-range, the same rule as the lowered code. The call edge ``call_ref`` resolves a
-callee with one dict get on the registry's record map, and asks the registry
-only on a method's first touch.
+range; the lowered code defers that check to where a value is observed. The
+call edge ``call_ref`` resolves a callee with one dict get on the registry's
+record map, and asks the registry only on a method's first touch.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,6 +44,16 @@ class demo.Math
 @pytest.fixture
 def fib_source():
     return FIB_SOURCE
+
+
+@pytest.fixture
+def refeval(monkeypatch):
+    """``perfbench/refeval.py``, an evaluator written apart from ``vm`` and ``jit``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "refeval", raising=False)
+    import refeval
+
+    return refeval
 
 
 @pytest.fixture(scope="session")

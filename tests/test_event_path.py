@@ -158,3 +158,51 @@ def test_failing_return_capture_is_counted(monkeypatch):
     assert engine.unmatched_exits == 0
     assert thread.frames == [] and thread.trace_pending == []
     assert thread.in_interceptor is False
+
+
+I64_MAX = 2**63 - 1
+WRAP_SRC = f"""
+class app.Wrap
+  method outer(int)
+    loadarg 0
+    pushconst {I64_MAX}
+    mul
+    pushconst 4294967296
+    add
+    call app.Wrap.inner(int)
+    pushconst {I64_MAX}
+    add
+    ret
+  method inner(int)
+    loadarg 0
+    loadarg 0
+    mul
+    pushconst {I64_MAX}
+    add
+    ret
+"""
+
+
+def test_wrapped_values_reach_the_trace_as_the_interpreter_gives_them(refeval):
+    # Both methods are targets; inner's argument and both returns are in range
+    # only after wrapping, which compiled code defers to where they are observed.
+    keys = ("app.Wrap.outer(int)", "app.Wrap.inner(int)")
+    acts = (TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD)
+    args = (1, 2, 3037000500, I64_MAX, -(2**63), -7)
+    runs = []
+    for compiled in (False, True):
+        vm = VM(load_program(WRAP_SRC))
+        if compiled:
+            for key in keys:
+                vm.jit_compile(key)
+        engine = TraceEngine(vm, EventSink())
+        engine.apply(TargetSet([(MethodRef.parse(key), acts) for key in keys]))
+        thread = vm.new_thread()
+        results = [vm.invoke(thread, keys[0], (arg,)) for arg in args]
+        runs.append((results, [refeval.normalise_event(e) for e in engine.drain().events]))
+    assert vm.registry.lookup(keys[1]).entry_point is EntryPoint.INSTRUMENTATION_QUICK_STUB
+    assert vm.interpreted_calls == 0 and vm.compiled_calls == 2 * len(args)
+    assert runs[1] == runs[0]
+    captured = [event for event in runs[1][1] if event[0] == "args"]
+    assert len(captured) == 2 * len(args)
+    assert all(-(2**63) <= value <= I64_MAX for event in captured for value in (*event[2], event[3]))

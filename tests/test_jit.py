@@ -14,9 +14,10 @@ from tracevm import (
     parse_program,
     wrap_i64,
 )
-from tracevm.jit import _NEST_CAP
+from tracevm.jit import _NEST_CAP, _WIDE
 
-I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+I64_MAX = 2**63 - 1
+I64 = st.integers(min_value=-(2**63), max_value=I64_MAX)
 I64_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1, 3037000500, -3037000500)
 OPERAND = st.one_of(st.sampled_from(I64_EDGES), I64)
 _PYOPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
@@ -254,12 +255,13 @@ def _method_src(body, params="int"):
     return "\n".join(lines)
 
 
-def _both_tiers(src, key, args):
-    """Run ``key`` interpreted, then compiled, on one VM; return both results."""
+def _both_tiers(src, key, args, also=()):
+    """Run ``key`` interpreted, then compiled with ``also``, on one VM; return both results."""
     vm = _vm(src)
     thread = vm.new_thread()
     interpreted = vm.invoke(thread, key, args)
-    vm.jit_compile(key)
+    for other in (key, *also):
+        vm.jit_compile(other)
     compiled_before = vm.compiled_calls
     compiled = vm.invoke(thread, key, args)
     assert vm.compiled_calls > compiled_before
@@ -268,7 +270,7 @@ def _both_tiers(src, key, args):
 
 @pytest.mark.parametrize("shape", ["accumulate", "nested"])
 @given(first=OPERAND, steps=st.lists(
-    st.tuples(st.sampled_from(sorted(_PYOPS)), OPERAND), min_size=2, max_size=4))
+    st.tuples(st.sampled_from(sorted(_PYOPS)), OPERAND), min_size=2, max_size=40))
 def test_arith_chains_wrap_after_every_step(shape, first, steps):
     # accumulate: ((x0 op1 x1) op2 x2) ...; nested: x0 op1 (x1 op2 (x2 ...)).
     body = ["loadarg 0"]
@@ -343,3 +345,87 @@ def test_probe_lowers_to_one_line_per_chunk(small_workload):
     assert rec.n_locals == 1 and "l0 = 0" not in rec.lowered_source
     limit = len(rec.bytecode) // 4 + 1 + 1
     assert len(rec.lowered_source.splitlines()) <= limit
+    # Arithmetic inside the block runs unchecked; only a width past _WIDE
+    # and the return are range-checked.
+    assert rec.lowered_source.count("_w(t)") <= 3
+
+
+def test_wide_products_are_checked_in_place():
+    body = ["loadarg 0"] + [f"pushconst {I64_MAX}", "mul"] * 40 + ["ret"]
+    rec = _vm(_method_src(body)).jit_compile("a.A.f(int)")
+    assert rec.lowered_source.count("_w(t)") >= 40 // (_WIDE // 64)
+
+
+def _fold_loop(a):
+    for _ in range(1000):
+        a = wrap_i64(wrap_i64(wrap_i64(a + 2**32) * a) * a)
+    return a
+
+
+def _fold_mul_chain(a):
+    for _ in range(301):
+        a = wrap_i64(a * I64_MAX)
+    return a
+
+
+WRAP_OBSERVATIONS = {
+    # 2**32 squared wraps to 0, so jz must branch.
+    "jz_condition": (["pushconst 4294967296", "pushconst 4294967296", "mul",
+                      "jz +3", "pushconst 1", "ret", "pushconst 2", "ret"],
+                     lambda a: 2 if wrap_i64(2**32 * 2**32) == 0 else 1),
+    "ret": (["loadarg 0", f"pushconst {I64_MAX}", "add", "ret"],
+            lambda a: wrap_i64(a + I64_MAX)),
+    # The sum stays on the stack across the block boundary at the jz target.
+    "slot_at_block_exit": (["loadarg 0", f"pushconst {I64_MAX}", "add",
+                            "loadarg 0", "jz +1", "ret"],
+                           lambda a: wrap_i64(a + I64_MAX)),
+    # 2**62 fits in 63 signed bits; the sum of two needs 65.
+    "constant_width": ([f"pushconst {2**62}", f"pushconst {2**62}", "add", "ret"],
+                       lambda a: wrap_i64(2**63)),
+    # A loop-carried local: (l0 + 2**32) * l0 * l0, a thousand times.
+    "loop_local": (["loadarg 0", "storelocal 0", "pushconst 1000", "storelocal 1",
+                    "loadlocal 0", "pushconst 4294967296", "add", "loadlocal 0", "mul",
+                    "loadlocal 0", "mul", "storelocal 0",
+                    "loadlocal 1", "pushconst 1", "sub", "storelocal 1",
+                    "loadlocal 1", "jz +2", "jmp -14", "loadlocal 0", "ret"],
+                   _fold_loop),
+    # Every second product passes _WIDE and is wrapped in place; the last is
+    # left for the return.
+    "mul_chain": (["loadarg 0"] + [f"pushconst {I64_MAX}", "mul"] * 301 + ["ret"],
+                  _fold_mul_chain),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRAP_OBSERVATIONS))
+@pytest.mark.parametrize("arg", [3, I64_MAX, -(2**63), 3037000500])
+def test_wrap_at_each_observation(case, arg):
+    body, fold = WRAP_OBSERVATIONS[case]
+    expected = fold(arg)
+    assert _both_tiers(_method_src(body), "a.A.f(int)", (arg,)) == (expected, expected)
+
+
+CALL_SRC = _method_src(["loadarg 0", f"pushconst {I64_MAX}", "add", "call a.A.same(int)", "ret"]) + f"""
+  method same(int)
+    loadarg 0
+    ret
+  method bump(int)
+    loadarg 0
+    pushconst {I64_MAX}
+    add
+    ret
+  method viaBump(int)
+    loadarg 0
+    call a.A.bump(int)
+    ret
+"""
+
+
+@pytest.mark.parametrize("callee_compiled", [False, True], ids=["interpreted", "compiled"])
+@pytest.mark.parametrize("arg", [3, I64_MAX, -(2**63)])
+def test_call_argument_and_callee_return_are_wrapped(callee_compiled, arg):
+    # f passes a sum to a callee that returns its argument as it got it;
+    # viaBump returns what bump returns.
+    expected = wrap_i64(arg + I64_MAX)
+    for key, callee in (("a.A.f(int)", "a.A.same(int)"), ("a.A.viaBump(int)", "a.A.bump(int)")):
+        also = (callee,) if callee_compiled else ()
+        assert _both_tiers(CALL_SRC, key, (arg,), also) == (expected, expected), key

@@ -11,10 +11,6 @@ its tier's entry with no saved original, so no method is left on a slower
 tier than it would be on untraced.
 """
 
-import sys
-from pathlib import Path
-
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
@@ -22,8 +18,6 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition
 
 from tracevm import (VM, CompilationState, EntryPoint, MethodRef, TargetSet, TraceAction,
                      TraceEngine, TracePhase, parse_program)
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MAIN = parse_program("""
 class app.Main
@@ -144,15 +138,6 @@ class TierMachine(RuleBasedStateMachine):
 
     def teardown(self):
         self.rollback()
-
-
-@pytest.fixture
-def refeval(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "refeval", raising=False)
-    import refeval
-
-    return refeval
 
 
 def test_tier_machine_matches_the_reference(refeval):
