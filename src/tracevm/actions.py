@@ -15,6 +15,12 @@ one wall-clock/perf-counter anchor taken when the sink is built.
 Redaction still happens before storage: argument and return values are
 serialized and every payload string is redacted at capture time, so emails and
 long digit runs never reach the sink, not even as raw records.
+
+An append takes no lock while the sink has room. Only one that finds no
+admission left takes it, to claim the room drains freed or to drop the record.
+``drain`` takes records off the front of the list by slice, so an append that
+races with it stays buffered for the next drain. The capacity bound holds on
+any number of threads, and the counts are exact once appenders are quiet.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .core import MethodRef
@@ -108,7 +115,17 @@ class DrainResult:
 
 class EventSink:
     """Bounded in-memory buffer of raw records. Append never blocks; overflow
-    drops and counts. ``drain`` builds the events."""
+    drops and counts. ``drain`` builds the events.
+
+    Admission is lock-free while there is room. ``_admit`` yields one ``True``
+    per free slot, and ``next`` on it is a single C call, which the GIL makes
+    atomic; the stdlib relies on the same property for
+    ``threading._counter = itertools.count(1).__next__``. The invariant is
+    buffered records + admitted records not yet appended + admissions left in
+    ``_admit`` == ``_issued`` <= ``capacity``, so the buffer never holds more
+    than ``capacity`` records. The iterator takes constant memory whatever the
+    capacity.
+    """
 
     DEFAULT_CAPACITY = 65_536
 
@@ -117,36 +134,58 @@ class EventSink:
             raise ValueError("sink capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._records: list[tuple] = []
+        self._records: list[tuple] = []  # never rebound: a racing append must land in it
+        self._admit = repeat(True, capacity)
+        self._issued = capacity
         # Perf-counter readings become wall-clock stamps through this anchor.
         self._wall_offset = time.time_ns() - time.perf_counter_ns()
-        self.emitted_count = 0
         self.drained_count = 0
         self.dropped_count = 0
 
     def append(self, record: tuple) -> bool:
         """Buffer one ``(t_perf_ns, ref, action, data, abrupt)`` record; False when dropped."""
-        with self._lock:
-            self.emitted_count += 1
-            if len(self._records) >= self.capacity:
-                self.dropped_count += 1
-                return False
+        if next(self._admit, False) or self._admit_slow():
             self._records.append(record)
             return True
+        return False
+
+    def _admit_slow(self) -> bool:
+        """Under the lock: admit from the iterator, else refill it with the
+        slots drains freed, else count a drop."""
+        with self._lock:
+            if next(self._admit, False):
+                return True
+            if self._issued < self.capacity:
+                # This record takes one of the freed slots; the iterator holds the rest.
+                self._admit = repeat(True, self.capacity - self._issued - 1)
+                self._issued = self.capacity
+                return True
+            self.dropped_count += 1
+            return False
+
+    @property
+    def emitted_count(self) -> int:
+        """Records offered so far: drained, dropped or buffered."""
+        with self._lock:
+            return self.drained_count + self.dropped_count + len(self._records)
 
     def drain(self) -> DrainResult:
         """Remove everything buffered and return it as numbered events, with
-        counter snapshots. Sequence numbers continue across drains."""
+        counter snapshots. Sequence numbers follow append order and continue
+        across drains."""
         with self._lock:
             records = self._records
-            self._records = []
+            n = len(records)
+            taken = records[:n]
+            del records[:n]
+            self._issued -= n
             first_seq = self.drained_count
-            self.drained_count += len(records)
-            emitted, drained, dropped = (self.emitted_count, self.drained_count,
-                                         self.dropped_count)
+            self.drained_count += n
+            drained, dropped = self.drained_count, self.dropped_count
+            emitted = drained + dropped + len(records)
         offset = self._wall_offset
         events = []
-        for seq, (t_perf, ref, action, data, abrupt) in enumerate(records, first_seq):
+        for seq, (t_perf, ref, action, data, abrupt) in enumerate(taken, first_seq):
             if action is _TIME_METHOD:
                 event = time_method_event(ref, data, abrupt, offset + t_perf)
             elif action is _CAPTURE_STACK:

@@ -352,7 +352,12 @@ class TraceEngine:
 
     def _on_event(self, thread, ref: MethodRef, kind: EventKind, args: tuple, value,
                   abrupt: bool) -> None:
-        """Proxy listener: filter to targets, run actions, never re-enter."""
+        """Proxy listener: filter to targets, run actions, never re-enter.
+
+        ``in_interceptor`` is set only around code the tracer does not own:
+        the registry's payload conversion and the logging of a failed action.
+        A call they make into a traced method emits nothing.
+        """
         if thread.in_interceptor:
             return
         entry = self._targets.table.get(ref.key)
@@ -360,23 +365,26 @@ class TraceEngine:
             self.spurious_filtered += 1
             return
         _ref, _acts, stack, capture, timed = entry
-        thread.in_interceptor = True
         try:
             if kind is METHOD_ENTERED:
                 if stack:
                     self.sink.append((_clock(), ref, _CAPTURE_STACK,
                                       [INTERCEPT_REF, *reversed(thread.frames)], False))
-                if capture or timed:
-                    args_payload = None
-                    if capture:
-                        try:
-                            args_payload = capture_args_payload(
-                                args, self.vm.registry.value_to_payload)
-                        except Exception:
-                            # Still push the entry, so the exit times the call
-                            # and skips only the argument event.
-                            self._action_failed(ref)
+                if capture:
+                    thread.in_interceptor = True
+                    try:
+                        args_payload = capture_args_payload(
+                            args, self.vm.registry.value_to_payload)
+                    except Exception:
+                        # Still push the entry, so the exit times the call
+                        # and skips only the argument event.
+                        args_payload = None
+                        self._action_failed(thread, ref)
+                    finally:
+                        thread.in_interceptor = False
                     thread.trace_pending.append((ref.key, _clock(), args_payload))
+                elif timed:
+                    thread.trace_pending.append((ref.key, _clock(), None))
             elif capture or timed:
                 pending = thread.trace_pending
                 if not (pending and pending[-1][0] == ref.key):
@@ -389,20 +397,29 @@ class TraceEngine:
                     self.sink.append((now, ref, _TIME_METHOD, now - t0, abrupt))
                 if capture and args_payload is not None:
                     # Serialize and redact now: the sink never holds a raw value.
-                    ret = None if abrupt else redact_value(
-                        self.vm.registry.value_to_payload(value))
+                    thread.in_interceptor = True
+                    try:
+                        ret = None if abrupt else redact_value(
+                            self.vm.registry.value_to_payload(value))
+                    finally:
+                        thread.in_interceptor = False
                     self.sink.append((now, ref, _CAPTURE_ARGS, (args_payload, ret), abrupt))
         except Exception:
-            self._action_failed(ref)
-        finally:
-            thread.in_interceptor = False
+            self._action_failed(thread, ref)
 
-    def _action_failed(self, ref: MethodRef) -> None:
-        """Count a failed action; log the traceback once per target per session."""
+    def _action_failed(self, thread, ref: MethodRef) -> None:
+        """Count a failed action; log the traceback once per target per session.
+
+        A logging handler is foreign code, so it runs under the re-entry guard.
+        """
         self.action_errors += 1
         if ref.key not in self._failed_keys:
             self._failed_keys.add(ref.key)
-            log.exception("trace action failed for %s", ref.key)
+            thread.in_interceptor = True
+            try:
+                log.exception("trace action failed for %s", ref.key)
+            finally:
+                thread.in_interceptor = False
 
 
 def _noop_activation():

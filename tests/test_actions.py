@@ -182,6 +182,81 @@ def test_sink_thread_safety():
     assert len(set(seqs)) == len(seqs)
 
 
+def test_sink_refill_admits_exactly_the_drained_room():
+    capacity = 4
+    sink = EventSink(capacity=capacity)
+    assert [sink.append(make_record(i)) for i in range(capacity + 3)] == \
+        [True] * capacity + [False] * 3
+    k = len(sink.drain())
+    assert k == capacity
+    assert [sink.append(make_record(i)) for i in range(k + 1)] == [True] * k + [False]
+    assert len(sink.drain()) == capacity
+    # a partial drain frees its slots on top of the admissions still unused
+    assert sink.append(make_record())
+    assert len(sink.drain()) == 1
+    assert [sink.append(make_record(i)) for i in range(capacity + 1)] == \
+        [True] * capacity + [False]
+    assert (sink.emitted_count, sink.drained_count, sink.dropped_count) == (18, 9, 5)
+
+
+def test_sink_bound_is_exact_under_threads():
+    # A tiny capacity refills the admissions after almost every drain, so a
+    # refill that raced another would show as an over-full buffer.
+    capacity, n_threads, per_thread = 2, 8, 10_000
+    sink = EventSink(capacity=capacity)
+    admitted = [0] * n_threads
+    drains, over = [], []
+    appending = threading.Event()
+    appending.set()
+
+    def append(t):
+        for i in range(per_thread):
+            # data numbers each record in its thread's append order
+            admitted[t] += sink.append(make_record(t * per_thread + i))
+
+    def drain():
+        while appending.is_set():
+            drains.append(sink.drain().events)
+
+    def sample():
+        while appending.is_set():
+            if len(sink) > capacity:
+                over.append(len(sink))
+
+    appenders = [threading.Thread(target=append, args=(t,)) for t in range(n_threads)]
+    watchers = [threading.Thread(target=drain), threading.Thread(target=sample)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in watchers + appenders:
+            t.start()
+        for t in appenders:
+            t.join(timeout=60)
+    finally:
+        appending.clear()
+        for t in watchers:
+            t.join(timeout=60)
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in watchers + appenders)
+    last = sink.drain()
+    drains.append(last.events)
+
+    assert over == []
+    assert max(map(len, drains)) <= capacity
+    events = [e for batch in drains for e in batch]
+    appends = n_threads * per_thread
+    assert last.emitted_total == last.drained_total + last.dropped_total == appends
+    assert sink.emitted_count == appends
+    assert len(events) == last.drained_total == sum(admitted)
+    assert last.dropped_total == appends - sum(admitted)
+    assert [e.sequence_no for e in events] == list(range(len(events)))
+    # sequence numbers follow each thread's append order
+    for t in range(n_threads):
+        mine = [e.payload["duration_ns"] for e in events
+                if e.payload["duration_ns"] // per_thread == t]
+        assert mine == sorted(mine)
+
+
 # -- sink fed by the trace proxy ----------------------------------------------
 
 SINK_SRC = """
@@ -256,6 +331,43 @@ def test_sink_counts_exact_under_threads_and_overflow():
         (last.emitted_total, last.drained_total, last.dropped_total)
     assert len(drained) == last.drained_total
     assert sorted(e.sequence_no for e in drained) == list(range(len(drained)))
+
+
+class CountingLock:
+    """A lock that counts its acquires."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquires = 0
+
+    def acquire(self, *args, **kwargs):
+        self.acquires += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_traced_calls_take_no_sink_lock_while_the_sink_has_room():
+    calls = 1_000
+    vm, engine = traced_session("s.S.work(int)", (TraceAction.TIME_METHOD,), capacity=calls)
+    sink = engine.sink
+    sink._lock = lock = CountingLock()
+    thread = vm.new_thread()
+    for i in range(calls):
+        assert vm.invoke(thread, "s.S.work(int)", (i,)) == 2 * i
+    assert lock.acquires == 0
+    # full: each dropped append takes the lock exactly once
+    for i in range(5):
+        assert vm.invoke(thread, "s.S.work(int)", (i,)) == 2 * i
+        assert lock.acquires == i + 1
+    assert sink.dropped_count == 5
+    assert len(sink.drain()) == calls
 
 
 def test_drained_timestamps_follow_sequence_and_wall_clock():

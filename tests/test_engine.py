@@ -344,6 +344,45 @@ def test_interceptor_reentrancy_guard(monkeypatch):
     assert thread.frames == [] and thread.trace_pending == []
 
 
+@pytest.mark.parametrize("failing", [2, 6], ids=["args_capture", "return_capture"])
+def test_failure_log_runs_under_the_reentrancy_guard(failing, monkeypatch):
+    vm, engine = make_engine()
+    engine.apply(targets(("app.Main.leaf(int)",
+                          (TraceAction.CAPTURE_ARGS, TraceAction.TIME_METHOD))))
+    thread = vm.new_thread()
+    nested = []
+
+    class Reentrant(logging.Handler):
+        def emit(self, record):
+            # a handler that calls the traced method while the failure is logged
+            nested.append(vm.invoke(thread, "app.Main.leaf(int)", (5,)))
+
+    to_payload = vm.registry.value_to_payload
+
+    def broken(value):
+        # fails on the outer call's argument 2 or its return value 6
+        if value == failing:
+            raise RuntimeError("payload bug")
+        return to_payload(value)
+
+    monkeypatch.setattr(vm.registry, "value_to_payload", broken)
+    handler = Reentrant()
+    logger = logging.getLogger("tracevm.engine")
+    logger.addHandler(handler)
+    try:
+        assert vm.invoke(thread, "app.Main.leaf(int)", (2,)) == 6
+    finally:
+        logger.removeHandler(handler)
+    assert nested == [15]
+    # only the outer call is timed; the nested one emitted nothing
+    assert [e.action for e in engine.drain().events] == [TraceAction.TIME_METHOD]
+    assert engine.action_errors == 1
+    assert vm.instrumentation.events_dispatched == 4
+    assert engine.spurious_filtered == 0
+    assert thread.in_interceptor is False
+    assert thread.frames == [] and thread.trace_pending == []
+
+
 def test_frames_are_method_refs_with_intercept_ref_innermost(monkeypatch):
     vm, engine = make_engine()
     engine.apply(targets(("app.Main.leaf(int)",
