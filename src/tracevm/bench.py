@@ -39,13 +39,17 @@ def bring_up(engine: TraceEngine, mode: AblationMode, targets: TargetSet,
              pending=()) -> ApplyReport | None:
     """Start ``mode``'s session on ``engine``: the one map from a mode to its bring-up.
 
-    ``baseline`` starts none; ``global`` walks every loaded method and takes no ``pending``.
+    ``baseline`` starts none. Every other mode traces ``targets`` and the
+    ``pending`` entries alike, so a target whose class loads later is traced
+    in each of them; ``global`` also walks every loaded method.
     """
-    if mode is AblationMode.GLOBAL:
-        return engine.apply_global(targets)
     if mode is AblationMode.BASELINE:
         return None
-    return engine.apply(targets, adaptive=mode is AblationMode.FULL, pending=pending)
+    if pending:
+        targets = TargetSet(targets.entries() + list(pending))
+    if mode is AblationMode.GLOBAL:
+        return engine.apply_global(targets)
+    return engine.apply(targets, adaptive=mode is AblationMode.FULL)
 
 
 @dataclass

@@ -13,7 +13,8 @@ import json
 import sys
 
 from .bench import AblationMode, bring_up, run_modes
-from .config import begin_canary, parse_config, resolve_targets
+from .config import (DEFAULT_ROLLOUT_FRACTION, MIN_CANARY_SESSIONS, ConfigStatus,
+                     begin_canary, parse_config, resolve_targets)
 from .engine import TraceEngine
 from .errors import TraceVMError
 from .fleet import FleetManager
@@ -88,7 +89,7 @@ def cmd_fleet(args) -> int:
         config = workload.build_config(
             "cfg-fleet-demo", rollout_fraction=args.fraction, approved=True)
     manager = FleetManager(min_sessions=args.min_sessions)
-    if config.status.value == "draft":
+    if config.status is ConfigStatus.DRAFT:
         begin_canary(config)
     report = manager.simulate(
         config, args.sessions, workload.program, workload.traffic(args.calls),
@@ -161,12 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet = sub.add_parser("fleet", help="simulate a gated config rollout")
     p_fleet.add_argument("--config", help="config JSON; default derives one")
     p_fleet.add_argument("--sessions", type=int, default=2_000)
-    p_fleet.add_argument("--fraction", type=float, default=0.001)
+    p_fleet.add_argument("--fraction", type=float, default=DEFAULT_ROLLOUT_FRACTION)
     p_fleet.add_argument("--calls", type=int, default=30,
                          help="workload calls per session")
     p_fleet.add_argument("--crash-rate", type=float, default=0.0)
     p_fleet.add_argument("--anr-rate", type=float, default=0.0)
-    p_fleet.add_argument("--min-sessions", type=int, default=1_000)
+    p_fleet.add_argument("--min-sessions", type=int, default=MIN_CANARY_SESSIONS)
     p_fleet.add_argument("--seed", type=int, default=1234)
     p_fleet.set_defaults(func=cmd_fleet)
 

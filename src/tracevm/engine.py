@@ -83,14 +83,8 @@ class TargetSet:
         self.table = table
         self.members = table.keys()  # a read-only view, not a copy
 
-    def actions_for(self, key: str) -> tuple:
-        return self.table.get(key, (None, ()))[1]
-
     def entries(self) -> list[tuple[MethodRef, tuple]]:
         return [entry[:2] for entry in self.table.values()]
-
-    def with_target(self, ref: MethodRef, acts: Iterable[TraceAction]) -> "TargetSet":
-        return TargetSet(self.entries() + [(ref, tuple(acts))])
 
     def __contains__(self, key: str) -> bool:
         return key in self.table
@@ -110,7 +104,6 @@ class ApplyReport:
     targets: int
     injected: int
     entry_points_changed: int
-    warnings: tuple = ()
     pending: int = 0
 
 
@@ -158,12 +151,10 @@ class TraceEngine:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
             self._targets = target_set
-            warnings = tuple(f"target not loaded yet, deferred: {ref.key}"
-                             for ref in target_set if ref.key not in self.vm.registry)
             changed = self._stub_loaded([ref.key for ref in target_set])
             self.phase = TracePhase.INJECTED
             injected, pending = self._counts()
-            return ApplyReport("targeted", len(target_set), injected, changed, warnings, pending)
+            return ApplyReport("targeted", len(target_set), injected, changed, pending)
 
     def install_dispatcher(self) -> ListenerRegistration:
         """Phase 3a: build the filtering proxy listener. Not yet registered."""
@@ -276,7 +267,6 @@ class TraceEngine:
                 "targets": sorted(self._targets.members),
                 "injected": injected,
                 "pending": pending,
-                "listener_active": self.phase is TracePhase.ACTIVE,
                 "events_buffered": len(self.sink),
                 "events_emitted": self.sink.emitted_count,
                 "events_dropped": self.sink.dropped_count,

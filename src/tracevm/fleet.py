@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import (
+    MIN_CANARY_SESSIONS,
     ConfigStatus,
     HealthMetrics,
     Thresholds,
@@ -63,7 +64,7 @@ class FleetManager:
     """Owns configs and their session populations."""
 
     def __init__(self, *, thresholds: Thresholds | None = None,
-                 min_sessions: int = 1_000):
+                 min_sessions: int = MIN_CANARY_SESSIONS):
         self.thresholds = thresholds if thresholds is not None else Thresholds()
         self.min_sessions = min_sessions
         self._deployments: dict[str, _Deployment] = {}

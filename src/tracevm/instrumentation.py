@@ -2,7 +2,8 @@
 
 Listeners subscribe to method entry and exit events and are called as
 ``callback(thread, ref, kind, args, value, abrupt)``: entry events pass the
-call's arguments as a tuple with ``value=None, abrupt=False``, exit events pass
+call's own argument tuple, the one the body reads, with ``value=None,
+abrupt=False``; exit events pass
 ``args=()`` with the return value, or ``None`` and ``abrupt=True`` when the
 call raised.
 
@@ -57,7 +58,6 @@ class ListenerRegistration:
 class InstallationReport:
     """Summary of a stub-installation walk over loaded classes."""
 
-    methods_visited: int = 0
     entry_points_replaced: int = 0
 
 
@@ -111,9 +111,8 @@ class Instrumentation:
 
     # -- event dispatch ----------------------------------------------------
 
-    def method_enter_event(self, thread, ref: MethodRef, args) -> None:
+    def method_enter_event(self, thread, ref: MethodRef, args: tuple) -> None:
         self.events_dispatched += 1
-        args = tuple(args)
         for callback in self._entry_callbacks:
             try:
                 callback(thread, ref, METHOD_ENTERED, args, None, False)
@@ -132,8 +131,7 @@ class Instrumentation:
 
     # -- entry-point stubs ---------------------------------------------------
 
-    def install_stubs_for_method(self, ref: "MethodRef | str | MethodRecord",
-                                 stub: EntryPoint) -> bool:
+    def install_stubs_for_method(self, record: MethodRecord, stub: EntryPoint) -> bool:
         """Swap a method's entry point to an instrumentation stub.
 
         Saves the original entry point the first time so it can be restored
@@ -142,7 +140,6 @@ class Instrumentation:
         """
         if not stub.is_instrumentation_stub:
             raise InvalidStubError(f"{stub.value} is not an instrumentation stub")
-        record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
         if stub is _QUICK and record.lowered_code is None:
             raise InvalidStubError(
                 f"quick stub needs a compiled method: {record.method_ref.key}")
@@ -156,9 +153,8 @@ class Instrumentation:
         record.entry_point = stub
         return True
 
-    def restore_entry_point_for_method(self, ref: "MethodRef | str | MethodRecord") -> bool:
+    def restore_entry_point_for_method(self, record: MethodRecord) -> bool:
         """Put back the saved original entry point. No-op without one."""
-        record = ref if isinstance(ref, MethodRecord) else self.registry.lookup(ref)
         original = record.original_entry_point
         if original is None:
             return False
@@ -182,7 +178,6 @@ class Instrumentation:
         """
         report = InstallationReport()
         for record in self.registry.records():
-            report.methods_visited += 1
             if self.install_stubs_for_method(record, _INTERP_STUB):
                 report.entry_points_replaced += 1
         return report

@@ -29,8 +29,8 @@ wrapped by ``(t if _lo <= (t := x) <= _hi else _w(t))``, where ``_w`` is
 passed to a call, tested by ``jz``, or left in a slot or local at a block
 exit, so every block starts from wrapped state. An operation whose width
 would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
-long. Calls go back through ``vm.call_ref`` so the callee's own entry point
-still decides how the callee runs.
+long. Calls go back through ``vm.call_ref``, with the arguments in a tuple
+display, so the callee's own entry point still decides how the callee runs.
 """
 
 from __future__ import annotations
@@ -191,10 +191,12 @@ def lower_method(record: MethodRecord):
                 for d in range(base):
                     spill(d)
                 call_args = ", ".join(observed(entry) for entry in stack[base:])
+                if arg.arity == 1:
+                    call_args += ","
                 del stack[base:]
                 lines.append(
                     f"{indent}s{base} = _call(thread, _refs[{ref_index[arg.key]}], "
-                    f"[{call_args}])")
+                    f"({call_args}))")
                 stack.append((f"s{base}", 0, 64))
             elif op == _RET:
                 # The entries under the top are pure, so dropping them is safe.

@@ -119,6 +119,8 @@ class VM:
 
         A key string is looked up as given first, since registry keys are
         canonical; only a miss is parsed, which canonicalises it or raises.
+        ``args`` becomes the call's one argument tuple, the same object when
+        it is a tuple already, which every tier and listener receives.
         """
         if isinstance(target, str):
             record = self.registry.get(target)
@@ -129,25 +131,28 @@ class VM:
         if len(args) != record.arity:
             raise ArityMismatchError(
                 f"{record.method_ref.key} takes {record.arity} args, got {len(args)}")
-        return self._dispatch(thread, record, list(args))
+        return self._dispatch(thread, record, tuple(args))
 
-    def call_ref(self, thread: VMThread, ref: MethodRef, args: list):
+    def call_ref(self, thread: VMThread, ref: MethodRef, args: tuple):
         """Internal call edge used by bytecode and lowered code.
 
-        One dict get on the registry's record map. A miss is a first touch,
-        which ``get`` builds the record for; ``lookup`` runs only when the
-        method does not exist, to raise ``MethodNotFoundError``.
+        Both tiers pass ``args`` as an exact tuple. One dict get on the
+        registry's record map. A miss is a first touch, which ``get`` builds
+        the record for; ``lookup`` runs only when the method does not exist,
+        to raise ``MethodNotFoundError``.
         """
         record = self._records.get(ref.key)
         if record is None:
             record = self.registry.get(ref.key) or self.registry.lookup(ref)
         return self._dispatch(thread, record, args)
 
-    def _dispatch(self, thread: VMThread, record: MethodRecord, args: list):
+    def _dispatch(self, thread: VMThread, record: MethodRecord, args: tuple):
         """Run a call on its entry point; the one site that fires method events.
 
         Every entry but ``CompiledDirect`` fires them around its body when a
-        listener is registered, with an abrupt exit when the body raised.
+        listener is registered, with an abrupt exit when the body raised. The
+        body and the entry listeners get the same ``args`` tuple; nothing
+        mutates it.
         """
         frames = thread.frames
         if len(frames) >= self.max_stack_depth:
@@ -200,7 +205,7 @@ class VM:
                      record.method_ref.key)
         return record
 
-    def interpret(self, thread: VMThread, record: MethodRecord, args: list):
+    def interpret(self, thread: VMThread, record: MethodRecord, args: tuple):
         """Interpreter tier: the bytecode loop, one Python frame per call.
 
         It fires no event; ``_dispatch`` does that around it. An ``IndexError``
@@ -251,10 +256,10 @@ class VM:
                 elif op == O_CALL:
                     n = arg.arity
                     if n:
-                        cargs = stack[-n:]
+                        cargs = tuple(stack[-n:])
                         del stack[-n:]
                     else:
-                        cargs = []
+                        cargs = ()
                     push(call(thread, arg, cargs))
                     pc += 1
                 elif op == O_RET:
@@ -267,11 +272,3 @@ class VM:
             raise VMInternalError(
                 f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
             ) from exc
-
-    def stats(self) -> dict:
-        return {
-            "interpreted_calls": self.interpreted_calls,
-            "compiled_calls": self.compiled_calls,
-            "events_dispatched": self.instrumentation.events_dispatched,
-            "methods_loaded": len(self.registry),
-        }

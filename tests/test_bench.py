@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from tracevm import AblationMode, BenchmarkError, run_ablation, run_modes
-from tracevm.bench import AblationMetrics, AblationReport, _measure_calls
+from tracevm import (VM, AblationMode, BenchmarkError, MethodRef, TargetSet, TraceAction,
+                     TraceEngine, load_program, parse_program, run_ablation, run_modes)
+from tracevm.bench import AblationMetrics, AblationReport, _measure_calls, bring_up
 
 FAST = dict(latency_calls=3_000, warmup_calls=300, startup_reps=3, traffic_calls=400)
 
@@ -127,3 +128,20 @@ def test_measure_calls_alternates_sides():
     # every pair, so neither side always runs first or last
     assert "".join(calls) == "TTTUUU" "UUUTTT" "TTTUUU" "UT"
     assert drains == [3, 6, 9, 12, 15, 18, 19, 20]
+
+
+@pytest.mark.parametrize("mode", [AblationMode.FULL, AblationMode.INTERPRETER,
+                                  AblationMode.GLOBAL])
+def test_every_traced_mode_traces_a_pending_target_once_its_class_loads(mode):
+    vm = VM(load_program("class a.A\n  method f(int)\n    loadarg 0\n    ret"))
+    engine = TraceEngine(vm)
+    timed = (TraceAction.TIME_METHOD,)
+    pending = [(MethodRef.parse("b.B.g(int)"), timed)]
+    bring_up(engine, mode, TargetSet([(MethodRef.parse("a.A.f(int)"), timed)]), pending)
+    vm.registry.load(parse_program("class b.B\n  method g(int)\n    loadarg 0\n    ret"))
+    thread = vm.new_thread()
+    for key in ("a.A.f(int)", "b.B.g(int)"):
+        vm.invoke(thread, key, (1,))
+    events = engine.drain().events
+    assert [(e.method_ref.key, e.action) for e in events] == [
+        ("a.A.f(int)", TraceAction.TIME_METHOD), ("b.B.g(int)", TraceAction.TIME_METHOD)]

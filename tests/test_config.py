@@ -136,8 +136,8 @@ class a.A
     ))
     target_set, warnings, pending = resolve_targets(config, registry)
     assert target_set.members == {"a.A.f(int)", "a.A.f(int,int)"}
-    assert target_set.actions_for("a.A.f(int)") == (TraceAction.TIME_METHOD,)
-    assert target_set.actions_for("a.A.f(int,int)") == (TraceAction.CAPTURE_ARGS,)
+    assert target_set.table["a.A.f(int)"][1] == (TraceAction.TIME_METHOD,)
+    assert target_set.table["a.A.f(int,int)"][1] == (TraceAction.CAPTURE_ARGS,)
     assert warnings == ["no loaded method matches ghost.G.h()"]
     assert [ref.key for ref, _ in pending] == ["ghost.G.h()"]
 

@@ -8,6 +8,7 @@ here compares counts taken in the same run, so none pins the absolute numbers
 of one CPython version.
 """
 
+import gc
 import sys
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
@@ -15,7 +16,11 @@ from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, T
 
 
 def opcodes(fn, *args) -> int:
-    """The number of opcodes ``fn(*args)`` runs, over every Python frame it enters."""
+    """The number of opcodes ``fn(*args)`` runs, over every Python frame it enters.
+
+    The collector is off meanwhile: a collection would count the bytecode of
+    whatever finalizers it runs, such as a dropped generator's ``close``.
+    """
     count = 0
 
     def on_opcode(frame, event, arg):
@@ -29,11 +34,15 @@ def opcodes(fn, *args) -> int:
         return on_opcode
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         fn(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -116,3 +125,42 @@ def test_rollback_restores_the_untraced_count():
     assert traced[SHORT.key] > before[SHORT.key]
     engine.rollback()
     assert call_counts(vm, thread, refs) == before
+
+
+def scaled_program(n_methods: int):
+    """``n_methods`` one-instruction methods, fifty to a class."""
+    lines = []
+    for i in range(n_methods):
+        if i % 50 == 0:
+            lines.append(f"class scale.C{i // 50}")
+        lines += [f"  method m{i}(int)", "    loadarg 0", "    ret"]
+    return load_program("\n".join(lines))
+
+
+SIZES = (122, 1_002, 3_002)
+FIVE = TargetSet([(MethodRef.parse(f"scale.C0.m{i}(int)"), (TraceAction.TIME_METHOD,))
+                  for i in range(5)])
+
+
+def test_targeted_bring_up_and_rollback_do_not_grow_with_the_program():
+    applies, rollbacks = [], []
+    for n in SIZES:
+        engine = TraceEngine(VM(scaled_program(n)), EventSink())
+        applies.append(opcodes(engine.apply, FIVE))
+        rollbacks.append(opcodes(engine.rollback))
+    # a walk over the registry would add at least one opcode per method
+    assert max(applies) - min(applies) <= 16
+    assert max(rollbacks) - min(rollbacks) <= 16
+
+
+def test_stock_walk_grows_at_least_linearly_with_the_program():
+    counts = []
+    for n in SIZES:
+        engine = TraceEngine(VM(scaled_program(n)), EventSink())
+        counts.append(opcodes(engine.apply_global, FIVE))
+        engine.rollback()
+    slopes = [(counts[i + 1] - counts[i]) / (SIZES[i + 1] - SIZES[i]) for i in range(2)]
+    # each method costs the walk Python work to build and stub it, and a
+    # larger program costs no less per method than a smaller one
+    assert slopes[0] >= 10
+    assert slopes[1] >= 0.95 * slopes[0]

@@ -97,7 +97,7 @@ class r.R
     vm = VM(load_program(src), max_stack_depth=3)
     if stub is EntryPoint.INSTRUMENTATION_QUICK_STUB:
         vm.jit_compile("r.R.down(int)")
-    vm.instrumentation.install_stubs_for_method("r.R.down(int)", stub)
+    vm.instrumentation.install_stubs_for_method(vm.registry.lookup("r.R.down(int)"), stub)
     exits = []
     vm.instrumentation.add_listener(ListenerRegistration(
         "exits", frozenset({EventKind.METHOD_EXITED}), recording_listener(exits)))
@@ -161,17 +161,16 @@ def test_stub_install_and_restore():
     vm = make_vm()
     ins = vm.instrumentation
     rec = vm.registry.lookup("a.A.f()")
-    assert ins.install_stubs_for_method("a.A.f()", EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+    assert ins.install_stubs_for_method(rec, EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
     assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     assert rec.original_entry_point is EntryPoint.INTERPRETER_BRIDGE
     # repeat install is a no-op and must not clobber the saved original
-    assert not ins.install_stubs_for_method(
-        "a.A.f()", EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+    assert not ins.install_stubs_for_method(rec, EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
     assert rec.original_entry_point is EntryPoint.INTERPRETER_BRIDGE
-    assert ins.restore_entry_point_for_method("a.A.f()")
+    assert ins.restore_entry_point_for_method(rec)
     assert rec.entry_point is EntryPoint.INTERPRETER_BRIDGE
     assert rec.original_entry_point is None
-    assert not ins.restore_entry_point_for_method("a.A.f()")
+    assert not ins.restore_entry_point_for_method(rec)
 
 
 def test_original_saved_once_across_stub_changes():
@@ -189,20 +188,21 @@ def test_original_saved_once_across_stub_changes():
 def test_stub_install_rejects_bad_inputs():
     vm = make_vm()
     ins = vm.instrumentation
+    rec = vm.registry.lookup("a.A.f()")
     with pytest.raises(InvalidStubError):
-        ins.install_stubs_for_method("a.A.f()", EntryPoint.COMPILED_DIRECT)
+        ins.install_stubs_for_method(rec, EntryPoint.COMPILED_DIRECT)
     # quick stub requires a compiled body to call into
     with pytest.raises(InvalidStubError):
-        ins.install_stubs_for_method("a.A.f()", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+        ins.install_stubs_for_method(rec, EntryPoint.INSTRUMENTATION_QUICK_STUB)
     vm.jit_compile("a.A.f()")
-    assert ins.install_stubs_for_method("a.A.f()", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+    assert ins.install_stubs_for_method(rec, EntryPoint.INSTRUMENTATION_QUICK_STUB)
 
 
 def test_global_walk_degrades_everything():
     vm = make_vm()
     vm.jit_compile("a.A.g()")
     report = vm.instrumentation.enable_method_tracing_native()
-    assert report.methods_visited == 3
+    assert len(vm.registry) == 3
     assert report.entry_points_replaced == 3
     for rec in vm.registry.records():
         assert rec.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
@@ -258,7 +258,7 @@ def test_stubbed_interpreted_method_fires_one_event_pair():
     vm.instrumentation.add_listener(ListenerRegistration(
         "pair", BOTH, recording_listener(seen)))
     vm.instrumentation.install_stubs_for_method(
-        "a.A.f()", EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+        vm.registry.lookup("a.A.f()"), EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
     vm.invoke(vm.new_thread(), "a.A.f()", ())
     kinds = [k for key, k, _ in seen if key == "a.A.f()"]
     assert kinds == [EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED]
@@ -271,8 +271,57 @@ def test_quick_stub_fires_one_event_pair():
     vm.instrumentation.add_listener(ListenerRegistration(
         "pair", BOTH, recording_listener(seen)))
     vm.instrumentation.install_stubs_for_method(
-        "a.A.f()", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+        vm.registry.lookup("a.A.f()"), EntryPoint.INSTRUMENTATION_QUICK_STUB)
     vm.invoke(vm.new_thread(), "a.A.f()", ())
     kinds = [k for key, k, _ in seen if key == "a.A.f()"]
     assert kinds == [EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED]
     assert vm.compiled_calls == 1
+
+
+ARGS_SRC = """
+class p.P
+  method pair(int,int)
+    loadarg 0
+    loadarg 1
+    add
+    ret
+  method one(int)
+    loadarg 0
+    pushconst 2
+    mul
+    ret
+  method none()
+    pushconst 3
+    ret
+""" + "".join(f"""  method {name}(int)
+    loadarg 0
+    pushconst 1
+    call p.P.pair(int,int)
+    call p.P.one(int)
+    call p.P.none()
+    add
+    ret
+""" for name in ("caller", "jcaller"))
+
+
+def test_listeners_get_the_calls_own_argument_tuple():
+    vm = VM(load_program(ARGS_SRC))
+    source = vm.jit_compile("p.P.jcaller(int)").lowered_source
+    # the compiled call edges pass tuple displays, not lists
+    for display in ("_refs[0], (args[0], 1))", "_refs[1], (s0,))", "_refs[2], ())"):
+        assert display in source
+    seen = []
+    vm.instrumentation.add_listener(ListenerRegistration(
+        "args", frozenset({EventKind.METHOD_ENTERED}),
+        lambda thread, ref, kind, args, value, abrupt: seen.append((ref.key, args))))
+    thread = vm.new_thread()
+    root_args = (4, 5)
+    assert vm.invoke(thread, "p.P.pair(int,int)", root_args) == 9
+    assert seen[0][1] is root_args
+    for caller in ("p.P.caller(int)", "p.P.jcaller(int)"):
+        seen.clear()
+        assert vm.invoke(thread, caller, (6,)) == 17
+        callees = [(key, args) for key, args in seen if key != caller]
+        assert callees == [("p.P.pair(int,int)", (6, 1)), ("p.P.one(int)", (7,)),
+                           ("p.P.none()", ())]
+        assert all(type(args) is tuple for _, args in seen)

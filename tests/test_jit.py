@@ -107,7 +107,8 @@ def test_jit_compile_idempotent(fib_source):
 def test_jit_keeps_installed_stub():
     vm = _vm("class a.A\n  method f()\n    pushconst 5\n    ret")
     ins = vm.instrumentation
-    ins.install_stubs_for_method("a.A.f()", EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+    ins.install_stubs_for_method(vm.registry.lookup("a.A.f()"),
+                                 EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
     rec = vm.jit_compile("a.A.f()")
     # Tier changed, dispatch slot untouched: the stub stays until restore,
     # which puts back the saved entry, now on the compiled tier.

@@ -156,9 +156,7 @@ def test_tier_counters(fib_source):
     vm.invoke(thread, "demo.Math.fib(int)", (5,))
     assert vm.interpreted_calls == interp_n
     assert vm.compiled_calls == interp_n
-    stats = vm.stats()
-    assert stats["methods_loaded"] == 1
-    assert stats["compiled_calls"] == vm.compiled_calls
+    assert len(vm.registry) == 1
 
 
 def test_corrupt_bytecode_aborts_with_internal_error():
@@ -231,7 +229,7 @@ def test_tier_counters_exact_on_a_two_tier_program():
 
     # With no listener, the quick stub on mid dispatches no event either.
     vm.instrumentation.install_stubs_for_method(
-        "t.T.mid(int)", EntryPoint.INSTRUMENTATION_QUICK_STUB)
+        vm.registry.lookup("t.T.mid(int)"), EntryPoint.INSTRUMENTATION_QUICK_STUB)
     for n in (1, 2, 3):
         assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
     assert vm.instrumentation.events_dispatched == 0
@@ -243,9 +241,8 @@ def test_tier_counters_exact_on_a_two_tier_program():
         lambda *event: None))
     for n in (1, 2, 3):
         assert vm.invoke(thread, "t.T.top(int)", (n,)) == 3 * n + 3
-    stats = vm.stats()
-    assert (stats["interpreted_calls"], stats["compiled_calls"]) == (36, 9)
-    assert stats["events_dispatched"] == 3 * (2 * 4 + 2)
+    assert (vm.interpreted_calls, vm.compiled_calls) == (36, 9)
+    assert vm.instrumentation.events_dispatched == 3 * (2 * 4 + 2)
     assert thread.frames == []
 
 
