@@ -74,7 +74,7 @@ _BRIDGE, _COMPILED = EntryPoint.INTERPRETER_BRIDGE, EntryPoint.COMPILED_DIRECT
 _INTERP_STUB = EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
 _QUICK = EntryPoint.INSTRUMENTATION_QUICK_STUB
 _STATE_INTERPRETED, _STATE_COMPILED = CompilationState.INTERPRETED, CompilationState.COMPILED
-_INSTRUMENTATION_STUBS = frozenset({_INTERP_STUB, _QUICK})
+_INSTRUMENTATION_STUBS = (_INTERP_STUB, _QUICK)  # a tuple: ``in`` runs no Enum.__hash__
 
 
 class Opcode(IntEnum):
@@ -330,9 +330,16 @@ class ClassRegistry:
         self._on_load.remove(hook)
 
     def lookup(self, ref: "MethodRef | str") -> MethodRecord:
+        """The one name resolver: the record, or ``MethodNotFoundError``.
+
+        A key string is tried as given, since keys are canonical, and parsed
+        only on a miss, which canonicalises it or raises ``ProgramParseError``.
+        """
         key = ref if isinstance(ref, str) else ref.key
         record = self._records.get(key) or self.get(key)
         if record is None:
+            if isinstance(ref, str):
+                return self.lookup(MethodRef.parse(ref))
             raise MethodNotFoundError(f"method not found: {key}")
         return record
 

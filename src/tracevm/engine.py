@@ -46,6 +46,7 @@ _clock = time.perf_counter_ns
 INTERCEPT_REF = MethodRef("XTrace", "intercept", ())
 
 PROXY_LISTENER_ID = "xtrace-proxy"
+_BOTH_KINDS = frozenset(EventKind)  # the proxy's event mask, hashed once
 
 
 class TracePhase(Enum):
@@ -91,9 +92,6 @@ class TargetSet:
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __iter__(self):
-        return (entry[0] for entry in self.table.values())
 
 
 @dataclass
@@ -151,7 +149,7 @@ class TraceEngine:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
             self._targets = target_set
-            changed = self._stub_loaded([ref.key for ref in target_set])
+            changed = self._stub_loaded(target_set.table)
             self.phase = TracePhase.INJECTED
             injected, pending = self._counts()
             return ApplyReport("targeted", len(target_set), injected, changed, pending)
@@ -186,7 +184,8 @@ class TraceEngine:
         a phase after suppression raises, ``apply`` rolls back and re-raises.
         """
         with self._lock:
-            target_set = TargetSet(target_set.entries() + list(pending))
+            if pending:
+                target_set = TargetSet(target_set.entries() + list(pending))
             self.suppress_global_tracing()
             try:
                 report = self.inject_targets(target_set, adaptive=adaptive)
@@ -237,10 +236,9 @@ class TraceEngine:
                 summary["entry_points_restored"] = (
                     self.instrumentation.restore_all_entry_points())
             else:
-                registry = self.vm.registry
-                restore = self.instrumentation.restore_entry_point_for_method
+                records = filter(None, map(self.vm.registry.get, self._targets.table))
                 summary["entry_points_restored"] = sum(
-                    restore(registry.get(ref.key)) for ref in self._targets if ref.key in registry)
+                    map(self.instrumentation.restore_entry_point_for_method, records))
             self._failed_keys.clear()
             self._targets = TargetSet()
             if self._load_hook is not None:
@@ -300,7 +298,7 @@ class TraceEngine:
                    if (rec := get(key)) is None or not rec.entry_point.is_instrumentation_stub]
         return len(table) - len(waiting), sum(map(len, waiting))
 
-    def _stub_loaded(self, keys: list[str]) -> int:
+    def _stub_loaded(self, keys: Iterable[str]) -> int:
         """Stub each loaded key to match its tier; return how many slots changed."""
         registry = self.vm.registry
         changed = 0
@@ -315,7 +313,7 @@ class TraceEngine:
     def _build_registration(self) -> ListenerRegistration:
         self._registration = ListenerRegistration(
             listener_id=PROXY_LISTENER_ID,
-            event_mask=frozenset({EventKind.METHOD_ENTERED, EventKind.METHOD_EXITED}),
+            event_mask=_BOTH_KINDS,
             callback=self._on_event,
         )
         return self._registration

@@ -7,8 +7,8 @@ abrupt=False``; exit events pass
 ``args=()`` with the return value, or ``None`` and ``abrupt=True`` when the
 call raised.
 
-The VM fires an event only when ``has_entry`` or ``has_exit`` says someone
-listens. Dispatch walks an immutable snapshot of the callback list, so
+The VM fires an event only when its kind's callback tuple is non-empty, the
+same tuple dispatch then walks. Each is an immutable snapshot, so
 registration changes never mutate a list another thread is iterating; in-flight
 dispatch just finishes on the old snapshot. A listener that raises is logged and
 counted, never propagated into the traced call.
@@ -45,6 +45,7 @@ class EventKind(Enum):
 # is cheaper than an enum class-attribute lookup.
 METHOD_ENTERED = EventKind.METHOD_ENTERED
 METHOD_EXITED = EventKind.METHOD_EXITED
+_ENTERED, _EXITED = frozenset({METHOD_ENTERED}), frozenset({METHOD_EXITED})
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,6 @@ class Instrumentation:
         self._registrations: dict[str, ListenerRegistration] = {}
         self._entry_callbacks: tuple = ()
         self._exit_callbacks: tuple = ()
-        self.has_entry = False
-        self.has_exit = False
         self.events_dispatched = 0
         self.callback_errors = 0
         self._default_activation = self.enable_method_tracing_native
@@ -97,13 +96,10 @@ class Instrumentation:
             self._rebuild_snapshots()
 
     def _rebuild_snapshots(self) -> None:
+        # A subset test reuses the masks' stored hashes; ``in`` would run Enum.__hash__.
         regs = self._registrations.values()
-        self._entry_callbacks = tuple(
-            r.callback for r in regs if EventKind.METHOD_ENTERED in r.event_mask)
-        self._exit_callbacks = tuple(
-            r.callback for r in regs if EventKind.METHOD_EXITED in r.event_mask)
-        self.has_entry = bool(self._entry_callbacks)
-        self.has_exit = bool(self._exit_callbacks)
+        self._entry_callbacks = tuple(r.callback for r in regs if _ENTERED <= r.event_mask)
+        self._exit_callbacks = tuple(r.callback for r in regs if _EXITED <= r.event_mask)
 
     def listener_ids(self) -> list[str]:
         with self._lock:

@@ -117,15 +117,13 @@ class VM:
     def invoke(self, thread: VMThread, target: "MethodRef | str", args=()):
         """Public entry: resolve, arity-check and dispatch a call.
 
-        A key string is looked up as given first, since registry keys are
-        canonical; only a miss is parsed, which canonicalises it or raises.
-        ``args`` becomes the call's one argument tuple, the same object when
-        it is a tuple already, which every tier and listener receives.
+        Names resolve as in ``ClassRegistry.lookup``. A key string takes one
+        ``get`` first, so ``lookup`` runs only on a miss. ``args`` becomes the
+        call's one argument tuple, the same object when it is a tuple
+        already, which every tier and listener receives.
         """
         if isinstance(target, str):
-            record = self.registry.get(target)
-            if record is None:
-                record = self.registry.lookup(MethodRef.parse(target))
+            record = self.registry.get(target) or self.registry.lookup(target)
         else:
             record = self.registry.lookup(target)
         if len(args) != record.arity:
@@ -137,13 +135,10 @@ class VM:
         """Internal call edge used by bytecode and lowered code.
 
         Both tiers pass ``args`` as an exact tuple. One dict get on the
-        registry's record map. A miss is a first touch, which ``get`` builds
-        the record for; ``lookup`` runs only when the method does not exist,
-        to raise ``MethodNotFoundError``.
+        registry's record map; a miss, a first touch or a missing method, goes
+        to ``lookup``, which builds the record or raises.
         """
-        record = self._records.get(ref.key)
-        if record is None:
-            record = self.registry.get(ref.key) or self.registry.lookup(ref)
+        record = self._records.get(ref.key) or self.registry.lookup(ref)
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: tuple):
@@ -165,7 +160,7 @@ class VM:
                 self.compiled_calls += 1
                 return record.lowered_code(self, thread, args)
             ins = self.instrumentation
-            if ins.has_entry:
+            if ins._entry_callbacks:
                 ins.method_enter_event(thread, record.method_ref, args)
             try:
                 if entry is _QUICK:
@@ -176,10 +171,10 @@ class VM:
                 else:
                     value = self.interpret(thread, record, args)
             except Exception:
-                if ins.has_exit:
+                if ins._exit_callbacks:
                     ins.method_exit_event(thread, record.method_ref, None, abrupt=True)
                 raise
-            if ins.has_exit:
+            if ins._exit_callbacks:
                 ins.method_exit_event(thread, record.method_ref, value)
             return value
         finally:

@@ -68,6 +68,26 @@ def test_invoke_by_non_canonical_key_parses_on_miss(fib_source):
             vm.invoke(thread, bad, (1,))
 
 
+def test_invoke_jit_compile_and_lookup_resolve_names_alike():
+    vm = VM(load_program("class a.A\n  method f(int,int)\n    loadarg 0\n    ret"))
+    thread = vm.new_thread()
+    record = vm.registry.lookup("a.A.f(int,int)")
+    assert vm.registry.lookup("a.A.f( int , int )") is record
+    assert vm.jit_compile(" a.A.f( int , int ) ") is record
+    assert record.entry_point is EntryPoint.COMPILED_DIRECT
+    assert vm.invoke(thread, "a.A.f( int , int )", (4, 5)) == 4
+    resolvers = (vm.registry.lookup, vm.jit_compile,
+                 lambda name: vm.invoke(thread, name, (4, 5)))
+    for resolve in resolvers:
+        for bad in ("a.A.f", "f(int,int)", "a.A.f(in t,int)", "a.A.9f(int,int)"):
+            with pytest.raises(ProgramParseError):
+                resolve(bad)
+        for missing in ("a.A.g(int,int)", "a.A.f( int )", "b.B.f(int,int)"):
+            with pytest.raises(MethodNotFoundError):
+                resolve(missing)
+    assert thread.frames == []
+
+
 def test_locals_zero_initialized():
     vm = VM(load_program("class a.A\n  method f()\n    loadlocal 5\n    ret"))
     assert vm.invoke(vm.new_thread(), "a.A.f()", ()) == 0
