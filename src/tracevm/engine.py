@@ -117,7 +117,6 @@ class TraceEngine:
         self._lock = threading.RLock()
         self._targets = TargetSet()
         self._registration: ListenerRegistration | None = None
-        self._saved_handler = None
         self._load_hook = None
         self._adaptive = True
         self.spurious_filtered = 0
@@ -131,12 +130,8 @@ class TraceEngine:
     def suppress_global_tracing(self) -> None:
         """Phase 1: make the built-in activation a no-op before anything else."""
         with self._lock:
-            self._require_free_vm("suppress_global_tracing")
-            self.mode = "targeted"
-            self._saved_handler = self.instrumentation.set_activation_handler(_noop_activation)
-            # Keep the exact callable: rollback must remove what was registered.
-            self._load_hook = self._on_classes_loaded
-            self.vm.registry.on_load(self._load_hook)
+            self._open("suppress_global_tracing", "targeted")
+            self.instrumentation.set_activation_handler(_noop_activation)
             self.phase = TracePhase.SUPPRESSED
 
     def inject_targets(self, target_set: TargetSet, *, adaptive: bool = True) -> ApplyReport:
@@ -149,10 +144,11 @@ class TraceEngine:
             self._require_phase(TracePhase.SUPPRESSED, "inject_targets")
             self._adaptive = adaptive
             self._targets = target_set
-            changed = self._stub_loaded(target_set.table)
+            table = target_set.table
+            changed, missing = self._stub_loaded(table)
             self.phase = TracePhase.INJECTED
-            injected, pending = self._counts()
-            return ApplyReport("targeted", len(target_set), injected, changed, pending)
+            pending = sum(len(table[key][1]) for key in missing)
+            return ApplyReport("targeted", len(table), len(table) - len(missing), changed, pending)
 
     def install_dispatcher(self) -> ListenerRegistration:
         """Phase 3a: build the filtering proxy listener. Not yet registered."""
@@ -205,13 +201,10 @@ class TraceEngine:
         the walk raises, ``apply_global`` rolls back and re-raises.
         """
         with self._lock:
-            self._require_free_vm("apply_global")
+            self._open("apply_global", "global")
             self._targets = target_set
             self.phase = TracePhase.ACTIVE
-            self.mode = "global"
             self._adaptive = False
-            self._load_hook = self._on_classes_loaded
-            self.vm.registry.on_load(self._load_hook)
             try:
                 report = self.instrumentation.native_trace_start(self._build_registration())
             except BaseException:
@@ -226,28 +219,27 @@ class TraceEngine:
                        "handler_restored": False}
             if self.phase is TracePhase.IDLE:
                 return summary
+            ins = self.instrumentation
             if self.phase is TracePhase.ACTIVE:
                 with suppress(UnknownListenerError):  # a proxy already gone counts as removed
-                    self.instrumentation.remove_listener(PROXY_LISTENER_ID)
+                    ins.remove_listener(PROXY_LISTENER_ID)
                 summary["listener_removed"] = True
             self._registration = None
 
             if self.mode == "global":
-                summary["entry_points_restored"] = (
-                    self.instrumentation.restore_all_entry_points())
+                summary["entry_points_restored"] = ins.restore_all_entry_points()
             else:
                 records = filter(None, map(self.vm.registry.get, self._targets.table))
                 summary["entry_points_restored"] = sum(
-                    map(self.instrumentation.restore_entry_point_for_method, records))
+                    map(ins.restore_entry_point_for_method, records))
             self._failed_keys.clear()
             self._targets = TargetSet()
             if self._load_hook is not None:
                 self.vm.registry.remove_on_load(self._load_hook)
                 self._load_hook = None
 
-            if self._saved_handler is not None:
-                self.instrumentation.set_activation_handler(self._saved_handler)
-                self._saved_handler = None
+            if self.mode == "targeted":  # _open admits a session only on the stock handler
+                ins.set_activation_handler(ins.enable_method_tracing_native)
                 summary["handler_restored"] = True
             self.phase = TracePhase.IDLE
             self.mode = None
@@ -282,12 +274,16 @@ class TraceEngine:
             raise PhaseError(f"{op} requires phase {expected.value}, engine is "
                              f"{self.phase.value}")
 
-    def _require_free_vm(self, op: str) -> None:
-        """A session starts only from idle, and only while no other one holds the VM."""
+    def _open(self, op: str, mode: str) -> None:
+        """Start a session from idle, and only while no other one holds the VM."""
         self._require_phase(TracePhase.IDLE, op)
         ins = self.instrumentation
         if not ins.is_default_activation or PROXY_LISTENER_ID in ins.listener_ids():
             raise PhaseError(f"{op}: another trace session is up on this VM")
+        self.mode = mode
+        # Keep the exact callable: rollback must remove what was registered.
+        self._load_hook = self._on_classes_loaded
+        self.vm.registry.on_load(self._load_hook)
 
     def _counts(self) -> tuple[int, int]:
         """Stubbed targets, and the actions of the unstubbed rest; 0s unless targeted."""
@@ -298,17 +294,19 @@ class TraceEngine:
                    if (rec := get(key)) is None or not rec.entry_point.is_instrumentation_stub]
         return len(table) - len(waiting), sum(map(len, waiting))
 
-    def _stub_loaded(self, keys: Iterable[str]) -> int:
-        """Stub each loaded key to match its tier; return how many slots changed."""
+    def _stub_loaded(self, keys: Iterable[str]) -> tuple[int, list[str]]:
+        """Stub each loaded key to match its tier; return slots changed and keys not loaded."""
         registry = self.vm.registry
-        changed = 0
+        changed, missing = 0, []
         for key in keys:
             record = registry.get(key)
-            if record is not None:
+            if record is None:
+                missing.append(key)
+            else:
                 compiled = self._adaptive and record.lowered_code is not None
                 changed += self.instrumentation.install_stubs_for_method(
                     record, _QUICK if compiled else _INTERP_STUB)
-        return changed
+        return changed, missing
 
     def _build_registration(self) -> ListenerRegistration:
         self._registration = ListenerRegistration(

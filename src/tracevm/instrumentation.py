@@ -17,9 +17,9 @@ Starting tracing the built-in way registers the listener and then hands
 control to the activation handler. The stock handler walks every loaded
 method and installs the interpreter stub on all of them, which is exactly the
 whole-runtime slowdown the targeted engine exists to avoid. The handler slot
-is swappable so that engine can suppress the global walk. A stub install saves
-the entry it replaces, which ``VM.jit_compile`` keeps on the method's tier, and
-restore puts that entry back as it is.
+is swappable so the engine can suppress the global walk, and empty, with no
+reference back, for the stock walk. A stub install saves the entry it replaces,
+which ``VM.jit_compile`` keeps on the method's tier; restore puts it back as is.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class Instrumentation:
         self._exit_callbacks: tuple = ()
         self.events_dispatched = 0
         self.callback_errors = 0
-        self._default_activation = self.enable_method_tracing_native
-        self._activation_handler: Callable = self._default_activation
+        self._activation_handler: Callable | None = None  # None: the stock walk
 
     # -- listener registry ------------------------------------------------
 
@@ -182,14 +181,16 @@ class Instrumentation:
 
     @property
     def is_default_activation(self) -> bool:
-        return self._activation_handler is self._default_activation
+        return self._activation_handler is None
 
     def set_activation_handler(self, handler: Callable) -> Callable:
-        """Swap the activation handler; returns the previous one."""
+        """Swap the activation handler; returns the previous one. The stock walk is
+        the empty slot, which holds no reference back to this ``Instrumentation``."""
         if handler is None:
             raise ValueError("activation handler must be callable")
-        previous = self._activation_handler
-        self._activation_handler = handler
+        stock = self.enable_method_tracing_native
+        previous = self._activation_handler or stock
+        self._activation_handler = None if handler == stock else handler
         return previous
 
     def native_trace_start(self, registration: ListenerRegistration):
@@ -200,4 +201,4 @@ class Instrumentation:
         whatever the replacement does.
         """
         self.add_listener(registration)
-        return self._activation_handler()
+        return (self._activation_handler or self.enable_method_tracing_native)()

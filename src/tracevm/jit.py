@@ -227,4 +227,4 @@ def lower_method(record: MethodRecord):
     namespace = {"__builtins__": {}, "_REFS": tuple(refs),
                  "_LO": I64_MIN, "_HI": I64_MAX, "_W": wrap_i64}
     exec(compile(source, f"<lowered {record.method_ref.key}>", "exec"), namespace)
-    return namespace[name], source
+    return namespace.pop(name), source  # popped: no cycle through its own globals

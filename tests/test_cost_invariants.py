@@ -10,6 +10,7 @@ of one CPython version.
 
 import gc
 import sys
+import weakref
 from collections import Counter
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
@@ -133,6 +134,38 @@ def test_rollback_restores_the_untraced_count():
     assert call_counts(vm, thread, refs) == before
 
 
+def _watch_at_rest(bring_up) -> list:
+    """Weakrefs to a VM's registry, instrumentation and a compiled function,
+    after an optional session was brought up, called through and rolled back."""
+    vm, thread = compiled_vm()
+    engine = TraceEngine(vm, EventSink())
+    if bring_up is not None:
+        bring_up(engine)
+        vm.invoke(thread, SHORT, (5,))
+        engine.rollback()
+    return [weakref.ref(vm.registry), weakref.ref(vm.instrumentation),
+            weakref.ref(vm.registry.lookup(SHORT).lowered_code)]
+
+
+def test_nothing_at_rest_holds_a_reference_cycle():
+    targets = TargetSet([(SHORT, (TraceAction.TIME_METHOD, TraceAction.CAPTURE_ARGS))])
+    sessions = {"idle": None,
+                "targeted": lambda engine: engine.apply(targets),
+                "global": lambda engine: engine.apply_global(targets),
+                "suppressed": TraceEngine.suppress_global_tracing}
+    collecting = gc.isenabled()
+    gc.disable()  # only reference counting may free them
+    try:
+        watched = {kind: _watch_at_rest(bring_up) for kind, bring_up in sessions.items()}
+        alive = {kind: [ref() is not None for ref in refs] for kind, refs in watched.items()}
+    finally:
+        if collecting:
+            gc.enable()
+    # registry, instrumentation, compiled function: each freed once the last
+    # reference to its VM is dropped
+    assert alive == {kind: [False, False, False] for kind in sessions}
+
+
 def scaled_program(n_methods: int):
     """``n_methods`` one-instruction methods, fifty to a class."""
     lines = []
@@ -184,3 +217,14 @@ def test_stock_walk_grows_at_least_linearly_with_the_program():
     # larger program costs no less per method than a smaller one
     assert slopes[0] >= 10
     assert slopes[1] >= 0.95 * slopes[0]
+
+
+def test_targeted_apply_counts_what_its_stub_walk_found():
+    engine = TraceEngine(VM(scaled_program(SIZES[1])), EventSink())
+    reports = []
+    applied = opcode_split(lambda: reports.append(engine.apply(FIVE)))
+    assert applied["TraceEngine._stub_loaded"] > 0
+    # injected and pending come from the one walk that stubbed the targets,
+    # not from a second pass over the target table
+    assert [name for name in applied if name.startswith("TraceEngine._counts")] == []
+    assert (reports[0].injected, reports[0].pending) == (5, 0)
