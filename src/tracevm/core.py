@@ -146,7 +146,7 @@ class Instruction(tuple):
 class MethodRef:
     """Immutable (class, method, parameter signature) triple with a canonical key."""
 
-    __slots__ = ("class_name", "method_name", "params", "key", "arity", "_hash")
+    __slots__ = ("class_name", "method_name", "params", "key", "arity")
 
     def __init__(self, class_name: str, method_name: str, params: Iterable[str] = ()):
         self.class_name = class_name
@@ -154,7 +154,6 @@ class MethodRef:
         self.params = tuple(params)
         self.key = f"{class_name}.{method_name}({','.join(self.params)})"
         self.arity = len(self.params)
-        self._hash = hash(self.key)
 
     @staticmethod
     def parse(text: str) -> "MethodRef":
@@ -183,7 +182,7 @@ class MethodRef:
         return isinstance(other, MethodRef) and other.key == self.key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)  # str caches its own hash
 
     def __repr__(self) -> str:
         return f"MethodRef({self.key!r})"

@@ -18,10 +18,15 @@ The opcode table in ``core`` gives each mnemonic its opcode, operand kind and
 stack effect. The parser reads an instruction's operand by its kind, and the
 validator applies its stack effect.
 
+The text is read a block of about 64K characters at a time, each cut just
+after a ``\\n``. A ``\\n`` always ends a line under ``str.splitlines``, so the
+lines are exactly ``text.splitlines()``, and only one block's lines are held.
 Each distinct instruction line is parsed once per ``parse_program`` call into
 one exact ``(int_op, arg)`` tuple, shared by every repeat inside a method. The
 operand checks depend only on the line, so they run once; the per-method
 checks below run on every method with each occurrence's own line number.
+Each distinct header signature and stack-depth tuple is likewise stored once
+per call and shared by every method that has it.
 
 Validation walks the control-flow graph of each method and rejects jumps out
 of range, operand-stack underflow, inconsistent stack depth at merge points,
@@ -33,6 +38,7 @@ relies on to turn stack slots into plain variables.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .core import (
     _OPCODE_TABLE,
@@ -52,6 +58,7 @@ from .core import (
 from .errors import ProgramParseError, ProgramValidationError
 
 MAX_LOCAL_SLOTS = 256
+_BLOCK_CHARS = 1 << 16  # the least a block of program text holds, bar the last
 
 # Plain-int opcodes, as stored code holds them.
 (_PUSH, _LARG, _LLOC, _SLOC, _ADD, _SUB, _MUL, _JZ, _JMP, _CALL, _RET) = _OPCODES
@@ -105,7 +112,17 @@ def _at_line(parse, text: str, line_no: int):
         raise ProgramParseError(exc.args[0], line_no) from None
 
 
-def _method_spec(ref: MethodRef, decl_line: int, code: list, lines: list) -> MethodSpec:
+def _blocks(text: str):
+    """``text`` in blocks of ``_BLOCK_CHARS`` or more characters, each cut after a ``\\n``."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _method_spec(ref: MethodRef, decl_line: int, code: list, lines: list,
+                 depths: dict) -> MethodSpec:
     """Check one method's local slots, prove its stack depths and freeze it."""
     if not code:
         raise ProgramValidationError("method has no instructions", ref.key, decl_line)
@@ -116,7 +133,8 @@ def _method_spec(ref: MethodRef, decl_line: int, code: list, lines: list) -> Met
                 raise ProgramValidationError(f"local slot {slot} too large", ref.key, line_no)
             n_locals = max(n_locals, slot + 1)
     code = tuple(code)
-    return MethodSpec(ref, code, n_locals, _stack_depths(ref, code, lines), decl_line)
+    stack = _stack_depths(ref, code, lines)
+    return MethodSpec(ref, code, n_locals, depths.setdefault(stack, stack), decl_line)
 
 
 def _stack_depths(ref: MethodRef, code: tuple, lines: list) -> tuple:
@@ -175,17 +193,20 @@ def parse_program(text: str) -> Program:
 
     Each distinct instruction line is parsed once: ``parsed`` maps its raw text
     to the ``(int_op, arg)`` pair it gave, and a repeat inside a method reuses it.
-    ``specs`` maps each key to its ``MethodSpec`` in program order; a method
-    joins it when the next header or the end of the text closes it.
+    ``signatures`` and ``depths`` do the same for header signatures and
+    stack-depth tuples. ``specs`` maps each key to its ``MethodSpec`` in program
+    order; a method joins it when the next header or the end of the text closes it.
     """
     specs: dict[str, MethodSpec] = {}
     intern_map: dict[int, str] = {}
     parsed: dict[str, tuple[int, object]] = {}
+    signatures: dict[str, tuple[str, ...]] = {}
+    depths: dict[tuple, tuple] = {}
 
     current_class: str | None = None
     ref: MethodRef | None = None  # the open method: decl_line, code and lines
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(map(str.splitlines, _blocks(text))), 1):
         if ref is not None:
             ins = parsed.get(raw)
             if ins is not None:
@@ -202,7 +223,7 @@ def parse_program(text: str) -> Program:
             if not m:
                 raise ProgramParseError(f"bad {head} header {line!r}", line_no)
             if ref is not None:
-                specs[ref.key] = _method_spec(ref, decl_line, code, lines)
+                specs[ref.key] = _method_spec(ref, decl_line, code, lines, depths)
                 ref = None
             if head == "class":
                 name = m.group(1)
@@ -212,7 +233,11 @@ def parse_program(text: str) -> Program:
                 continue
             if current_class is None:
                 raise ProgramParseError("method outside a class", line_no)
-            ref = MethodRef(current_class, m.group(1), _at_line(parse_signature, m.group(2), line_no))
+            method_name, sig = m.groups()
+            params = signatures.get(sig)
+            if params is None:
+                params = signatures[sig] = _at_line(parse_signature, sig, line_no)
+            ref = MethodRef(current_class, method_name, params)
             first = specs.get(ref.key)
             if first is not None:
                 raise ProgramParseError(
@@ -258,7 +283,7 @@ def parse_program(text: str) -> Program:
         add_line(line_no)
 
     if ref is not None:
-        specs[ref.key] = _method_spec(ref, decl_line, code, lines)
+        specs[ref.key] = _method_spec(ref, decl_line, code, lines, depths)
     if not specs:
         raise ProgramParseError("program declares no methods", 1)
     return Program(specs, intern_map)

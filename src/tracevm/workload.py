@@ -241,6 +241,7 @@ def gen_workload(n_classes: int = 12, methods_per_class: int = 10,
     lines.append("")
 
     source = "\n".join(lines)
+    del lines  # the parse below peaks with the text alone, not its lines too
     program = parse_program(source)
 
     all_refs = [ref for methods in refs_by_class.values() for ref in methods]

@@ -1,20 +1,22 @@
-"""The cost claims as exact counts of CPython opcodes.
+"""The cost claims as exact counts of CPython opcodes and traced heap bytes.
 
 Tracing a few methods should cost per traced call, nothing for the code
 around them, and nothing once the session is rolled back. Wall time on a
 shared machine is too noisy to show that exactly; the number of bytecodes a
-call runs is not: it repeats across processes and hash seeds. Every assertion
-here compares counts taken in the same run, so none pins the absolute numbers
-of one CPython version.
+call runs is not: it repeats across processes and hash seeds. Bringing a
+program up should peak near what it keeps, not at a multiple of it. Every
+assertion here compares counts taken in the same run, so none pins the
+absolute numbers of one CPython version.
 """
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
-                     load_program)
+                     gen_workload, load_program, parse_program)
 
 
 def opcode_split(fn, *args) -> Counter:
@@ -228,3 +230,30 @@ def test_targeted_apply_counts_what_its_stub_walk_found():
     # not from a second pass over the target table
     assert [name for name in applied if name.startswith("TraceEngine._counts")] == []
     assert (reports[0].injected, reports[0].pending) == (5, 0)
+
+
+def heap_growth(fn, *args) -> tuple[int, int]:
+    """Bytes of traced heap that ``fn(*args)`` peaks at and keeps, over what was there before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)  # noqa: F841 - held until the heap is read
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, kept - base
+
+
+def test_parsing_peaks_near_what_it_keeps():
+    # about 2,000 methods; holding every line of the text at once peaks at
+    # well over twice what the parse keeps
+    peak, kept = heap_growth(parse_program, gen_workload(n_classes=200).source)
+    assert 0 < peak <= 1.5 * kept
+
+
+def test_generating_a_workload_peaks_near_what_it_keeps():
+    # about 1,000 methods, a size that traces in well under a second; the
+    # generator's own lines held through the parse peak at about 3x
+    peak, kept = heap_growth(gen_workload, 100)
+    assert 0 < peak <= 2 * kept

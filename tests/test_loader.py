@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracevm import (
     Opcode,
@@ -9,6 +11,7 @@ from tracevm import (
     gen_workload,
     parse_program,
 )
+from tracevm import loader
 
 # Hand-derived stack depth at entry of each fib instruction.
 FIB_DEPTHS = (0, 1, 0, 1, 2, 1, 0, 1, 2, 1, 1, 2, 3, 2, 2, 1, 0, 1, 0, 1)
@@ -329,3 +332,62 @@ def test_reopened_class_keeps_first_seen_order():
            "class a.X\n  method g()\n    pushconst 1\n    ret")
     program = parse_program(src)
     assert [m.ref.key for m in program.methods] == ["a.X.f()", "a.Y.f()", "a.X.g()"]
+
+
+# Every line end ``str.splitlines`` knows; ``\r`` then ``\n`` from two draws makes a ``\r\n``.
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Runs of well-formed lines; ``{i}`` keeps method names apart.
+LINE_RUNS = (
+    ("  method m{i}(int)", "    loadarg 0", "    loadarg 0", "    jz +3", "    pushconst 1",
+     "    add", "    ret"),
+    ("  method m{i}()", '    pushconst "a\\"b"  # note', "    ret"),
+    ("",), ("  # comment",), ("class c.D",),
+)
+# Lines that each make some texts fail, in parsing or in validation.
+FAULTS = ("    bogus", "    loadarg 1", "    jz +9", "  method m0(int)")
+
+
+def _outcome(text: str):
+    """What parsing ``text`` gives: the ``Program``, or the error with its line number."""
+    try:
+        return parse_program(text)
+    except (ProgramParseError, ProgramValidationError) as exc:
+        return type(exc), str(exc), exc.line
+
+
+@st.composite
+def mixed_line_ends(draw):
+    lines = ["class c.C"]
+    for i, run in enumerate(draw(st.lists(st.sampled_from(LINE_RUNS), max_size=12))):
+        lines += [line.format(i=i) for line in run]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(FAULTS)))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
+
+
+@given(mixed_line_ends())
+def test_text_read_in_blocks_parses_as_its_splitlines(text):
+    # The same lines, each ended by a plain "\n": what text.splitlines() gives.
+    expected = _outcome("\n".join(text.splitlines()) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 2, 3, 7, len(text) + 1):
+            mp.setattr(loader, "_BLOCK_CHARS", block)
+            assert _outcome(text) == expected
+
+
+def test_malformed_line_past_the_first_block_reports_its_line():
+    methods = "".join(f"  method m{i}(int)\r\n    loadarg 0\r\n    ret\r\n" for i in range(4000))
+    src = f"class c.C\r\n{methods}    bogus\r\n"
+    assert src.index("bogus") > 2 * loader._BLOCK_CHARS
+    with pytest.raises(ProgramParseError, match="unknown instruction 'bogus'") as info:
+        parse_program(src)
+    assert info.value.line == 1 + 3 * 4000 + 1
+
+
+def test_repeated_depths_and_signatures_are_stored_once(big_workload):
+    specs = big_workload.program.methods
+    for field in (lambda s: s.stack_depths, lambda s: s.ref.params):
+        values = [field(s) for s in specs]
+        # the program keeps every value alive, so distinct ids are distinct objects
+        assert len({id(v) for v in values}) == len(set(values)) < len(values) // 10
