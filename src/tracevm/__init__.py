@@ -55,12 +55,7 @@ from .errors import (
     WorkloadError,
 )
 from .fleet import FleetManager, FleetReport, FleetSession
-from .instrumentation import (
-    EventKind,
-    InstallationReport,
-    Instrumentation,
-    ListenerRegistration,
-)
+from .instrumentation import EventKind, Instrumentation, ListenerRegistration
 from .loader import load_program, parse_program
 from .vm import VM, VMThread
 from .workload import GeneratedWorkload, gen_random_program, gen_workload, sample_args

@@ -55,6 +55,10 @@ DIGITS_TOKEN = "[REDACTED:digits]"
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 _DIGITS_RE = re.compile(r"\d{9,}")
 
+# One compact encoder for every line: ``json.dumps`` with non-default
+# separators would build a new ``JSONEncoder`` on each call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def redact_text(text: str) -> str:
     """Mask email-shaped substrings, then digit runs of nine or more."""
@@ -86,17 +90,13 @@ class TraceEvent:
     payload: dict
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.sequence_no,
-                "ts_ns": self.timestamp_ns,
-                "method": self.method_ref.key,
-                "action": int(self.action),
-                "payload": self.payload,
-            },
-            sort_keys=False,
-            separators=(",", ":"),
-        )
+        return _encode({
+            "seq": self.sequence_no,
+            "ts_ns": self.timestamp_ns,
+            "method": self.method_ref.key,
+            "action": int(self.action),
+            "payload": self.payload,
+        })
 
 
 @dataclass

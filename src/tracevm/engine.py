@@ -206,11 +206,11 @@ class TraceEngine:
             self.phase = TracePhase.ACTIVE
             self._adaptive = False
             try:
-                report = self.instrumentation.native_trace_start(self._build_registration())
+                changed = self.instrumentation.native_trace_start(self._build_registration())
             except BaseException:
                 self.rollback()
                 raise
-            return ApplyReport(self.mode, len(target_set), 0, report.entry_points_replaced)
+            return ApplyReport(self.mode, len(target_set), 0, changed)
 
     def rollback(self) -> dict:
         """Undo everything this engine changed, in reverse order. Idempotent."""
@@ -319,17 +319,19 @@ class TraceEngine:
     def _on_classes_loaded(self, new_keys: list[str]) -> None:
         """Stub what just loaded: the targets, or every method in global mode.
 
+        In targeted mode the loop visits only the loaded targets, picked out of
+        the load in C, so an untargeted method costs the hook no bytecode.
         Before ``INJECTED`` the target set is empty, so nothing is. It runs
         inside the app's ``ClassRegistry.load``, so a failed install is logged
         and counted, never raised, and leaves its method unstubbed.
         """
         with self._lock:
             members = self._targets.members
+            if self.mode != "global":
+                new_keys = filter(members.__contains__, new_keys)
             for key in new_keys:
                 if key in members:
                     log.info("deferred injection of %s", key)
-                elif self.mode != "global":
-                    continue
                 try:
                     self._stub_loaded([key])
                 except Exception:

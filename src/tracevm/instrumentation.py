@@ -20,6 +20,8 @@ whole-runtime slowdown the targeted engine exists to avoid. The handler slot
 is swappable so the engine can suppress the global walk, and empty, with no
 reference back, for the stock walk. A stub install saves the entry it replaces,
 which ``VM.jit_compile`` keeps on the method's tier; restore puts it back as is.
+The stock walk and its restore are one pass each and return how many entry
+points they changed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import logging
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 from .core import _INTERP_STUB, _QUICK, ClassRegistry, EntryPoint, MethodRecord, MethodRef
@@ -53,13 +56,6 @@ class ListenerRegistration:
     listener_id: str
     event_mask: frozenset
     callback: Callable
-
-
-@dataclass
-class InstallationReport:
-    """Summary of a stub-installation walk over loaded classes."""
-
-    entry_points_replaced: int = 0
 
 
 class Instrumentation:
@@ -158,24 +154,18 @@ class Instrumentation:
         return True
 
     def restore_all_entry_points(self) -> int:
-        count = 0
-        for record in self.registry.records():
-            if self.restore_entry_point_for_method(record):
-                count += 1
-        return count
+        """Restore every method; returns how many entry points changed."""
+        return sum(map(self.restore_entry_point_for_method, self.registry.records()))
 
-    def enable_method_tracing_native(self) -> InstallationReport:
+    def enable_method_tracing_native(self) -> int:
         """Stock activation: walk every class and stub every method.
 
         Each method is degraded to the interpreter stub regardless of its
         compilation state, so the entire runtime pays interpreter cost while
-        tracing is on.
+        tracing is on. Returns how many entry points changed.
         """
-        report = InstallationReport()
-        for record in self.registry.records():
-            if self.install_stubs_for_method(record, _INTERP_STUB):
-                report.entry_points_replaced += 1
-        return report
+        return sum(map(self.install_stubs_for_method, self.registry.records(),
+                       repeat(_INTERP_STUB)))
 
     # -- activation handler slot ----------------------------------------------
 

@@ -118,6 +118,35 @@ def test_time_method_event_payload():
         {"duration_ns": 55, "abrupt": True}
 
 
+# Text heavy in what JSON must escape, non-ASCII and PII shapes, some of it redacted.
+_wild_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é中😀@.'),
+                               st.characters()), max_size=20)
+_text = st.one_of(_wild_text, _wild_text.map(redact_text),
+                  st.builds("{}@{}.org {}".format, _wild_text, _wild_text,
+                            st.integers(10**8, 10**12)).map(redact_text),
+                  st.sampled_from([EMAIL_TOKEN, DIGITS_TOKEN]))
+_i64 = st.one_of(st.sampled_from([-2**63, -1, 0, 1, 2**63 - 1]),
+                 st.integers(-2**63, 2**63 - 1))
+_values = st.recursive(st.one_of(st.none(), st.booleans(), _i64, _text),
+                       lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(_text, inner, max_size=3), max_leaves=8)
+_refs = st.builds(MethodRef, _text, _text, st.lists(_text, max_size=3))
+_events = st.one_of(
+    st.builds(capture_stack_event, st.lists(_refs, max_size=4), _refs, _i64),
+    st.builds(capture_args_event, _refs, st.lists(_values, max_size=4), _values,
+              st.booleans(), _i64),
+    st.builds(time_method_event, _refs, _i64, st.booleans(), _i64))
+
+
+@given(_events, st.one_of(st.none(), _i64))
+def test_event_json_line_is_byte_identical_to_compact_dumps(event, seq):
+    event.sequence_no = seq
+    expected = json.dumps({"seq": seq, "ts_ns": event.timestamp_ns,
+                           "method": event.method_ref.key, "action": int(event.action),
+                           "payload": event.payload}, separators=(",", ":"))
+    assert event.to_json_line() == expected
+
+
 # -- sink --------------------------------------------------------------------
 
 def make_record(i=0):

@@ -168,14 +168,18 @@ def test_nothing_at_rest_holds_a_reference_cycle():
     assert alive == {kind: [False, False, False] for kind in sessions}
 
 
-def scaled_program(n_methods: int):
+def scaled_source(n_methods: int) -> str:
     """``n_methods`` one-instruction methods, fifty to a class."""
     lines = []
     for i in range(n_methods):
         if i % 50 == 0:
             lines.append(f"class scale.C{i // 50}")
         lines += [f"  method m{i}(int)", "    loadarg 0", "    ret"]
-    return load_program("\n".join(lines))
+    return "\n".join(lines)
+
+
+def scaled_program(n_methods: int):
+    return load_program(scaled_source(n_methods))
 
 
 SIZES = (122, 1_002, 3_002)
@@ -219,6 +223,22 @@ def test_stock_walk_grows_at_least_linearly_with_the_program():
     # larger program costs no less per method than a smaller one
     assert slopes[0] >= 10
     assert slopes[1] >= 0.95 * slopes[0]
+
+
+def load_count(n_methods: int, session=None) -> int:
+    """Opcodes a late load of ``n_methods`` untargeted methods runs, with ``session`` up."""
+    vm, _thread = compiled_vm()
+    if session is not None:
+        session(vm)
+    return opcodes(vm.registry.load, parse_program(scaled_source(n_methods)))
+
+
+def test_a_late_load_of_untargeted_methods_costs_the_session_a_constant():
+    added = [load_count(n, time_session) - load_count(n) for n in (100, 1_000)]
+    # the session's load hook runs, but picks the targets out of the load in
+    # C: one Python test per loaded key would add at least 900 here
+    assert added[0] > 0
+    assert added[0] == added[1]
 
 
 def test_targeted_apply_counts_what_its_stub_walk_found():

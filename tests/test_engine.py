@@ -672,6 +672,56 @@ def test_failed_deferred_install_stays_inside_the_load_hook(monkeypatch, caplog)
     assert vm.registry.lookup("app.Main.leaf(int)").entry_point is EntryPoint.INTERPRETER_BRIDGE
 
 
+def test_late_load_stubs_only_its_targets_in_load_order(monkeypatch, caplog):
+    vm, engine = make_engine()
+    # listed against load order, so the log must follow the load, not the set
+    engine.apply(targets(("late.Plugin.second(int)", (TraceAction.TIME_METHOD,)),
+                         ("late.Plugin.first(int)", (TraceAction.CAPTURE_ARGS,))))
+    ins = vm.instrumentation
+    install, installed = ins.install_stubs_for_method, []
+
+    def failing_first(record, stub):
+        installed.append(record.method_ref.key)
+        if record.method_ref.key == "late.Plugin.first(int)":
+            raise RuntimeError("install fault")
+        return install(record, stub)
+
+    monkeypatch.setattr(ins, "install_stubs_for_method", failing_first)
+    with caplog.at_level(logging.INFO, logger="tracevm.engine"):
+        new_keys = vm.registry.load(parse_program("""
+class late.Plugin
+  method first(int)
+    loadarg 0
+    ret
+  method noise(int)
+    loadarg 0
+    ret
+  method second(int)
+    loadarg 0
+    ret
+class late.Extra
+  method helper()
+    pushconst 2
+    ret
+"""))
+    assert [(r.levelname, r.message) for r in caplog.records] == [
+        ("INFO", "deferred injection of late.Plugin.first(int)"),
+        ("ERROR", "deferred injection of late.Plugin.first(int) failed; it stays pending"),
+        ("INFO", "deferred injection of late.Plugin.second(int)")]
+    assert installed == ["late.Plugin.first(int)", "late.Plugin.second(int)"]
+    stubs = {key: vm.registry.lookup(key).entry_point for key in new_keys}
+    assert stubs == {"late.Plugin.first(int)": EntryPoint.INTERPRETER_BRIDGE,
+                     "late.Plugin.noise(int)": EntryPoint.INTERPRETER_BRIDGE,
+                     "late.Plugin.second(int)": EntryPoint.INSTRUMENTATION_INTERPRETER_STUB,
+                     "late.Extra.helper()": EntryPoint.INTERPRETER_BRIDGE}
+    status = engine.status()
+    assert (status["injected"], status["pending"], status["load_hook_errors"]) == (1, 1, 1)
+    monkeypatch.undo()
+    assert engine.rollback()["entry_points_restored"] == 1
+    assert {vm.registry.lookup(key).entry_point for key in new_keys} == {
+        EntryPoint.INTERPRETER_BRIDGE}
+
+
 def test_late_target_keeps_every_pending_action():
     vm, engine = make_engine()
     hook = MethodRef.parse("late.Plugin.hook(int)")
