@@ -128,6 +128,8 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
     """Run one mode against a fresh VM built from the workload."""
     if startup_reps < 1:
         raise BenchmarkError("startup_reps must be at least 1")
+    if latency_calls < 1:
+        raise BenchmarkError("latency_calls must be at least 1")
     registry = workload.program.instantiate()
     vm = VM(registry)
     for key in workload.hot_keys:

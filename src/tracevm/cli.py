@@ -29,6 +29,14 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
+def _rate(text: str) -> float:
+    """A probability flag: NaN or a value outside ``[0, 1]`` is a usage error."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return value
+
+
 def cmd_run(args) -> int:
     vm = VM(load_program(_read_file(args.program)))
     thread = vm.new_thread("cli")
@@ -162,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet = sub.add_parser("fleet", help="simulate a gated config rollout")
     p_fleet.add_argument("--config", help="config JSON; default derives one")
     p_fleet.add_argument("--sessions", type=int, default=2_000)
-    p_fleet.add_argument("--fraction", type=float, default=DEFAULT_ROLLOUT_FRACTION)
+    p_fleet.add_argument("--fraction", type=_rate, default=DEFAULT_ROLLOUT_FRACTION)
     p_fleet.add_argument("--calls", type=int, default=30,
                          help="workload calls per session")
-    p_fleet.add_argument("--crash-rate", type=float, default=0.0)
-    p_fleet.add_argument("--anr-rate", type=float, default=0.0)
+    p_fleet.add_argument("--crash-rate", type=_rate, default=0.0)
+    p_fleet.add_argument("--anr-rate", type=_rate, default=0.0)
     p_fleet.add_argument("--min-sessions", type=int, default=MIN_CANARY_SESSIONS)
     p_fleet.add_argument("--seed", type=int, default=1234)
     p_fleet.set_defaults(func=cmd_fleet)

@@ -220,7 +220,6 @@ class MethodRecord:
         "entry_point",
         "original_entry_point",
         "lowered_code",
-        "lowered_source",
     )
 
     bytecode = _BYTECODE_VIEW
@@ -234,7 +233,6 @@ class MethodRecord:
         self.entry_point = _BRIDGE
         self.original_entry_point: EntryPoint | None = None
         self.lowered_code = None
-        self.lowered_source: str | None = None
 
     @property
     def arity(self) -> int:

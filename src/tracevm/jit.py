@@ -31,6 +31,8 @@ exit, so every block starts from wrapped state. An operation whose width
 would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
 long. Calls go back through ``vm.call_ref``, with the arguments in a tuple
 display, so the callee's own entry point still decides how the callee runs.
+All lowered code shares one sealed scope, ``_SCOPE``; each method's own values
+are its function's defaults, so the function is all that compiling keeps.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _NEST_CAP = 16
 _WIDE = 128
 
 _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
+# Globals of every lowered function; each ``def`` runs in a throwaway locals dict.
+_SCOPE = {"__builtins__": {}, "_LO": I64_MIN, "_HI": I64_MAX, "_W": wrap_i64}
 
 
 def _mangle(key: str) -> str:
@@ -224,7 +228,6 @@ def lower_method(record: MethodRecord):
             emit_block(start, body_indent + "        ")
 
     source = "\n".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "_REFS": tuple(refs),
-                 "_LO": I64_MIN, "_HI": I64_MAX, "_W": wrap_i64}
-    exec(compile(source, f"<lowered {record.method_ref.key}>", "exec"), namespace)
-    return namespace.pop(name), source  # popped: no cycle through its own globals
+    scope = {"_REFS": tuple(refs)}
+    exec(compile(source, f"<lowered {record.method_ref.key}>", "exec"), _SCOPE, scope)
+    return scope[name], source

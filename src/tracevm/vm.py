@@ -189,9 +189,7 @@ class VM:
         record = self.registry.lookup(ref)
         if record.lowered_code is not None:
             return record
-        fn, source = lower_method(record)
-        record.lowered_code = fn
-        record.lowered_source = source
+        record.lowered_code = lower_method(record)[0]
         if record.entry_point is _BRIDGE:
             record.entry_point = _COMPILED
         elif record.original_entry_point is _BRIDGE:

@@ -99,8 +99,9 @@ def test_report_rejects_mixed_fingerprints(report):
 
 
 def test_run_ablation_validates_params(small_workload):
-    with pytest.raises(BenchmarkError):
-        run_ablation(AblationMode.FULL, small_workload, startup_reps=0)
+    for params in ({"startup_reps": 0}, {"latency_calls": 0}, {"latency_calls": -3}):
+        with pytest.raises(BenchmarkError):
+            run_ablation(AblationMode.FULL, small_workload, **params)
 
 
 def test_ratio_handles_zero_denominator(report):

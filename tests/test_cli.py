@@ -196,6 +196,15 @@ def test_ablate_prints_table_and_json(tmp_path, capsys):
     assert {m["mode"] for m in doc["modes"]} == {"baseline", "full"}
 
 
+@pytest.mark.parametrize("calls", ["0", "-5"])
+def test_ablate_without_timed_calls_fails_cleanly(calls, capsys):
+    code = main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",
+                 "--calls", calls, "--reps", "1", "--modes", "baseline"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: latency_calls must be at least 1" in err and "Traceback" not in err
+
+
 def test_fleet_reports_rollout(capsys):
     code = main(["fleet", "--sessions", "40", "--fraction", "0.3",
                  "--calls", "5", "--min-sessions", "10"])
@@ -212,6 +221,26 @@ def test_fleet_breach_rolls_back(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status_after"] == "rolled_back"
     assert doc["rolled_back_sessions"] == doc["admitted"]
+
+
+@pytest.mark.parametrize("flag", ["--fraction", "--crash-rate", "--anr-rate"])
+@pytest.mark.parametrize("value", ["nan", "-0.5", "2.5"])
+def test_fleet_rejects_a_rate_outside_the_unit_interval(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fleet", "--sessions", "4", "--calls", "1", flag, value])
+    assert info.value.code == 2
+    assert f"{value} is outside [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--fraction", "--crash-rate", "--anr-rate"])
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_fleet_takes_a_rate_at_either_end(flag, value, capsys):
+    code = main(["fleet", "--sessions", "10", "--calls", "5", "--min-sessions", "5",
+                 flag, value])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    if flag == "--fraction":
+        assert doc["admitted"] == (10 if value == "1" else 0)
 
 
 def test_demo_ghost_bug(capsys):

@@ -11,6 +11,7 @@ from tracevm import (
     VM,
     load_program,
 )
+from tracevm.jit import lower_method
 
 SRC = """
 class a.A
@@ -306,7 +307,7 @@ class p.P
 
 def test_listeners_get_the_calls_own_argument_tuple():
     vm = VM(load_program(ARGS_SRC))
-    source = vm.jit_compile("p.P.jcaller(int)").lowered_source
+    source = lower_method(vm.jit_compile("p.P.jcaller(int)"))[1]
     # the compiled call edges pass tuple displays, not lists
     for display in ("_refs[0], (args[0], 1))", "_refs[1], (s0,))", "_refs[2], ())"):
         assert display in source

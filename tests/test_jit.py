@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from tracevm import (
     parse_program,
     wrap_i64,
 )
-from tracevm.jit import _NEST_CAP, _WIDE
+from tracevm.jit import _NEST_CAP, _WIDE, lower_method
 
 I64_MAX = 2**63 - 1
 I64 = st.integers(min_value=-(2**63), max_value=I64_MAX)
@@ -62,7 +63,7 @@ def test_fib_compiled_equals_interpreted(fib_source):
 def test_straightline_lowering_has_no_dispatch_loop():
     vm = _vm("class a.A\n  method f(int)\n    loadarg 0\n    pushconst 3\n    mul\n    ret")
     rec = vm.jit_compile("a.A.f(int)")
-    assert "while True" not in rec.lowered_source
+    assert "while True" not in lower_method(rec)[1]
     assert rec.compilation_state is CompilationState.COMPILED
     assert rec.entry_point is EntryPoint.COMPILED_DIRECT
 
@@ -70,8 +71,8 @@ def test_straightline_lowering_has_no_dispatch_loop():
 def test_branchy_lowering_uses_block_dispatch(fib_source):
     vm = _vm(fib_source)
     rec = vm.jit_compile("demo.Math.fib(int)")
-    assert "while True" in rec.lowered_source
-    assert "elif _b ==" in rec.lowered_source
+    assert "while True" in lower_method(rec)[1]
+    assert "elif _b ==" in lower_method(rec)[1]
 
 
 @pytest.mark.parametrize("token", ["int²", "n½"])
@@ -192,13 +193,13 @@ class a.A
     vm = _vm(src)
     thread = vm.new_thread()
     rec = vm.jit_compile("a.A.f(int)")
-    fills = [line.strip() for line in rec.lowered_source.splitlines()
+    fills = [line.strip() for line in lower_method(rec)[1].splitlines()
              if line.lstrip().startswith("l") and line.endswith(" = 0")]
     assert fills == ["l0 = 0", "l2 = 0"]
     assert [vm.invoke(thread, "a.A.f(int)", (a,)) for a in (0, 3)] == [8, 13]
     assert vm.invoke(thread, "a.A.g()", ()) == 1
     rec = vm.jit_compile("a.A.g()")
-    assert " = 0\n" not in rec.lowered_source.replace("_b = 0\n", "")
+    assert " = 0\n" not in lower_method(rec)[1].replace("_b = 0\n", "")
     assert vm.invoke(thread, "a.A.g()", ()) == 1 and vm.compiled_calls == 3
 
 
@@ -227,9 +228,16 @@ class a.A
 
 
 def test_lowered_namespace_is_sealed(fib_source):
-    vm = _vm(fib_source)
-    rec = vm.jit_compile("demo.Math.fib(int)")
-    assert rec.lowered_code.__globals__["__builtins__"] == {}
+    vm = _vm(fib_source + "class demo.One\n  method one()\n    pushconst 1\n    ret\n")
+    recs = [vm.jit_compile(key) for key in ("demo.Math.fib(int)", "demo.One.one()")]
+    scope = recs[0].lowered_code.__globals__
+    # One scope for all lowered code, holding no function and no per-method value.
+    assert recs[1].lowered_code.__globals__ is scope
+    assert scope["__builtins__"] == {}
+    assert set(scope) == {"__builtins__", "_LO", "_HI", "_W"}
+    # The function is all a compiled record keeps: no source text.
+    for rec in recs:
+        assert not [ref for ref in gc.get_referents(rec) if isinstance(ref, str)]
 
 
 def test_compiled_interpreter_differential_on_random_programs():
@@ -343,18 +351,18 @@ def test_probe_lowers_to_one_line_per_chunk(small_workload):
     rec = vm.jit_compile(small_workload.latency_untraced)
     # Header: the def line and no zero-fill, since the probe's first
     # instructions store its one local before reading it; then the return.
-    assert rec.n_locals == 1 and "l0 = 0" not in rec.lowered_source
+    assert rec.n_locals == 1 and "l0 = 0" not in lower_method(rec)[1]
     limit = len(rec.bytecode) // 4 + 1 + 1
-    assert len(rec.lowered_source.splitlines()) <= limit
+    assert len(lower_method(rec)[1].splitlines()) <= limit
     # Arithmetic inside the block runs unchecked; only a width past _WIDE
     # and the return are range-checked.
-    assert rec.lowered_source.count("_w(t)") <= 3
+    assert lower_method(rec)[1].count("_w(t)") <= 3
 
 
 def test_wide_products_are_checked_in_place():
     body = ["loadarg 0"] + [f"pushconst {I64_MAX}", "mul"] * 40 + ["ret"]
     rec = _vm(_method_src(body)).jit_compile("a.A.f(int)")
-    assert rec.lowered_source.count("_w(t)") >= 40 // (_WIDE // 64)
+    assert lower_method(rec)[1].count("_w(t)") >= 40 // (_WIDE // 64)
 
 
 def _fold_loop(a):
