@@ -37,6 +37,16 @@ def _rate(text: str) -> float:
     return value
 
 
+def _at_least(minimum: int):
+    """An integer flag type: a value below ``minimum`` is a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is below {minimum}")
+        return value
+    return count
+
+
 def cmd_run(args) -> int:
     vm = VM(load_program(_read_file(args.program)))
     thread = vm.new_thread("cli")
@@ -169,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser("fleet", help="simulate a gated config rollout")
     p_fleet.add_argument("--config", help="config JSON; default derives one")
-    p_fleet.add_argument("--sessions", type=int, default=2_000)
+    p_fleet.add_argument("--sessions", type=_at_least(0), default=2_000)
     p_fleet.add_argument("--fraction", type=_rate, default=DEFAULT_ROLLOUT_FRACTION)
     p_fleet.add_argument("--calls", type=int, default=30,
                          help="workload calls per session")
     p_fleet.add_argument("--crash-rate", type=_rate, default=0.0)
     p_fleet.add_argument("--anr-rate", type=_rate, default=0.0)
-    p_fleet.add_argument("--min-sessions", type=int, default=MIN_CANARY_SESSIONS)
+    p_fleet.add_argument("--min-sessions", type=_at_least(1), default=MIN_CANARY_SESSIONS)
     p_fleet.add_argument("--seed", type=int, default=1234)
     p_fleet.set_defaults(func=cmd_fleet)
 

@@ -240,8 +240,11 @@ def lifecycle_advance(config: TraceConfig, metrics: HealthMetrics,
     """Advance a canary on healthy metrics, roll it back on a threshold breach.
 
     Below ``min_sessions`` the canary keeps gathering data and the status is
-    returned unchanged.
+    returned unchanged. ``min_sessions`` below 1 is a ``ConfigError``: it would
+    let a canary advance on metrics from no session.
     """
+    if min_sessions < 1:
+        raise ConfigError(f"min_sessions must be at least 1, got {min_sessions}")
     if config.status is not ConfigStatus.CANARY:
         raise ConfigError(
             f"lifecycle_advance requires canary, config is {config.status.value}")

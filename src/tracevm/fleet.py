@@ -65,6 +65,8 @@ class FleetManager:
 
     def __init__(self, *, thresholds: Thresholds | None = None,
                  min_sessions: int = MIN_CANARY_SESSIONS):
+        if min_sessions < 1:
+            raise ConfigError(f"min_sessions must be at least 1, got {min_sessions}")
         self.thresholds = thresholds if thresholds is not None else Thresholds()
         self.min_sessions = min_sessions
         self._deployments: dict[str, _Deployment] = {}

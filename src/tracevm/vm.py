@@ -42,7 +42,7 @@ from .core import (
 )
 from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
-from .jit import lower_method
+from .jit import bind, lower_method
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +109,7 @@ class VM:
         self.instrumentation = Instrumentation(registry)
         self.interpreted_calls = 0
         self.compiled_calls = 0
+        self._lowered = {}  # code tuple -> the code object lowering made for it
         _ensure_stack_headroom(max_stack_depth)
 
     def new_thread(self, name: str = "main") -> VMThread:
@@ -183,13 +184,20 @@ class VM:
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
         """Lower a method and move its entry to the compiled tier.
 
-        An installed stub stays in the slot and the entry it saved moves
-        instead. Compiling twice is a no-op.
+        The VM lowers and compiles each distinct ``code`` tuple once: a method
+        whose body equals one compiled before binds that code object as its
+        own function. An installed stub stays in the slot and the entry it
+        saved moves instead. Compiling twice is a no-op.
         """
         record = self.registry.lookup(ref)
         if record.lowered_code is not None:
             return record
-        record.lowered_code = lower_method(record)[0]
+        code = self._lowered.get(record.code)
+        if code is None:
+            record.lowered_code = lower_method(record)[0]
+            self._lowered[record.code] = record.lowered_code.__code__
+        else:
+            record.lowered_code = bind(code, record)
         if record.entry_point is _BRIDGE:
             record.entry_point = _COMPILED
         elif record.original_entry_point is _BRIDGE:

@@ -232,6 +232,23 @@ def test_fleet_rejects_a_rate_outside_the_unit_interval(flag, value, capsys):
     assert f"{value} is outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,minimum", [("--min-sessions", "0", 1),
+                                                ("--min-sessions", "-5", 1),
+                                                ("--sessions", "-3", 0)])
+def test_fleet_rejects_a_count_below_its_minimum(flag, value, minimum, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fleet", "--sessions", "20", "--calls", "3", flag, value])
+    assert info.value.code == 2
+    assert f"{value} is below {minimum}" in capsys.readouterr().err
+
+
+def test_fleet_with_no_sessions_stays_canary(capsys):
+    code = main(["fleet", "--sessions", "0", "--calls", "3", "--min-sessions", "1"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["sessions"], doc["admitted"], doc["status_after"]) == (0, 0, "canary")
+
+
 @pytest.mark.parametrize("flag", ["--fraction", "--crash-rate", "--anr-rate"])
 @pytest.mark.parametrize("value", ["0", "1"])
 def test_fleet_takes_a_rate_at_either_end(flag, value, capsys):

@@ -230,6 +230,16 @@ def test_advance_waits_for_min_sessions():
     assert lifecycle_advance(config, metrics) is ConfigStatus.CANARY
 
 
+@pytest.mark.parametrize("min_sessions", [0, -5])
+def test_advance_rejects_a_min_sessions_below_one(min_sessions):
+    config = make_config()
+    begin_canary(config)
+    # with no session admitted, a gate of 0 would promote on no evidence
+    with pytest.raises(ConfigError, match="min_sessions must be at least 1"):
+        lifecycle_advance(config, HealthMetrics(sessions=0), min_sessions=min_sessions)
+    assert config.status is ConfigStatus.CANARY
+
+
 def test_advance_promotes_healthy_canary():
     config = make_config()
     begin_canary(config)

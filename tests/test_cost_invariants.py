@@ -17,6 +17,7 @@ from collections import Counter
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
                      gen_workload, load_program, parse_program)
+from tracevm.jit import lower_method
 
 
 def opcode_split(fn, *args) -> Counter:
@@ -93,6 +94,27 @@ def call_counts(vm, thread, refs) -> dict:
         assert opcodes(vm.invoke, thread, ref, (5,)) == first
         counts[ref.key] = first
     return counts
+
+
+TWIN_SHORT, TWIN_LONG = (MethodRef.parse(f"cost.Twin.{name}(int)") for name in ("short", "long"))
+
+
+def test_compiling_an_equal_body_again_costs_the_same_for_any_length():
+    twins = f"""
+class cost.Twin
+  method short(int)
+{_body(2)}
+  method long(int)
+{_body(120)}
+"""
+    vm, _thread = compiled_vm()
+    vm.registry.load(parse_program(twins))
+    splits = {ref.key: opcode_split(vm.jit_compile, ref) for ref in (TWIN_SHORT, TWIN_LONG)}
+    for split in splits.values():
+        assert split["VM.jit_compile"] > 0  # the split sees the compile
+        assert split["lower_method.<locals>.emit_block"] == 0
+    # a hit binds the stored code object: nothing in it walks the body
+    assert sum(splits[TWIN_SHORT.key].values()) == sum(splits[TWIN_LONG.key].values())
 
 
 def time_session(vm):
@@ -277,3 +299,26 @@ def test_generating_a_workload_peaks_near_what_it_keeps():
     # generator's own lines held through the parse peak at about 3x
     peak, kept = heap_growth(gen_workload, 100)
     assert 0 < peak <= 2 * kept
+
+
+def test_compiling_keeps_little_more_than_the_functions():
+    work = gen_workload(n_classes=100)
+
+    def touched_vm():
+        vm = VM(work.program.instantiate())
+        for key in work.hot_keys:
+            vm.registry.lookup(key)
+        return vm
+
+    # compile() interns each name once per process; a live first compile
+    # keeps those strings out of both counts below
+    warm = touched_vm()
+    for key in work.hot_keys:
+        warm.jit_compile(key)
+    bare_vm, vm = touched_vm(), touched_vm()
+    records = [bare_vm.registry.lookup(key) for key in work.hot_keys]
+    _, bare = heap_growth(lambda: [lower_method(record)[0] for record in records])
+    _, kept = heap_growth(lambda: [vm.jit_compile(key) for key in work.hot_keys])
+    # the VM's table of compiled bodies holds code objects the functions
+    # hold too: no source text and no per-method namespace
+    assert 0 < kept <= 1.1 * bare

@@ -155,3 +155,10 @@ def test_manager_registration_errors(small_workload):
         manager.register(config)
     with pytest.raises(ConfigError):
         manager.build_sessions("nope", 5, small_workload.program)
+
+
+@pytest.mark.parametrize("min_sessions", [0, -5])
+def test_manager_rejects_a_min_sessions_below_one(min_sessions):
+    with pytest.raises(ConfigError, match="min_sessions must be at least 1"):
+        FleetManager(min_sessions=min_sessions)
+

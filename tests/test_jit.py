@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 from tracevm import (
     CompilationState,
     EntryPoint,
+    MethodRef,
+    Program,
     VM,
+    gen_random_program,
     gen_workload,
     load_program,
     parse_program,
+    sample_args,
     wrap_i64,
 )
+from tracevm import jit
+from tracevm import vm as vm_module
 from tracevm.jit import _NEST_CAP, _WIDE, lower_method
 
 I64_MAX = 2**63 - 1
@@ -256,6 +262,104 @@ def test_compiled_interpreter_differential_on_random_programs():
                 args = sample_args(rng, ref.arity)
                 assert (vm_i.invoke(ti, ref, args) == vm_c.invoke(tc, ref, args)), (
                     seed, ref.key, args)
+
+
+def _with_twins(program, cls="gen.Q"):
+    """``program`` plus a twin of each method in ``cls``: an equal code tuple, not the same one."""
+    twins = {}
+    for spec in program.methods:
+        ref = MethodRef(cls, spec.ref.method_name, spec.ref.params)
+        twins[ref.key] = spec._replace(ref=ref, code=tuple(list(spec.code)))
+    return Program({**program.specs, **twins}, program.intern_map)
+
+
+def test_twins_compile_once_and_match_the_interpreter():
+    rng = random.Random(7)
+    twins_with_calls = 0
+    for seed in range(40):
+        program, refs = gen_random_program(seed)
+        twinned = _with_twins(program)
+        vm_i, vm_c = VM(program.instantiate()), VM(twinned.instantiate())
+        for key in twinned.specs:
+            vm_c.jit_compile(key)
+        assert len(vm_c._lowered) == len({spec.code for spec in program.methods})
+        ti, tc = vm_i.new_thread(), vm_c.new_thread()
+        for ref in refs:
+            twin = MethodRef("gen.Q", ref.method_name, ref.params)
+            twins_with_calls += bool(vm_c.registry.lookup(twin).lowered_code.__defaults__[0])
+            for _ in range(3):
+                args = sample_args(rng, ref.arity)
+                want = vm_i.invoke(ti, ref, args)
+                assert vm_c.invoke(tc, ref, args) == want, (seed, ref.key, args)
+                assert vm_c.invoke(tc, twin, args) == want, (seed, twin.key, args)
+        assert vm_c.interpreted_calls == 0
+    assert twins_with_calls > 10
+
+
+TWIN_SRC = """
+class t.A
+  method leaf(int)
+    loadarg 0
+    pushconst 3
+    mul
+    ret
+  method f(int)
+    loadarg 0
+    call t.A.leaf(int)
+    loadarg 0
+    jz +2
+    call t.A.leaf(int)
+    ret
+class t.B
+  method g(int)
+    loadarg 0
+    call t.A.leaf(int)
+    loadarg 0
+    jz +2
+    call t.A.leaf(int)
+    ret
+"""
+
+
+def _count_lowerings(monkeypatch) -> list:
+    lowered = []
+
+    def counting(record):
+        lowered.append(record.method_ref.key)
+        return lower_method(record)
+
+    monkeypatch.setattr(vm_module, "lower_method", counting)
+    return lowered
+
+
+def test_twins_keep_their_own_identity_in_one_scope(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    vm = _vm(TWIN_SRC)
+    f, g = (vm.jit_compile(key).lowered_code for key in ("t.A.f(int)", "t.B.g(int)"))
+    assert lowered == ["t.A.f(int)"]
+    assert (f.__name__, g.__name__) == ("_lowered_t_A_f_int_", "_lowered_t_B_g_int_")
+    assert f.__qualname__ == f.__name__ and g.__qualname__ == g.__name__
+    assert (f.__code__.co_filename, g.__code__.co_filename) == ("<lowered t.A.f(int)>",
+                                                                "<lowered t.B.g(int)>")
+    assert f.__code__.co_code == g.__code__.co_code
+    assert f.__globals__ is g.__globals__ is jit._SCOPE
+    # each function's refs come from its own record's calls
+    g_record = vm.registry.lookup("t.B.g(int)")
+    assert g.__defaults__[0] == (MethodRef.parse("t.A.leaf(int)"),)
+    assert g.__defaults__[0][0] is g_record.code[1][1]
+    assert g.__defaults__[1:] == f.__defaults__[1:]
+    thread = vm.new_thread()
+    assert [vm.invoke(thread, "t.B.g(int)", (a,)) for a in (0, 4)] == [0, 36]
+
+
+def test_vms_share_no_compiled_bodies(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    program = parse_program(TWIN_SRC)
+    first, second = VM(program.instantiate()), VM(program.instantiate())
+    first.jit_compile("t.A.f(int)")
+    second.jit_compile("t.B.g(int)")
+    second.jit_compile("t.A.f(int)")
+    assert lowered == ["t.A.f(int)", "t.B.g(int)"]
 
 
 def _method_src(body, params="int"):

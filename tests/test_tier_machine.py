@@ -11,6 +11,7 @@ its tier's entry with no saved original, so no method is left on a slower
 tier than it would be on untraced.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
@@ -18,6 +19,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition
 
 from tracevm import (VM, CompilationState, EntryPoint, MethodRef, TargetSet, TraceAction,
                      TraceEngine, TracePhase, parse_program)
+from tracevm import vm as vm_module
 
 MAIN = parse_program("""
 class app.Main
@@ -60,6 +62,11 @@ class late.Plugin
     call app.Main.top(int)
     pushconst 7
     add
+    ret
+  method twin(int)
+    loadarg 0
+    pushconst 3
+    mul
     ret
 """)
 KEYS = MAIN.method_keys() + LATE.method_keys()
@@ -145,3 +152,36 @@ def test_tier_machine_matches_the_reference(refeval):
         oracle = refeval
 
     run_state_machine_as_test(Machine, settings=settings(stateful_step_count=50))
+
+
+def test_a_late_twin_compiles_from_the_cache_while_traced(monkeypatch):
+    # session_churn's step 4: a late target, stubbed on arrival, compiled
+    # while traced; its body equals app.Main.leaf's, compiled before
+    vm = VM(MAIN.instantiate())
+    leaf = vm.jit_compile("app.Main.leaf(int)")
+    engine = TraceEngine(vm)
+    twin_ref = MethodRef.parse("late.Plugin.twin(int)")
+    engine.apply(TargetSet([]), pending=[(twin_ref, (TraceAction.TIME_METHOD,))])
+    vm.registry.load(LATE)
+    twin = vm.registry.lookup(twin_ref)
+    assert twin.code == leaf.code and twin.code is not leaf.code
+    assert twin.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+
+    def no_lowering(record):
+        pytest.fail(f"lowered {record.method_ref.key} again")
+
+    monkeypatch.setattr(vm_module, "lower_method", no_lowering)
+    assert vm.jit_compile(twin_ref) is twin
+    assert twin.compilation_state is CompilationState.COMPILED
+    assert twin.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    assert twin.original_entry_point is EntryPoint.COMPILED_DIRECT
+    assert twin.lowered_code.__name__ == "_lowered_late_Plugin_twin_int_"
+    thread = vm.new_thread()
+    assert vm.invoke(thread, twin_ref, (5,)) == 15
+    assert [e.method_ref.key for e in engine.drain().events] == [twin_ref.key]
+    engine.rollback()
+    assert twin.entry_point is EntryPoint.COMPILED_DIRECT
+    assert twin.original_entry_point is None
+    before = vm.compiled_calls
+    assert vm.invoke(thread, twin_ref, (-4,)) == -12
+    assert vm.compiled_calls == before + 1
