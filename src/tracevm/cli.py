@@ -15,6 +15,7 @@ import sys
 from .bench import AblationMode, bring_up, run_modes
 from .config import (DEFAULT_ROLLOUT_FRACTION, MIN_CANARY_SESSIONS, ConfigStatus,
                      begin_canary, parse_config, resolve_targets)
+from .core import I64_MAX, I64_MIN
 from .engine import TraceEngine
 from .errors import TraceVMError
 from .fleet import FleetManager
@@ -45,6 +46,14 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"{text} is below {minimum}")
         return value
     return count
+
+
+def _i64(text: str) -> int:
+    """A VM integer flag: a value outside the signed 64-bit range is a usage error."""
+    value = int(text)
+    if not I64_MIN <= value <= I64_MAX:
+        raise argparse.ArgumentTypeError(f"{text} is outside 64-bit range")
+    return value
 
 
 def cmd_run(args) -> int:
@@ -148,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a program")
     p_run.add_argument("program", help="program text file")
     p_run.add_argument("--entry", required=True, help="method key, e.g. a.b.C.m(int)")
-    p_run.add_argument("--args", nargs="*", type=int, default=[])
+    p_run.add_argument("--args", nargs="*", type=_i64, default=[])
     p_run.set_defaults(func=cmd_run)
 
     p_trace = sub.add_parser("trace", help="run a program under a trace config")
     p_trace.add_argument("program")
     p_trace.add_argument("--config", required=True, help="trace config JSON file")
     p_trace.add_argument("--entry", required=True)
-    p_trace.add_argument("--args", nargs="*", type=int, default=[])
+    p_trace.add_argument("--args", nargs="*", type=_i64, default=[])
     p_trace.add_argument("--mode", choices=[m.value for m in AblationMode], default="full")
     p_trace.add_argument("--out", default="-", help="NDJSON output path, - for stdout")
     p_trace.set_defaults(func=cmd_trace)
@@ -167,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--seed", type=int, default=1234)
     p_ablate.add_argument("--calls", type=int, default=20_000,
                           help="timed calls per latency probe")
-    p_ablate.add_argument("--warmup", type=int, default=2_000)
-    p_ablate.add_argument("--traffic", type=int, default=2_000)
+    p_ablate.add_argument("--warmup", type=_at_least(0), default=2_000)
+    p_ablate.add_argument("--traffic", type=_at_least(0), default=2_000)
     p_ablate.add_argument("--reps", type=int, default=5,
                           help="activation repetitions for the startup median")
     p_ablate.add_argument("--modes", nargs="*",
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--config", help="config JSON; default derives one")
     p_fleet.add_argument("--sessions", type=_at_least(0), default=2_000)
     p_fleet.add_argument("--fraction", type=_rate, default=DEFAULT_ROLLOUT_FRACTION)
-    p_fleet.add_argument("--calls", type=int, default=30,
+    p_fleet.add_argument("--calls", type=_at_least(0), default=30,
                          help="workload calls per session")
     p_fleet.add_argument("--crash-rate", type=_rate, default=0.0)
     p_fleet.add_argument("--anr-rate", type=_rate, default=0.0)

@@ -31,13 +31,13 @@ exit, so every block starts from wrapped state. An operation whose width
 would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
 long. Calls go back through ``vm.call_ref``, with the arguments in a tuple
 display, so the callee's own entry point still decides how the callee runs.
-The ``def`` line names each method's own values as parameter defaults; the
+The ``def`` line takes each method's own values as trailing parameters; the
 text is compiled, never run, and ``bind`` builds the function from its code
 object in one sealed scope shared by all lowered code, ``_SCOPE``, with those
-defaults. Apart from the name, the text depends on ``code`` alone (the loader
-derives ``n_locals`` and ``stack_depths`` from it), so a VM compiles each
-distinct body once, and ``bind`` gives each method with an equal body that code
-object under its own name, file name and refs.
+values as defaults. Apart from the name, the text depends on ``code`` alone
+(the loader derives ``n_locals`` and ``stack_depths`` from it), so a VM
+compiles each distinct body once, and ``bind`` gives each method with an equal
+body that code object under its own name, file name and refs.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ _NEST_CAP = 16
 _WIDE = 128
 
 _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
-# Globals of every lowered function, holding the values its ``def`` line names.
-_SCOPE = {"__builtins__": {}, "_LO": I64_MIN, "_HI": I64_MAX, "_W": wrap_i64}
-# The code-object fields that carry a function's name (``co_qualname`` is new in 3.11).
-_NAME_FIELDS = ("co_name", "co_qualname") if hasattr(CodeType, "co_qualname") else ("co_name",)
+# Globals of every lowered function: no builtins and no names, since ``bind``
+# supplies every value the code reads as a parameter default.
+_SCOPE = {"__builtins__": {}}
 
 
 def _mangle(key: str) -> str:
@@ -85,12 +84,12 @@ def bind(code: CodeType, record: MethodRecord) -> FunctionType:
     """The record's function over ``code``, lowered from the record's body or an equal one.
 
     Every lowered function is built here: it takes the record's own name and
-    file name, and as defaults the values its ``def`` line names, with the
+    file name, and as defaults the values of its trailing parameters, with the
     record's own refs.
     """
     key = record.method_ref.key
     name = f"_lowered_{_mangle(key)}"
-    code = code.replace(co_filename=f"<lowered {key}>", **dict.fromkeys(_NAME_FIELDS, name))
+    code = code.replace(co_filename=f"<lowered {key}>", co_name=name, co_qualname=name)
     return FunctionType(code, _SCOPE, name,
                         (_call_refs(record.code), I64_MIN, I64_MAX, wrap_i64))
 
@@ -116,7 +115,7 @@ def lower_method(record: MethodRecord):
     block_id = {pc: idx for idx, pc in enumerate(block_starts)}
 
     name = f"_lowered_{_mangle(record.method_ref.key)}"
-    lines = [f"def {name}(vm, thread, args, _refs=_REFS, _lo=_LO, _hi=_HI, _w=_W):"]
+    lines = [f"def {name}(vm, thread, args, _refs, _lo, _hi, _w):"]
     body_indent = "    "
     if refs:
         lines.append(f"{body_indent}_call = vm.call_ref")

@@ -49,28 +49,15 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_STACK_DEPTH = 10_000
 
 _headroom_lock = threading.Lock()
-_rlimit_raised = False
 
 
 def _ensure_stack_headroom(max_depth: int) -> None:
-    """Best-effort bump of the recursion limit and OS stack for deep call chains.
+    """Raise the recursion limit to fit ``max_depth`` nested VM calls.
 
-    Each VM-level call costs a handful of Python frames, and Python frames
-    consume C stack on 3.10. Raising the soft stack rlimit to the hard limit
-    makes depths around the default limit safe on the main thread.
+    Each VM-level call costs a handful of Python frames. On CPython 3.11 a
+    Python-to-Python call uses no C stack, so the OS stack limit is left as it is.
     """
-    global _rlimit_raised
     with _headroom_lock:
-        if not _rlimit_raised:
-            _rlimit_raised = True
-            try:
-                import resource
-
-                soft, hard = resource.getrlimit(resource.RLIMIT_STACK)
-                if hard == resource.RLIM_INFINITY or (hard > 0 and soft != hard):
-                    resource.setrlimit(resource.RLIMIT_STACK, (hard, hard))
-            except Exception:
-                pass
         need = max_depth * 6 + 2000
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
@@ -94,10 +81,9 @@ class VMThread:
 class VM:
     """A class registry plus execution tiers and an instrumentation side table.
 
-    Construction changes process-wide limits through ``_ensure_stack_headroom``:
-    the first ``VM`` of a process raises the soft ``RLIMIT_STACK`` to the hard
-    limit, once, and every ``VM`` raises the recursion limit to fit its
-    ``max_stack_depth``. Neither limit is lowered again.
+    Construction changes one process-wide limit through
+    ``_ensure_stack_headroom``: every ``VM`` raises the recursion limit to fit
+    its ``max_stack_depth``, and never lowers it again.
     """
 
     def __init__(self, registry: ClassRegistry, *, max_stack_depth: int = DEFAULT_MAX_STACK_DEPTH):

@@ -12,6 +12,7 @@ import tracevm
 from tracevm import EntryPoint, cli, demo
 from tracevm.bench import AblationMode, bring_up
 from tracevm.cli import main
+from tracevm.core import I64_MAX, I64_MIN
 
 # The checkout under test: the src/ directory holding the imported package,
 # and the pyproject.toml beside it.
@@ -91,6 +92,24 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["trace"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("value", [str(I64_MAX + 1), str(I64_MIN - 1), "99999999999999999999"])
+def test_args_outside_64_bit_range_are_a_usage_error(command, value, program_file,
+                                                     config_file, capsys):
+    argv = [command, program_file] + (["--config", config_file] if command == "trace" else [])
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--entry", "cli.Demo.run(int)", "--args", value])
+    assert info.value.code == 2
+    assert f"{value} is outside 64-bit range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,doubled", [(I64_MIN, 0), (I64_MAX, -2)])
+def test_args_at_either_end_of_64_bit_range_run(value, doubled, program_file, capsys):
+    code = main(["run", program_file, "--entry", "cli.Demo.run(int)", "--args", str(value)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == str(doubled)
 
 
 @pytest.mark.parametrize("mode", ["full", "global", "interpreter"])
@@ -234,12 +253,22 @@ def test_fleet_rejects_a_rate_outside_the_unit_interval(flag, value, capsys):
 
 @pytest.mark.parametrize("flag,value,minimum", [("--min-sessions", "0", 1),
                                                 ("--min-sessions", "-5", 1),
-                                                ("--sessions", "-3", 0)])
+                                                ("--sessions", "-3", 0),
+                                                ("--calls", "-3", 0)])
 def test_fleet_rejects_a_count_below_its_minimum(flag, value, minimum, capsys):
     with pytest.raises(SystemExit) as info:
         main(["fleet", "--sessions", "20", "--calls", "3", flag, value])
     assert info.value.code == 2
     assert f"{value} is below {minimum}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--warmup", "-5"), ("--traffic", "-7")])
+def test_ablate_rejects_a_negative_call_count(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",
+              "--reps", "1", "--modes", "baseline", flag, value])
+    assert info.value.code == 2
+    assert f"{value} is below 0" in capsys.readouterr().err
 
 
 def test_fleet_with_no_sessions_stays_canary(capsys):

@@ -240,7 +240,7 @@ def test_lowered_namespace_is_sealed(fib_source):
     # One scope for all lowered code, holding no function and no per-method value.
     assert recs[1].lowered_code.__globals__ is scope
     assert scope["__builtins__"] == {}
-    assert set(scope) == {"__builtins__", "_LO", "_HI", "_W"}
+    assert set(scope) == {"__builtins__"}
     # The function is all a compiled record keeps: no source text.
     for rec in recs:
         assert not [ref for ref in gc.get_referents(rec) if isinstance(ref, str)]

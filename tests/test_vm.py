@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+import tracevm
 from tracevm import (
     ArityMismatchError,
     EntryPoint,
@@ -10,6 +17,9 @@ from tracevm import (
     Opcode,
     ProgramParseError,
     StackDepthError,
+    TargetSet,
+    TraceAction,
+    TraceEngine,
     VM,
     VMInternalError,
     load_program,
@@ -135,6 +145,64 @@ def test_deep_chain_also_works_compiled():
     vm = VM(load_program(COUNTDOWN))
     vm.jit_compile("r.R.down(int)")
     assert vm.invoke(vm.new_thread(), "r.R.down(int)", (9_999,)) == 0
+
+
+def _on_a_thread(fn):
+    """``fn()`` run on a fresh ``threading.Thread``: its result, or its exception re-raised."""
+    box = {}
+
+    def body():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    worker = threading.Thread(target=body)
+    worker.start()
+    worker.join()
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["interpreted", "compiled"])
+def test_deep_chain_on_a_thread_under_a_targeted_session(compiled):
+    vm = VM(load_program(COUNTDOWN))
+    if compiled:
+        vm.jit_compile("r.R.down(int)")
+    engine = TraceEngine(vm)
+    engine.apply(TargetSet([(MethodRef.parse("r.R.down(int)"), (TraceAction.TIME_METHOD,))]))
+    thread = vm.new_thread("deep")
+    assert _on_a_thread(lambda: vm.invoke(thread, "r.R.down(int)", (9_999,))) == 0
+    assert len(engine.drain().events) == 10_000
+    with pytest.raises(StackDepthError):
+        _on_a_thread(lambda: vm.invoke(thread, "r.R.down(int)", (10_000,)))
+    assert thread.frames == []
+    engine.rollback()
+
+
+_RLIMIT_PROBE = """
+import resource
+from tracevm import VM, load_program
+
+# Start with the soft limit below the hard one, as a login shell does, even if
+# the process that spawned this one raised its own.
+hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+if hard == resource.RLIM_INFINITY or hard > 8 << 20:
+    resource.setrlimit(resource.RLIMIT_STACK, (8 << 20, hard))
+before = resource.getrlimit(resource.RLIMIT_STACK)
+VM(load_program("class a.A\\n  method f()\\n    pushconst 1\\n    ret"))
+after = resource.getrlimit(resource.RLIMIT_STACK)
+print(before == after, before, after)
+"""
+
+
+def test_building_a_vm_leaves_the_stack_rlimit_alone():
+    src = str(Path(tracevm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _RLIMIT_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.startswith("True "), out.stdout
 
 
 def test_thread_frames_outermost_first():
