@@ -87,9 +87,6 @@ class TargetSet:
     def entries(self) -> list[tuple[MethodRef, tuple]]:
         return [entry[:2] for entry in self.table.values()]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.table
-
     def __len__(self) -> int:
         return len(self.table)
 

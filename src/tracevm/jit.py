@@ -29,21 +29,21 @@ wrapped by ``(t if _lo <= (t := x) <= _hi else _w(t))``, where ``_w`` is
 passed to a call, tested by ``jz``, or left in a slot or local at a block
 exit, so every block starts from wrapped state. An operation whose width
 would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
-long. Calls go back through ``vm.call_ref``, with the arguments in a tuple
-display, so the callee's own entry point still decides how the callee runs.
-The ``def`` line takes each method's own values as trailing parameters; the
-text is compiled, never run, and ``bind`` builds the function from its code
-object in one sealed scope shared by all lowered code, ``_SCOPE``, with those
-values as defaults. Apart from the name, the text depends on ``code`` alone
-(the loader derives ``n_locals`` and ``stack_depths`` from it), so a VM
-compiles each distinct body once, and ``bind`` gives each method with an equal
-body that code object under its own name, file name and refs.
+long. Calls go back through ``vm.call_ref``, naming the callee by its key,
+written with ``repr`` so any signature token is escaped, and passing the
+arguments in a tuple display, so the callee's own entry point still decides
+how the callee runs. The text is one fixed ``def _lowered`` that names no
+method: it depends on ``code`` alone (the loader derives ``n_locals`` and
+``stack_depths`` from it), so a VM compiles each distinct body once. The text
+is compiled, never run; ``bind`` builds every function from its code object,
+under the method's own name and file name, in one sealed scope shared by all
+lowered code, ``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing
+parameters.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress
 from types import CodeType, FunctionType
 
 from .core import _OPCODES, I64_MAX, I64_MIN, MethodRecord, wrap_i64
@@ -62,6 +62,8 @@ _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
 # Globals of every lowered function: no builtins and no names, since ``bind``
 # supplies every value the code reads as a parameter default.
 _SCOPE = {"__builtins__": {}}
+# The defaults of ``_lo``, ``_hi`` and ``_w``, one tuple for every lowered function.
+_DEFAULTS = (I64_MIN, I64_MAX, wrap_i64)
 
 
 def _mangle(key: str) -> str:
@@ -74,24 +76,16 @@ def _checked(text: str) -> str:
     return f"(t if _lo <= (t := {text}) <= _hi else _w(t))"
 
 
-def _call_refs(code: tuple) -> tuple:
-    """The distinct ``call`` targets of ``code`` in first-use order, gathered in C."""
-    ops, args = zip(*code)
-    return tuple(dict.fromkeys(compress(args, map(_CALL.__eq__, ops))))
-
-
 def bind(code: CodeType, record: MethodRecord) -> FunctionType:
     """The record's function over ``code``, lowered from the record's body or an equal one.
 
-    Every lowered function is built here: it takes the record's own name and
-    file name, and as defaults the values of its trailing parameters, with the
-    record's own refs.
+    Every lowered function is built here, and only here takes a name: the
+    record's own name and file name, with ``_DEFAULTS`` as its defaults.
     """
     key = record.method_ref.key
     name = f"_lowered_{_mangle(key)}"
     code = code.replace(co_filename=f"<lowered {key}>", co_name=name, co_qualname=name)
-    return FunctionType(code, _SCOPE, name,
-                        (_call_refs(record.code), I64_MIN, I64_MAX, wrap_i64))
+    return FunctionType(code, _SCOPE, name, _DEFAULTS)
 
 
 def lower_method(record: MethodRecord):
@@ -99,9 +93,6 @@ def lower_method(record: MethodRecord):
     code = record.code
     depths = record.stack_depths
     n = len(code)
-
-    refs = _call_refs(code)
-    ref_index = {ref.key: i for i, ref in enumerate(refs)}
 
     leaders = {0}
     has_jumps = False
@@ -114,10 +105,9 @@ def lower_method(record: MethodRecord):
     block_starts = sorted(pc for pc in leaders if depths[pc] is not None)
     block_id = {pc: idx for idx, pc in enumerate(block_starts)}
 
-    name = f"_lowered_{_mangle(record.method_ref.key)}"
-    lines = [f"def {name}(vm, thread, args, _refs, _lo, _hi, _w):"]
+    lines = ["def _lowered(vm, thread, args, _lo, _hi, _w):"]
     body_indent = "    "
-    if refs:
+    if any(op == _CALL for op, _ in code):
         lines.append(f"{body_indent}_call = vm.call_ref")
     # Zero-fill a local unless the entry's straight-line run, which every
     # call executes before its first jump, stores it before reading it.
@@ -222,9 +212,7 @@ def lower_method(record: MethodRecord):
                 if arg.arity == 1:
                     call_args += ","
                 del stack[base:]
-                lines.append(
-                    f"{indent}s{base} = _call(thread, _refs[{ref_index[arg.key]}], "
-                    f"({call_args}))")
+                lines.append(f"{indent}s{base} = _call(thread, {arg.key!r}, ({call_args}))")
                 stack.append((f"s{base}", 0, 64))
             elif op == _RET:
                 # The entries under the top are pure, so dropping them is safe.
@@ -253,6 +241,6 @@ def lower_method(record: MethodRecord):
 
     source = "\n".join(lines) + "\n"
     # The text is one ``def``: its code object is the module's one code constant.
-    module = compile(source, f"<lowered {record.method_ref.key}>", "exec")
+    module = compile(source, "<lowered>", "exec")
     code_obj, = (c for c in module.co_consts if isinstance(c, CodeType))
     return bind(code_obj, record), source

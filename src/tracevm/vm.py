@@ -18,8 +18,9 @@ ints. The if-chain follows the instruction mix of fleet traffic: loadlocal
 latency probe, which is 25% pushconst and 10% mul. ``add``, ``sub`` and
 ``mul`` call ``core.wrap_i64`` only when a result leaves the signed 64-bit
 range; the lowered code defers that check to where a value is observed. The
-call edge ``call_ref`` resolves a callee with one dict get on the registry's
-record map, and asks the registry only on a method's first touch.
+call edge ``call_ref`` takes the callee's key, which both tiers read off the
+``call`` instruction, and resolves it with one dict get on the registry's
+record map, asking the registry only on a method's first touch.
 """
 
 from __future__ import annotations
@@ -104,13 +105,13 @@ class VM:
     def invoke(self, thread: VMThread, target: "MethodRef | str", args=()):
         """Public entry: resolve, arity-check and dispatch a call.
 
-        Names resolve as in ``ClassRegistry.lookup``. A key string takes one
-        ``get`` first, so ``lookup`` runs only on a miss. ``args`` becomes the
-        call's one argument tuple, the same object when it is a tuple
-        already, which every tier and listener receives.
+        Names resolve as in ``ClassRegistry.lookup``. A key string is
+        resolved as in ``call_ref``; a ``MethodRef`` goes to ``lookup``.
+        ``args`` becomes the call's one argument tuple, the same object when
+        it is a tuple already, which every tier and listener receives.
         """
         if isinstance(target, str):
-            record = self.registry.get(target) or self.registry.lookup(target)
+            record = self._records.get(target) or self.registry.lookup(target)
         else:
             record = self.registry.lookup(target)
         if len(args) != record.arity:
@@ -118,14 +119,14 @@ class VM:
                 f"{record.method_ref.key} takes {record.arity} args, got {len(args)}")
         return self._dispatch(thread, record, tuple(args))
 
-    def call_ref(self, thread: VMThread, ref: MethodRef, args: tuple):
+    def call_ref(self, thread: VMThread, key: str, args: tuple):
         """Internal call edge used by bytecode and lowered code.
 
-        Both tiers pass ``args`` as an exact tuple. One dict get on the
-        registry's record map; a miss, a first touch or a missing method, goes
-        to ``lookup``, which builds the record or raises.
+        Both tiers pass the callee's key and ``args`` as an exact tuple. One
+        dict get on the registry's record map; a miss, a first touch or a
+        missing method, goes to ``lookup``, which builds the record or raises.
         """
-        record = self._records.get(ref.key) or self.registry.lookup(ref)
+        record = self._records.get(key) or self.registry.lookup(key)
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: tuple):
@@ -172,8 +173,8 @@ class VM:
 
         The VM lowers and compiles each distinct ``code`` tuple once: a method
         whose body equals one compiled before binds that code object as its
-        own function. An installed stub stays in the slot and the entry it
-        saved moves instead. Compiling twice is a no-op.
+        own function, under its own name. An installed stub stays in the slot
+        and the entry it saved moves instead. Compiling twice is a no-op.
         """
         record = self.registry.lookup(ref)
         if record.lowered_code is not None:
@@ -247,7 +248,7 @@ class VM:
                         del stack[-n:]
                     else:
                         cargs = ()
-                    push(call(thread, arg, cargs))
+                    push(call(thread, arg.key, cargs))
                     pc += 1
                 elif op == O_RET:
                     return pop()

@@ -15,6 +15,8 @@ import tracemalloc
 import weakref
 from collections import Counter
 
+import pytest
+
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
                      gen_workload, load_program, parse_program)
 from tracevm.jit import lower_method
@@ -115,6 +117,37 @@ class cost.Twin
         assert split["lower_method.<locals>.emit_block"] == 0
     # a hit binds the stored code object: nothing in it walks the body
     assert sum(splits[TWIN_SHORT.key].values()) == sum(splits[TWIN_LONG.key].values())
+
+
+def call_split(fn, *args) -> Counter:
+    """The calls ``fn(*args)`` makes of each Python function, keyed by its qualified name."""
+    counts = Counter()
+
+    def on_call(frame, event, arg):
+        counts[frame.f_code.co_qualname] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_a_table_hit_hashes_each_call_once(k):
+    body = "\n".join(["    loadarg 0", *["    call cost.K.leaf(int)"] * k, "    ret"])
+    vm = VM(load_program(f"class cost.K\n  method leaf(int)\n    loadarg 0\n    ret\n"
+                         f"  method f(int)\n{body}\n"))
+    vm.jit_compile("cost.K.f(int)")
+    vm.registry.load(parse_program(f"class cost.Twin\n  method f(int)\n{body}\n"))
+    twin = vm.registry.lookup("cost.Twin.f(int)")
+    calls = call_split(vm.jit_compile, twin.method_ref)
+    # the one hash of each ``call`` is the table lookup's own: nothing else reads the refs
+    assert calls["MethodRef.__hash__"] == k
+    assert calls["lower_method.<locals>.emit_block"] == 0
+    assert vm.invoke(vm.new_thread(), twin.method_ref, (9,)) == 9
 
 
 def time_session(vm):

@@ -1,4 +1,5 @@
 import ctypes
+import dis
 import gc
 import random
 
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 from tracevm import (
     CompilationState,
     EntryPoint,
+    EventSink,
+    MethodNotFoundError,
     MethodRef,
+    Opcode,
     Program,
+    TargetSet,
+    TraceAction,
+    TraceEngine,
     VM,
     gen_random_program,
     gen_workload,
@@ -286,7 +293,7 @@ def test_twins_compile_once_and_match_the_interpreter():
         ti, tc = vm_i.new_thread(), vm_c.new_thread()
         for ref in refs:
             twin = MethodRef("gen.Q", ref.method_name, ref.params)
-            twins_with_calls += bool(vm_c.registry.lookup(twin).lowered_code.__defaults__[0])
+            twins_with_calls += any(op == Opcode.CALL for op, _ in vm_c.registry.lookup(twin).code)
             for _ in range(3):
                 args = sample_args(rng, ref.arity)
                 want = vm_i.invoke(ti, ref, args)
@@ -343,11 +350,10 @@ def test_twins_keep_their_own_identity_in_one_scope(monkeypatch):
                                                                 "<lowered t.B.g(int)>")
     assert f.__code__.co_code == g.__code__.co_code
     assert f.__globals__ is g.__globals__ is jit._SCOPE
-    # each function's refs come from its own record's calls
-    g_record = vm.registry.lookup("t.B.g(int)")
-    assert g.__defaults__[0] == (MethodRef.parse("t.A.leaf(int)"),)
-    assert g.__defaults__[0][0] is g_record.code[1][1]
-    assert g.__defaults__[1:] == f.__defaults__[1:]
+    # the text names no method, so twins lower to one text and share one defaults tuple
+    f_record, g_record = (vm.registry.lookup(key) for key in ("t.A.f(int)", "t.B.g(int)"))
+    assert lower_method(f_record)[1] == lower_method(g_record)[1]
+    assert f.__defaults__ is g.__defaults__ is jit._DEFAULTS
     thread = vm.new_thread()
     assert [vm.invoke(thread, "t.B.g(int)", (a,)) for a in (0, 4)] == [0, 36]
 
@@ -360,6 +366,81 @@ def test_vms_share_no_compiled_bodies(monkeypatch):
     second.jit_compile("t.B.g(int)")
     second.jit_compile("t.A.f(int)")
     assert lowered == ["t.A.f(int)", "t.B.g(int)"]
+
+
+def test_random_twins_lower_to_one_text_under_their_own_names():
+    for seed in range(40):
+        twinned = _with_twins(gen_random_program(seed)[0])
+        vm = VM(twinned.instantiate())
+        for spec in twinned.specs.values():
+            if spec.ref.class_name == "gen.Q":
+                continue
+            twin = MethodRef("gen.Q", spec.ref.method_name, spec.ref.params)
+            (f, text), (g, twin_text) = (lower_method(vm.registry.lookup(ref))
+                                         for ref in (spec.ref, twin))
+            assert text == twin_text, (seed, spec.ref.key)
+            for fn, ref in ((f, spec.ref), (g, twin)):
+                assert fn.__name__ == fn.__qualname__ == f"_lowered_{jit._mangle(ref.key)}"
+                assert fn.__code__.co_filename == f"<lowered {ref.key}>"
+                assert fn.__defaults__ is jit._DEFAULTS
+            # every value the code reads is a local, an argument or a constant
+            ops = {ins.opname for ins in dis.get_instructions(f)}
+            assert not ops & {"LOAD_GLOBAL", "LOAD_NAME"}, (seed, spec.ref.key)
+
+
+# Signature tokens holding each character a Python string literal must escape.
+QUOTED_KEY = """q.Q.leaf(it's,"x",a\\b)"""
+QUOTED_SRC = f"""
+class q.Q
+  method leaf(it's,"x",a\\b)
+    loadarg 0
+    loadarg 1
+    sub
+    loadarg 2
+    mul
+    ret
+  method caller(int)
+    loadarg 0
+    pushconst 2
+    loadarg 0
+    call {QUOTED_KEY}
+    pushconst 1
+    add
+    ret
+"""
+
+
+def test_a_call_names_a_quoted_callee_by_its_key():
+    vm_i, vm_c = _vm(QUOTED_SRC), _vm(QUOTED_SRC)
+    assert "'" in QUOTED_KEY and '"' in QUOTED_KEY and "\\" in QUOTED_KEY
+    record = vm_c.jit_compile("q.Q.caller(int)")
+    assert repr(QUOTED_KEY) in lower_method(record)[1]
+    ti, tc = vm_i.new_thread(), vm_c.new_thread()
+    for arg in (0, 5, -7, I64_MAX, -(2**63)):
+        want = vm_i.invoke(ti, "q.Q.caller(int)", (arg,))
+        assert want == wrap_i64((arg - 2) * arg + 1)
+        assert vm_c.invoke(tc, "q.Q.caller(int)", (arg,)) == want
+    assert vm_c.compiled_calls == 5
+
+
+def test_a_caller_compiled_before_its_callee_loads_finds_it_under_a_session():
+    vm = _vm("class a.A\n  method f(int)\n    loadarg 0\n    call b.B.g(int)\n"
+             "    pushconst 1\n    add\n    ret")
+    vm.jit_compile("a.A.f(int)")
+    engine = TraceEngine(vm, EventSink())
+    engine.apply(TargetSet([(MethodRef.parse(key), (TraceAction.TIME_METHOD,))
+                            for key in ("a.A.f(int)", "b.B.g(int)")]))
+    thread = vm.new_thread()
+    with pytest.raises(MethodNotFoundError, match=r"b\.B\.g\(int\)"):
+        vm.invoke(thread, "a.A.f(int)", (4,))
+    assert thread.frames == []
+    vm.registry.load(parse_program(
+        "class b.B\n  method g(int)\n    loadarg 0\n    pushconst 3\n    mul\n    ret"))
+    assert vm.invoke(thread, "a.A.f(int)", (4,)) == 13
+    assert vm.interpreted_calls == 1  # only the late callee runs interpreted
+    events = [(e.method_ref.key, e.payload.get("abrupt", False)) for e in engine.drain().events]
+    assert events == [("a.A.f(int)", True), ("b.B.g(int)", False), ("a.A.f(int)", False)]
+    engine.rollback()
 
 
 def _method_src(body, params="int"):
