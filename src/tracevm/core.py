@@ -6,9 +6,10 @@ arg-capture path can map them back to text. A parsed ``Program`` is shared:
 each registry made from it builds a method's ``MethodRecord`` on first touch.
 
 A method's ``code``, exact ``(int_op, arg)`` tuples, is its only stored form;
-``bytecode`` views it as ``Instruction``s. Its tier is its ``lowered_code``,
-which only ``VM.jit_compile`` sets. The Enum members that other modules test
-by identity are bound here, once.
+``bytecode`` views it as ``Instruction``s, and ``quickened``, on the record and
+in ``Program.quickened``, is a cache derived from it that ``VM.interpret``
+fills. Its tier is its ``lowered_code``, which only ``VM.jit_compile`` sets.
+The Enum members that other modules test by identity are bound here, once.
 """
 
 from __future__ import annotations
@@ -220,6 +221,7 @@ class MethodRecord:
         "entry_point",
         "original_entry_point",
         "lowered_code",
+        "quickened",
     )
 
     bytecode = _BYTECODE_VIEW
@@ -233,6 +235,7 @@ class MethodRecord:
         self.entry_point = _BRIDGE
         self.original_entry_point: EntryPoint | None = None
         self.lowered_code = None
+        self.quickened = None
 
     @property
     def arity(self) -> int:
@@ -260,18 +263,29 @@ class MethodSpec(NamedTuple):
     bytecode = _BYTECODE_VIEW
 
 
-class Program(NamedTuple):
-    """Immutable parse result, shared read-only by every registry made from it.
+class Program:
+    """Parse result, shared read-only by every registry made from it.
 
     ``parse_program`` builds both tables once: ``specs`` maps each key, in
     program order, to its ``MethodSpec``, whose first four fields are the
     ``MethodRecord`` arguments, and ``intern_map`` maps each interned id to
     its text. ``instantiate`` is O(1): the registry builds a record the first
-    time something touches its method.
+    time something touches its method. ``quickened`` is a derived cache that
+    ``VM.interpret`` fills: each method's quickened body, built on the
+    method's first interpretation in any registry of the program.
     """
 
-    specs: dict[str, MethodSpec]
-    intern_map: dict[int, str]
+    __slots__ = ("specs", "intern_map", "quickened")
+
+    def __init__(self, specs: dict[str, MethodSpec], intern_map: dict[int, str]):
+        self.specs = specs
+        self.intern_map = intern_map
+        self.quickened: dict[str, tuple] = {}
+
+    def __eq__(self, other: object) -> bool:
+        """Equal parse results; the derived cache takes no part."""
+        return (isinstance(other, Program) and self.specs == other.specs
+                and self.intern_map == other.intern_map)
 
     @property
     def methods(self) -> tuple[MethodSpec, ...]:
@@ -296,6 +310,7 @@ class ClassRegistry:
 
     def __init__(self, program: Program):
         self._specs = program.specs
+        self._quickened = program.quickened
         self._records: dict[str, MethodRecord] = {}
         self._loaded: list[str] = []
         self._intern_by_value = dict(program.intern_map)  # ``load`` may add strings

@@ -8,16 +8,27 @@ events around the body, which is the compiled body for the quick stub, so a
 traced hot method does not fall back to the interpreter. Only ``jit_compile``
 changes a tier: it moves the live entry, or the one a stub saved, to compiled.
 
-The interpreter runs each call in one Python frame, over the record's
-``code`` of exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
-``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+The interpreter runs each call in one Python frame, over the quickened form
+of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
+``_RUNS`` into one op whose arg holds the run's operands. The four-op
+``loadlocal a; pushconst k | loadarg i; add | sub | mul; storelocal b``
+becomes ``loc[b] = loc[a] OP k`` (or ``OP args[i]``), and ``loadlocal a; add;
+storelocal b``, ``pushconst | loadarg; storelocal``, ``loadlocal | loadarg;
+jz`` and ``loadlocal; ret`` fuse too. Each fused op lowers the opcodes of
+fleet traffic; dropping any one raises them. Jumps stay relative, counted in
+the quickened form, and a jump target inside a run ends the run. A body with
+nothing to fuse, such as a late ``leaf`` of pure stack ops, is its own
+quickened form. The form is built on a method's first interpretation, never
+at parse time, kept in ``MethodRecord.quickened``, and shared through
+``Program.quickened`` by every registry of the program. Both forms are exact
+``(int_op, arg)`` tuples: CPython 3.11 specialises ``code[pc]``
+(``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
-ints. The if-chain follows the instruction mix of fleet traffic: loadlocal
-24%, storelocal 22%, loadarg 13%, pushconst 12%, add 9%, sub 5%, jz 4%, ret
-4%, mul 3%, jmp 2%, call 2%; pushconst and mul move up a place for the
-latency probe, which is 25% pushconst and 10% mul. ``add``, ``sub`` and
-``mul`` call ``core.wrap_i64`` only when a result leaves the signed 64-bit
-range; the lowered code defers that check to where a value is observed. The
+ints. The loop asks first whether an op is fused (79% of what fleet traffic
+runs), and each branch tests its ops by their share of that traffic, with the
+probe's three fused ops, ``Q_SUBK``, ``Q_ADDK`` and ``Q_MULK``, first. Arithmetic
+calls ``core.wrap_i64`` only when a result leaves the signed 64-bit range;
+the lowered code defers that check to where a value is observed. The
 call edge ``call_ref`` takes the callee's key, which both tiers read off the
 ``call`` instruction, and resolves it with one dict get on the registry's
 record map, asking the registry only on a method's first touch.
@@ -62,6 +73,73 @@ def _ensure_stack_headroom(max_depth: int) -> None:
         need = max_depth * 6 + 2000
         if sys.getrecursionlimit() < need:
             sys.setrecursionlimit(need)
+
+
+(O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP, O_CALL, O_RET) = _OPCODES
+
+# The fused ops of the quickened form, numbered after the stored opcodes: the
+# loop's one ``op > O_RET`` test tells the two kinds apart.
+_FUSED = tuple(range(O_RET + 1, O_RET + 13))
+(Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL, Q_JZA,
+ Q_RETL) = _FUSED
+# Each fusible run of stored ops and the fused op that runs it. A fused op's
+# arg is the run's operands in order, or its one operand alone.
+_RUNS = {
+    (O_LLOC, O_PUSH, O_ADD, O_SLOC): Q_ADDK,  # loc[b] = loc[a] + k
+    (O_LLOC, O_PUSH, O_SUB, O_SLOC): Q_SUBK,
+    (O_LLOC, O_PUSH, O_MUL, O_SLOC): Q_MULK,
+    (O_LLOC, O_LARG, O_ADD, O_SLOC): Q_ADDA,  # loc[b] = loc[a] + args[i]
+    (O_LLOC, O_LARG, O_SUB, O_SLOC): Q_SUBA,
+    (O_LLOC, O_LARG, O_MUL, O_SLOC): Q_MULA,
+    (O_LLOC, O_ADD, O_SLOC): Q_ADDL,          # loc[b] = pop() + loc[a]
+    (O_PUSH, O_SLOC): Q_SETK,                 # loc[b] = k
+    (O_LARG, O_SLOC): Q_SETA,                 # loc[b] = args[i]
+    (O_LLOC, O_JZ): Q_JZL,                    # jump if loc[a] == 0
+    (O_LARG, O_JZ): Q_JZA,                    # jump if args[i] == 0
+    (O_LLOC, O_RET): Q_RETL,                  # return loc[a]
+}
+_HEADS = frozenset(run[:2] for run in _RUNS)
+_JUMPS = (O_JZ, O_JMP, Q_JZL, Q_JZA)  # each one's target is its last operand
+
+
+def quicken(code: tuple) -> tuple:
+    """The body ``VM.interpret`` runs: ``code`` with its fusible runs fused.
+
+    At each op the longest run in ``_RUNS`` wins, and a jump target inside a
+    run ends it, so every target starts an op. Jumps stay relative, counted
+    in the quickened form. A body with nothing to fuse is its own quickened
+    form: ``code`` itself, not a copy.
+    """
+    ops = [op for op, _ in code]
+    # A body with no adjacent pair that starts a run returns here: about 1 us,
+    # not 8, for the six-op leaf that session_churn loads on every cycle.
+    if _HEADS.isdisjoint(zip(ops, ops[1:])):
+        return code
+    targets = {pc + arg for pc, (op, arg) in enumerate(code) if op == O_JZ or op == O_JMP}
+    out, at, pc = [], {}, 0  # ``at``: stored pc -> quickened pc, where an op starts
+    while pc < len(code):
+        at[pc] = len(out)
+        for width in (4, 3, 2):
+            fused = _RUNS.get(tuple(ops[pc:pc + width]))
+            if fused is not None and targets.isdisjoint(range(pc + 1, pc + width)):
+                break
+        else:
+            width, fused = 1, None
+        if fused is None:  # a jump keeps its stored target until ``at`` is whole
+            op, arg = code[pc]
+            out.append((op, pc + arg) if op == O_JZ or op == O_JMP else code[pc])
+        else:
+            operands = [arg for _, arg in code[pc:pc + width] if arg is not None]
+            if fused in _JUMPS:
+                operands[-1] += pc + width - 1
+            out.append((fused, operands[0] if len(operands) == 1 else tuple(operands)))
+        pc += width
+    if len(out) == len(code):
+        return code
+    for i, (op, arg) in enumerate(out):
+        if op in _JUMPS:
+            out[i] = (op, (*arg[:-1], at[arg[-1]] - i) if op > O_RET else at[arg] - i)
+    return tuple(out)
 
 
 class VMThread:
@@ -194,13 +272,13 @@ class VM:
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: tuple):
-        """Interpreter tier: the bytecode loop, one Python frame per call.
+        """Interpreter tier: the bytecode loop over the quickened body, one Python frame per call.
 
         It fires no event; ``_dispatch`` does that around it. An ``IndexError``
         out of the loop is turned into ``VMInternalError``.
         """
         self.interpreted_calls += 1
-        code = record.code
+        code = record.quickened or self._quicken(record)
         stack: list = []
         push = stack.append
         pop = stack.pop
@@ -209,21 +287,82 @@ class VM:
         lo, hi, wrap = I64_MIN, I64_MAX, wrap_i64
         (O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP,
          O_CALL, O_RET) = _OPCODES
+        (Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL,
+         Q_JZA, Q_RETL) = _FUSED
         pc = 0
         try:
             while True:
                 op, arg = code[pc]
-                if op == O_LLOC:
-                    push(loc[arg])
-                    pc += 1
-                elif op == O_SLOC:
-                    loc[arg] = pop()
-                    pc += 1
-                elif op == O_PUSH:
-                    push(arg)
+                if op > O_RET:
+                    if op == Q_SUBK:
+                        a, k, b = arg
+                        r = loc[a] - k
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_ADDK:
+                        a, k, b = arg
+                        r = loc[a] + k
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_MULK:
+                        a, k, b = arg
+                        r = loc[a] * k
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_JZL:
+                        a, off = arg
+                        pc = pc + off if loc[a] == 0 else pc + 1
+                    elif op == Q_SETA:
+                        i, b = arg
+                        loc[b] = args[i]
+                        pc += 1
+                    elif op == Q_RETL:
+                        return loc[arg]
+                    elif op == Q_ADDA:
+                        a, i, b = arg
+                        r = loc[a] + args[i]
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_SUBA:
+                        a, i, b = arg
+                        r = loc[a] - args[i]
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_ADDL:
+                        a, b = arg
+                        r = pop() + loc[a]
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_MULA:
+                        a, i, b = arg
+                        r = loc[a] * args[i]
+                        loc[b] = r if lo <= r <= hi else wrap(r)
+                        pc += 1
+                    elif op == Q_JZA:
+                        i, off = arg
+                        pc = pc + off if args[i] == 0 else pc + 1
+                    elif op == Q_SETK:
+                        k, b = arg
+                        loc[b] = k
+                        pc += 1
+                    else:  # pragma: no cover - quicken emits only known opcodes
+                        raise VMInternalError(f"unknown opcode {op} at pc {pc}")
+                elif op == O_JMP:
+                    pc += arg
+                elif op == O_CALL:
+                    n = arg.arity
+                    if n:
+                        cargs = tuple(stack[-n:])
+                        del stack[-n:]
+                    else:
+                        cargs = ()
+                    push(call(thread, arg.key, cargs))
                     pc += 1
                 elif op == O_LARG:
                     push(args[arg])
+                    pc += 1
+                elif op == O_PUSH:
+                    push(arg)
                     pc += 1
                 elif op == O_ADD:
                     r = stack[-2] + pop()
@@ -237,22 +376,17 @@ class VM:
                     r = stack[-2] - pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
-                elif op == O_JZ:
-                    pc = pc + arg if pop() == 0 else pc + 1
-                elif op == O_JMP:
-                    pc += arg
-                elif op == O_CALL:
-                    n = arg.arity
-                    if n:
-                        cargs = tuple(stack[-n:])
-                        del stack[-n:]
-                    else:
-                        cargs = ()
-                    push(call(thread, arg.key, cargs))
-                    pc += 1
                 elif op == O_RET:
                     return pop()
-                else:  # pragma: no cover - loader emits only known opcodes
+                elif op == O_LLOC:
+                    push(loc[arg])
+                    pc += 1
+                elif op == O_SLOC:
+                    loc[arg] = pop()
+                    pc += 1
+                elif op == O_JZ:
+                    pc = pc + arg if pop() == 0 else pc + 1
+                else:  # pragma: no cover - quicken emits only known opcodes
                     raise VMInternalError(f"unknown opcode {op} at pc {pc}")
         except IndexError as exc:
             # The validator proves stack depths, so underflow here means a bug
@@ -260,3 +394,24 @@ class VM:
             raise VMInternalError(
                 f"operand stack corruption in {record.method_ref.key} at pc {pc}: {exc}"
             ) from exc
+
+    def _quicken(self, record: MethodRecord) -> tuple:
+        """Fill ``record.quickened`` on the record's first interpretation.
+
+        A record built from its program's spec, with the spec's own ``code``,
+        shares the program's table, so every registry of the program quickens
+        a method once between them. A loaded record, or one built by hand,
+        quickens its own body.
+        """
+        code = record.code
+        key = record.method_ref.key
+        spec = self.registry._specs.get(key)
+        if spec is None or spec.code is not code:
+            quick = quicken(code)
+        else:
+            table = self.registry._quickened
+            quick = table.get(key)
+            if quick is None:
+                quick = table.setdefault(key, quicken(code))
+        record.quickened = quick
+        return quick

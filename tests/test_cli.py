@@ -363,3 +363,12 @@ def test_package_data_ships_demo_files():
     }
     for text in demo.ghost_bug_sources():
         assert text in shipped_texts, "ghost_bug_sources() reads a file no wheel ships"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tracevm", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: tracevm" in proc.stdout

@@ -355,3 +355,14 @@ def test_compiling_keeps_little_more_than_the_functions():
     # the VM's table of compiled bodies holds code objects the functions
     # hold too: no source text and no per-method namespace
     assert 0 < kept <= 1.1 * bare
+
+
+def test_an_interpreted_probe_call_runs_at_most_ten_times_its_compiled_opcodes():
+    work = gen_workload(n_classes=12)
+    probe = work.latency_untraced
+    interpreted, compiled = VM(work.program.instantiate()), VM(work.program.instantiate())
+    compiled.jit_compile(probe)
+    ratio = (call_counts(interpreted, interpreted.new_thread(), [probe])[probe.key]
+             / call_counts(compiled, compiled.new_thread(), [probe])[probe.key])
+    # one dispatch per stored instruction runs the probe at over 20x
+    assert ratio <= 10, ratio

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -24,7 +25,9 @@ from tracevm import (
     VMInternalError,
     load_program,
 )
-from tracevm.core import MethodRecord
+from tracevm import vm as vm_module
+from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord
+from tracevm.vm import _RUNS, quicken
 
 COUNTDOWN = """
 class r.R
@@ -345,3 +348,158 @@ def test_string_constants_flow_as_intern_ids():
 def test_vm_rejects_bad_depth_limit(fib_source):
     with pytest.raises(ValueError):
         VM(load_program(fib_source), max_stack_depth=0)
+
+
+# The quickened form. ``_run_method`` builds ``f(int,int,int)``: arg 0 seeds
+# local 0, arg 1 is the run's ``loadarg`` operand, and when arg 2 is 0 a jump
+# enters the run at its op ``j`` instead of at its start.
+K = 2**62 + 3
+EDGES = (2**63 - 1, -(2**63), 2**62, -(2**62) + 1, 2**63 - 2, -1, 0)  # sample_args' extremes
+_EFFECT = {int(op): row for op, row in _OPCODE_TABLE.items()}
+RUN_IDS = ["-".join(_EFFECT[op][0] for op in run) for run in _RUNS]
+
+
+def _run_method(run: tuple, j: int) -> str:
+    before, depth, low = [], 0, 0
+    for op in run:
+        pops, pushes = _EFFECT[op][2:]
+        before.append(depth)
+        low = min(low, depth - pops)
+        depth += pushes - pops
+    start, extra = -low, before[j]  # the run's own start depth; what the jump path adds
+    body = ["loadarg 0", "pushconst 0", "add", "storelocal 0",
+            *["loadarg 1"] * (start + extra), "loadarg 2", "pushconst 0", "add"]
+    p = len(body) + 1 + extra  # the run's first op
+    body += [f"jz {p + j - len(body):+d}", *["storelocal 1"] * extra]
+    t = p + len(run) + 3  # the tail that a jz in the run jumps to
+    operand = {"loadlocal": " 0", "pushconst": f" {K}", "loadarg": " 1", "storelocal": " 0"}
+    for i, op in enumerate(run):
+        name = _EFFECT[op][0]
+        body.append(name + (f" {t - p - i:+d}" if name == "jz" else operand.get(name, "")))
+    # returns local 0 as it is: the jump keeps this loadlocal and ret apart
+    body += ["loadlocal 0", "jmp +1", "ret", "pushconst 77", "ret"]
+    return "class q.Q\n  method f(int,int,int)\n" + "\n".join(f"    {line}" for line in body)
+
+
+def _three_ways(src: str, refeval, arg_sets) -> list:
+    """``q.Q.f`` over ``arg_sets``, interpreted; checked against compiled and the reference."""
+    vm_i, vm_c = VM(load_program(src)), VM(load_program(src))
+    vm_c.jit_compile("q.Q.f(int,int,int)")
+    ref = refeval.RefEval(tracevm.parse_program(src))
+    ti, tc = vm_i.new_thread(), vm_c.new_thread()
+    results = []
+    for args in arg_sets:
+        got = vm_i.invoke(ti, "q.Q.f(int,int,int)", args)
+        assert got == vm_c.invoke(tc, "q.Q.f(int,int,int)", args) == ref.run(
+            "q.Q.f(int,int,int)", args), (args, got)
+        results.append(got)
+    return results
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=RUN_IDS)
+def test_a_jump_into_a_fusible_run_ends_the_run(run, refeval):
+    for j in range(len(run)):
+        src = _run_method(run, j)
+        code = load_program(src).lookup("q.Q.f(int,int,int)").code
+        # a jump to the run's first op leaves it whole; one to a later op splits it
+        assert (_RUNS[run] in [op for op, _ in quicken(code)]) == (j == 0), j
+        _three_ways(src, refeval, [(x, y, c) for x, y in [(5, 3), (0, -7), (EDGES[0], 2)]
+                                   for c in (0, 1)])
+
+
+ARITH_RUNS = [run for run in _RUNS if {Opcode.ADD, Opcode.SUB, Opcode.MUL} & set(run)]
+
+
+@pytest.mark.parametrize("run", ARITH_RUNS,
+                         ids=[RUN_IDS[list(_RUNS).index(run)] for run in ARITH_RUNS])
+def test_every_fused_op_wraps_at_the_64_bit_edges(run, refeval):
+    src = _run_method(run, 0)
+    assert _RUNS[run] in [op for op, _ in quicken(load_program(src).lookup(
+        "q.Q.f(int,int,int)").code)]
+    arg_sets = [(x, y, 1) for x, y in itertools.product(EDGES, repeat=2)]
+    results = _three_ways(src, refeval, arg_sets)
+    assert all(I64_MIN <= value <= I64_MAX for value in results)
+    # the unbounded result leaves the range for some edge pair, so the wrap runs
+    op = next(op for op in run if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL))
+    exact = {Opcode.ADD: int.__add__, Opcode.SUB: int.__sub__, Opcode.MUL: int.__mul__}[op]
+    assert any(not I64_MIN <= exact(x, K if Opcode.PUSH_CONST in run else y) <= I64_MAX
+               for x, y, _ in arg_sets)
+
+
+def _late(op: str) -> str:
+    """``late.L.f(int)``, whose body fuses to three ops: ``arg 0 OP 5``."""
+    lines = ["loadarg 0", "storelocal 0", "loadlocal 0", "pushconst 5", op, "storelocal 0",
+             "loadlocal 0", "ret"]
+    return "class late.L\n  method f(int)\n" + "\n".join(f"    {line}" for line in lines)
+
+
+def test_two_registries_each_run_their_own_body_under_one_late_key():
+    program = tracevm.parse_program(COUNTDOWN)
+    vms = [VM(program.instantiate()) for _ in range(2)]
+    for vm, op in zip(vms, ("add", "mul")):
+        vm.registry.load(tracevm.parse_program(_late(op)))
+    threads = [vm.new_thread() for vm in vms]
+    for _ in range(2):
+        assert [vm.invoke(t, "late.L.f(int)", (3,)) for vm, t in zip(vms, threads)] == [8, 15]
+    # a loaded record quickens its own body; the program's table is for its own methods
+    assert "late.L.f(int)" not in program.quickened
+
+
+def test_registries_of_one_program_quicken_a_method_once_between_them(monkeypatch):
+    seen = []
+
+    def counting(code):
+        seen.append(code)
+        return quicken(code)
+
+    monkeypatch.setattr(vm_module, "quicken", counting)
+    program = tracevm.parse_program(_late("sub"))
+    for _ in range(3):
+        vm = VM(program.instantiate())
+        for _ in range(2):
+            assert vm.invoke(vm.new_thread(), "late.L.f(int)", (3,)) == -2
+    assert seen == [program.specs["late.L.f(int)"].code]
+    assert vm.registry.lookup("late.L.f(int)").quickened is program.quickened["late.L.f(int)"]
+
+
+@pytest.mark.parametrize("body, value", [
+    # the shape of the late class that session_churn loads each cycle
+    (("loadarg 0", "pushconst 4", "mul", "pushconst 11", "add", "ret"), 31),
+    # starts like a fusible run at its loadlocal, but no run is whole
+    (("loadarg 0", "loadlocal 0", "pushconst 4", "add", "mul", "ret"), 20),
+], ids=["late-leaf", "no-whole-run"])
+def test_a_body_with_nothing_to_fuse_is_its_own_quickened_form(body, value):
+    late = "class app.Late1\n  method leaf(int)\n" + "\n".join(f"    {line}" for line in body)
+    vm = VM(load_program(COUNTDOWN))
+    vm.registry.load(tracevm.parse_program(late))
+    assert vm.invoke(vm.new_thread(), "app.Late1.leaf(int)", (5,)) == value
+    record = vm.registry.lookup("app.Late1.leaf(int)")
+    assert record.quickened is record.code
+
+
+@pytest.mark.parametrize("shared_vm", [True, False], ids=["one-vm", "two-registries"])
+def test_threads_that_first_interpret_a_method_at_once_both_get_it_right(monkeypatch, shared_vm):
+    program = tracevm.parse_program(_late("mul"))
+    vms = [VM(program.instantiate())] * 2 if shared_vm else [
+        VM(program.instantiate()) for _ in range(2)]
+    inside = threading.Barrier(2, timeout=10)
+
+    def meeting(code):
+        inside.wait()  # both threads are quickening the method at this point
+        return quicken(code)
+
+    monkeypatch.setattr(vm_module, "quicken", meeting)
+    results = [None, None]
+
+    def first_call(i):
+        results[i] = vms[i].invoke(vms[i].new_thread(), "late.L.f(int)", (i + 2,))
+
+    workers = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [10, 15]
+    records = [vm.registry.lookup("late.L.f(int)") for vm in vms]
+    assert records[0].quickened == records[1].quickened == program.quickened["late.L.f(int)"]
