@@ -34,11 +34,11 @@ written with ``repr`` so any signature token is escaped, and passing the
 arguments in a tuple display, so the callee's own entry point still decides
 how the callee runs. The text is one fixed ``def _lowered`` that names no
 method: it depends on ``code`` alone (the loader derives ``n_locals`` and
-``stack_depths`` from it), so a VM compiles each distinct body once. The text
-is compiled, never run; ``bind`` builds every function from its code object,
-under the method's own name and file name, in one sealed scope shared by all
-lowered code, ``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing
-parameters.
+``stack_depths`` from it), so a VM compiles each distinct body once, on the
+first call of the first method with that body. The text is compiled, never
+run; ``bind`` builds every function from its code object, under the method's
+own name and file name, in one sealed scope shared by all lowered code,
+``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing parameters.
 """
 
 from __future__ import annotations

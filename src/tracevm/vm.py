@@ -6,7 +6,8 @@ place that fires method entry and exit events, the hook the tracing layers build
 on: every entry but ``CompiledDirect`` asks whether anyone listens and fires the
 events around the body, which is the compiled body for the quick stub, so a
 traced hot method does not fall back to the interpreter. Only ``jit_compile``
-changes a tier: it moves the live entry, or the one a stub saved, to compiled.
+changes a tier: it moves the live entry, or the one a stub saved, to compiled
+at once; a body not lowered before is lowered on the method's first call.
 
 The interpreter runs each call in one Python frame, over the quickened form
 of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
@@ -142,6 +143,21 @@ def quicken(code: tuple) -> tuple:
     return tuple(out)
 
 
+def _lower_on_first_call(vm: VM, thread: VMThread, args: tuple):
+    """A compiled method's ``lowered_code`` until its first call: lower, replace, run.
+
+    ``_dispatch``, the one caller of ``lowered_code``, has pushed the frame that
+    names the record, so the prestub holds nothing: a closure over the record
+    would make a cycle. Racing first calls may both lower; the table keeps one.
+    """
+    record = vm._records[thread.frames[-1].key]
+    code = vm._lowered.get(record.code)
+    function = lower_method(record)[0] if code is None else bind(code, record)
+    vm._lowered.setdefault(record.code, function.__code__)
+    record.lowered_code = function
+    return function(vm, thread, args)
+
+
 class VMThread:
     """Execution context owned by one driver at a time: a frame stack plus trace scratch.
 
@@ -247,22 +263,18 @@ class VM:
             frames.pop()
 
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
-        """Lower a method and move its entry to the compiled tier.
+        """Move a method's entry to the compiled tier; its first call lowers it.
 
-        The VM lowers and compiles each distinct ``code`` tuple once: a method
-        whose body equals one compiled before binds that code object as its
-        own function, under its own name. An installed stub stays in the slot
-        and the entry it saved moves instead. Compiling twice is a no-op.
+        The VM lowers each distinct ``code`` tuple once: a body equal to one
+        lowered before binds here, as its own function under its own name, and
+        any other gets the shared prestub ``_lower_on_first_call``. An installed
+        stub stays in the slot and the entry it saved moves. Twice is a no-op.
         """
         record = self.registry.lookup(ref)
         if record.lowered_code is not None:
             return record
         code = self._lowered.get(record.code)
-        if code is None:
-            record.lowered_code = lower_method(record)[0]
-            self._lowered[record.code] = record.lowered_code.__code__
-        else:
-            record.lowered_code = bind(code, record)
+        record.lowered_code = _lower_on_first_call if code is None else bind(code, record)
         if record.entry_point is _BRIDGE:
             record.entry_point = _COMPILED
         elif record.original_entry_point is _BRIDGE:

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 from pathlib import Path
 
@@ -14,6 +16,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# Seconds one test may run before the run stops with every thread's traceback:
+# an interpreter fault that loops for ever fails the suite instead of hanging it.
+TEST_DEADLINE_S = 120
+_stderr_fd = None
+
+
+def pytest_configure(config):
+    # Output is not captured yet here. The deadline writes to this copy of the
+    # real stderr, since a capture buffer is lost when it ends the process.
+    global _stderr_fd
+    _stderr_fd = os.dup(sys.stderr.fileno())
+
+
+@pytest.fixture(autouse=True)
+def _deadline():
+    faulthandler.dump_traceback_later(TEST_DEADLINE_S, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 FIB_SOURCE = """
 class demo.Math

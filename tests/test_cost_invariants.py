@@ -19,6 +19,7 @@ import pytest
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
                      gen_workload, load_program, parse_program)
+from tracevm import vm as vm_module
 from tracevm.jit import lower_method
 
 
@@ -80,10 +81,13 @@ SHORT, LONG, BYSTANDER = (MethodRef.parse(f"cost.C.{name}(int)")
 
 
 def compiled_vm():
+    """A VM with the three methods compiled and called once, so each body is lowered."""
     vm = VM(load_program(SRC))
+    thread = vm.new_thread()
     for ref in (SHORT, LONG, BYSTANDER):
         vm.jit_compile(ref)
-    return vm, vm.new_thread()
+        vm.invoke(thread, ref, (5,))
+    return vm, thread
 
 
 def call_counts(vm, thread, refs) -> dict:
@@ -99,6 +103,16 @@ def call_counts(vm, thread, refs) -> dict:
 
 
 TWIN_SHORT, TWIN_LONG = (MethodRef.parse(f"cost.Twin.{name}(int)") for name in ("short", "long"))
+
+
+def test_compiling_an_unseen_body_costs_the_same_for_any_length():
+    vm = VM(load_program(SRC))
+    splits = {ref.key: opcode_split(vm.jit_compile, ref) for ref in (SHORT, LONG)}
+    for split in splits.values():
+        assert split["VM.jit_compile"] > 0  # the split sees the compile
+        assert split["lower_method.<locals>.emit_block"] == 0
+    # the tier moves now and the body lowers on the first call: nothing walks it here
+    assert sum(splits[SHORT.key].values()) == sum(splits[LONG.key].values())
 
 
 def test_compiling_an_equal_body_again_costs_the_same_for_any_length():
@@ -141,6 +155,7 @@ def test_a_table_hit_hashes_each_call_once(k):
     vm = VM(load_program(f"class cost.K\n  method leaf(int)\n    loadarg 0\n    ret\n"
                          f"  method f(int)\n{body}\n"))
     vm.jit_compile("cost.K.f(int)")
+    assert vm.invoke(vm.new_thread(), "cost.K.f(int)", (9,)) == 9  # lowers f's body
     vm.registry.load(parse_program(f"class cost.Twin\n  method f(int)\n{body}\n"))
     twin = vm.registry.lookup("cost.Twin.f(int)")
     calls = call_split(vm.jit_compile, twin.method_ref)
@@ -221,6 +236,10 @@ def test_nothing_at_rest_holds_a_reference_cycle():
     # registry, instrumentation, compiled function: each freed once the last
     # reference to its VM is dropped
     assert alive == {kind: [False, False, False] for kind in sessions}
+    # the prestub a compiled method holds until its first call is shared, and holds no VM
+    prestub = vm_module._lower_on_first_call
+    assert prestub.__closure__ is None and prestub.__defaults__ is None
+    assert not [ref for ref in gc.get_referents(prestub) if isinstance(ref, VM)]
 
 
 def scaled_source(n_methods: int) -> str:
@@ -337,21 +356,29 @@ def test_generating_a_workload_peaks_near_what_it_keeps():
 def test_compiling_keeps_little_more_than_the_functions():
     work = gen_workload(n_classes=100)
 
-    def touched_vm():
-        vm = VM(work.program.instantiate())
+    def call_hot(vm):
+        thread = vm.new_thread()
         for key in work.hot_keys:
-            vm.registry.lookup(key)
+            vm.invoke(thread, key, (1,) * vm.registry.lookup(key).arity)
+
+    def touched_vm():
+        # an interpreted call builds and quickens every record it reaches
+        vm = VM(work.program.instantiate())
+        call_hot(vm)
         return vm
+
+    def compile_and_call(vm):
+        for key in work.hot_keys:
+            vm.jit_compile(key)
+        call_hot(vm)  # each first call lowers its body
 
     # compile() interns each name once per process; a live first compile
     # keeps those strings out of both counts below
-    warm = touched_vm()
-    for key in work.hot_keys:
-        warm.jit_compile(key)
+    compile_and_call(touched_vm())
     bare_vm, vm = touched_vm(), touched_vm()
     records = [bare_vm.registry.lookup(key) for key in work.hot_keys]
     _, bare = heap_growth(lambda: [lower_method(record)[0] for record in records])
-    _, kept = heap_growth(lambda: [vm.jit_compile(key) for key in work.hot_keys])
+    _, kept = heap_growth(compile_and_call, vm)
     # the VM's table of compiled bodies holds code objects the functions
     # hold too: no source text and no per-method namespace
     assert 0 < kept <= 1.1 * bare

@@ -2,6 +2,8 @@ import ctypes
 import dis
 import gc
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -97,16 +99,19 @@ def test_non_identifier_signature_token_compiles(token):
     vm_i, vm_c = _vm(src), _vm(src)
     outer = f"a.B.n({token})"
     for ref in (key, outer):
-        assert vm_c.jit_compile(ref).lowered_code.__name__.isidentifier()
+        vm_c.jit_compile(ref)
     ti, tc = vm_i.new_thread(), vm_c.new_thread()
     for arg in (0, 14, -(2**63)):
         assert vm_c.invoke(tc, outer, (arg,)) == vm_i.invoke(ti, outer, (arg,))
+    for ref in (key, outer):
+        assert vm_c.registry.lookup(ref).lowered_code.__name__.isidentifier()
     assert vm_c.interpreted_calls == 0 and vm_i.interpreted_calls == 6
 
 
 def test_ascii_keys_keep_their_lowered_names(small_workload):
     vm = VM(small_workload.program.instantiate())
     rec = vm.jit_compile("load.Probe.hotPlain(int)")
+    vm.invoke(vm.new_thread(), rec.method_ref, (3,))
     assert rec.lowered_code.__name__ == "_lowered_load_Probe_hotPlain_int_"
 
 
@@ -243,6 +248,9 @@ class a.A
 def test_lowered_namespace_is_sealed(fib_source):
     vm = _vm(fib_source + "class demo.One\n  method one()\n    pushconst 1\n    ret\n")
     recs = [vm.jit_compile(key) for key in ("demo.Math.fib(int)", "demo.One.one()")]
+    thread = vm.new_thread()
+    assert vm.invoke(thread, "demo.Math.fib(int)", (6,)) == 8
+    assert vm.invoke(thread, "demo.One.one()") == 1
     scope = recs[0].lowered_code.__globals__
     # One scope for all lowered code, holding no function and no per-method value.
     assert recs[1].lowered_code.__globals__ is scope
@@ -289,7 +297,6 @@ def test_twins_compile_once_and_match_the_interpreter():
         vm_i, vm_c = VM(program.instantiate()), VM(twinned.instantiate())
         for key in twinned.specs:
             vm_c.jit_compile(key)
-        assert len(vm_c._lowered) == len({spec.code for spec in program.methods})
         ti, tc = vm_i.new_thread(), vm_c.new_thread()
         for ref in refs:
             twin = MethodRef("gen.Q", ref.method_name, ref.params)
@@ -299,6 +306,8 @@ def test_twins_compile_once_and_match_the_interpreter():
                 want = vm_i.invoke(ti, ref, args)
                 assert vm_c.invoke(tc, ref, args) == want, (seed, ref.key, args)
                 assert vm_c.invoke(tc, twin, args) == want, (seed, twin.key, args)
+        # every method and twin has been called: one lowering per distinct body
+        assert len(vm_c._lowered) == len({spec.code for spec in program.methods})
         assert vm_c.interpreted_calls == 0
     assert twins_with_calls > 10
 
@@ -342,7 +351,11 @@ def _count_lowerings(monkeypatch) -> list:
 def test_twins_keep_their_own_identity_in_one_scope(monkeypatch):
     lowered = _count_lowerings(monkeypatch)
     vm = _vm(TWIN_SRC)
-    f, g = (vm.jit_compile(key).lowered_code for key in ("t.A.f(int)", "t.B.g(int)"))
+    thread = vm.new_thread()
+    for key in ("t.A.f(int)", "t.B.g(int)"):
+        vm.jit_compile(key)
+    assert [vm.invoke(thread, key, (2,)) for key in ("t.A.f(int)", "t.B.g(int)")] == [18, 18]
+    f, g = (vm.registry.lookup(key).lowered_code for key in ("t.A.f(int)", "t.B.g(int)"))
     assert lowered == ["t.A.f(int)"]
     assert (f.__name__, g.__name__) == ("_lowered_t_A_f_int_", "_lowered_t_B_g_int_")
     assert f.__qualname__ == f.__name__ and g.__qualname__ == g.__name__
@@ -362,10 +375,125 @@ def test_vms_share_no_compiled_bodies(monkeypatch):
     lowered = _count_lowerings(monkeypatch)
     program = parse_program(TWIN_SRC)
     first, second = VM(program.instantiate()), VM(program.instantiate())
-    first.jit_compile("t.A.f(int)")
-    second.jit_compile("t.B.g(int)")
-    second.jit_compile("t.A.f(int)")
+    for vm, key in ((first, "t.A.f(int)"), (second, "t.B.g(int)"), (second, "t.A.f(int)")):
+        vm.invoke(vm.new_thread(), vm.jit_compile(key).method_ref, (1,))
     assert lowered == ["t.A.f(int)", "t.B.g(int)"]
+
+
+def test_a_compiled_method_lowers_on_its_first_call_only(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    vm = _vm(TWIN_SRC)
+    keys = ("t.A.leaf(int)", "t.A.f(int)", "t.B.g(int)")
+    records = [vm.jit_compile(key) for key in keys]
+    # the tier moves at once; the bodies wait behind the shared prestub
+    assert lowered == []
+    for record in records:
+        assert record.compilation_state is CompilationState.COMPILED
+        assert record.entry_point is EntryPoint.COMPILED_DIRECT
+        assert record.lowered_code is vm_module._lower_on_first_call
+    thread = vm.new_thread()
+    assert vm.invoke(thread, "t.A.f(int)", (2,)) == 18
+    assert lowered == ["t.A.f(int)", "t.A.leaf(int)"]
+    assert vm.invoke(thread, "t.A.f(int)", (3,)) == 27
+    # the twin's first call binds f's code object under g's own name
+    assert vm.invoke(thread, "t.B.g(int)", (3,)) == 27
+    assert lowered == ["t.A.f(int)", "t.A.leaf(int)"]
+    f, g = records[1].lowered_code, records[2].lowered_code
+    assert g.__name__ == "_lowered_t_B_g_int_"
+    assert g.__code__.co_code == f.__code__.co_code
+    assert vm_module._lower_on_first_call not in {rec.lowered_code for rec in records}
+    # three calls of f or g, each calling leaf twice
+    assert vm.compiled_calls == 9 and vm.interpreted_calls == 0
+
+
+def test_a_hit_at_compile_binds_there(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    vm = _vm(TWIN_SRC)
+    thread = vm.new_thread()
+    assert vm.invoke(thread, vm.jit_compile("t.A.f(int)").method_ref, (1,)) == 9
+    g = vm.jit_compile("t.B.g(int)")
+    assert g.lowered_code is not vm_module._lower_on_first_call
+    assert g.lowered_code.__name__ == "_lowered_t_B_g_int_"
+    assert vm.invoke(thread, "t.B.g(int)", (1,)) == 9
+    assert lowered == ["t.A.f(int)"]
+
+
+def test_a_target_compiled_while_traced_lowers_on_its_first_traced_call(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    vm = _vm(TWIN_SRC)
+    engine = TraceEngine(vm, EventSink())
+    targets = TargetSet([(MethodRef.parse("t.A.f(int)"),
+                          (TraceAction.TIME_METHOD, TraceAction.CAPTURE_ARGS))])
+    engine.apply(targets)
+    record = vm.jit_compile("t.A.f(int)")
+    thread = vm.new_thread()
+    # the interpreter stub stays in the slot: a traced call interprets, lowering nothing
+    assert record.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    assert vm.invoke(thread, "t.A.f(int)", (2,)) == 18
+    engine.rollback()
+    engine.apply(targets)
+    assert record.entry_point is EntryPoint.INSTRUMENTATION_QUICK_STUB
+    assert lowered == []
+    engine.drain()
+    assert vm.invoke(thread, "t.A.f(int)", (3,)) == 27
+    assert lowered == ["t.A.f(int)"]
+    events = engine.drain().events
+    assert [e.method_ref.key for e in events] == ["t.A.f(int)"] * 2
+    by_action = {e.action: e.payload for e in events}
+    assert by_action[TraceAction.CAPTURE_ARGS] == {"args": [3], "return": 27}
+    assert by_action[TraceAction.TIME_METHOD]["duration_ns"] > 0
+    assert vm.invoke(thread, "t.A.f(int)", (4,)) == 36
+    assert lowered == ["t.A.f(int)"]
+    engine.rollback()
+    assert record.entry_point is EntryPoint.COMPILED_DIRECT
+
+
+def test_racing_first_calls_keep_one_code_object():
+    src = "class r.R\n  method f(int)\n" + "\n".join(
+        ["    loadarg 0", *[f"    pushconst {i}\n    add" for i in range(200)], "    ret"])
+    want = 5 + sum(range(200))
+    n_threads = 4  # more than the cores of a small machine
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            vm = _vm(src)
+            record = vm.jit_compile("r.R.f(int)")
+            barrier = threading.Barrier(n_threads, timeout=30)
+            results = []
+
+            def call():
+                thread = vm.new_thread()
+                barrier.wait()
+                results.append(vm.invoke(thread, "r.R.f(int)", (5,)))
+
+            workers = [threading.Thread(target=call) for _ in range(n_threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            assert results == [want] * n_threads
+            # the first calls all lowered, or bound a racer's: one code object per body
+            assert list(vm._lowered) == [record.code]
+            assert record.lowered_code is not vm_module._lower_on_first_call
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_chain_of_first_calls_near_the_depth_limit_returns():
+    depth = 1_000
+    lines = ["class d.D"]
+    for i in range(depth - 1):
+        lines += [f"  method m{i}(int)", "    loadarg 0", f"    pushconst {i}", "    add",
+                  f"    call d.D.m{i + 1}(int)", "    ret"]
+    lines += [f"  method m{depth - 1}(int)", "    loadarg 0", "    ret"]
+    vm = VM(load_program("\n".join(lines)), max_stack_depth=depth)
+    for i in range(depth):
+        vm.jit_compile(f"d.D.m{i}(int)")
+    # each level lowers its own distinct body on the way down
+    assert vm.invoke(vm.new_thread(), "d.D.m0(int)", (7,)) == 7 + sum(range(depth - 1))
+    assert len(vm._lowered) == depth
 
 
 def test_random_twins_lower_to_one_text_under_their_own_names():

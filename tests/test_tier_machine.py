@@ -156,9 +156,10 @@ def test_tier_machine_matches_the_reference(refeval):
 
 def test_a_late_twin_compiles_from_the_cache_while_traced(monkeypatch):
     # session_churn's step 4: a late target, stubbed on arrival, compiled
-    # while traced; its body equals app.Main.leaf's, compiled before
+    # while traced; its body equals app.Main.leaf's, compiled and called before
     vm = VM(MAIN.instantiate())
     leaf = vm.jit_compile("app.Main.leaf(int)")
+    assert vm.invoke(vm.new_thread(), leaf.method_ref, (2,)) == 6
     engine = TraceEngine(vm)
     twin_ref = MethodRef.parse("late.Plugin.twin(int)")
     engine.apply(TargetSet([]), pending=[(twin_ref, (TraceAction.TIME_METHOD,))])
