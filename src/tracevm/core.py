@@ -8,8 +8,9 @@ each registry made from it builds a method's ``MethodRecord`` on first touch.
 A method's ``code``, exact ``(int_op, arg)`` tuples, is its only stored form;
 ``bytecode`` views it as ``Instruction``s, and ``quickened``, on the record and
 in ``Program.quickened``, is a cache derived from it that ``VM.interpret``
-fills. Its tier is its ``lowered_code``, which only ``VM.jit_compile`` sets,
-to a shared prestub that the method's first call replaces with the function.
+fills. Its tier is its ``lowered_code``, which ``VM.jit_compile`` sets to a
+shared prestub; the method's first call lowers its own body and puts the
+function there.
 The Enum members that other modules test by identity are bound here, once.
 """
 

@@ -34,11 +34,11 @@ written with ``repr`` so any signature token is escaped, and passing the
 arguments in a tuple display, so the callee's own entry point still decides
 how the callee runs. The text is one fixed ``def _lowered`` that names no
 method: it depends on ``code`` alone (the loader derives ``n_locals`` and
-``stack_depths`` from it), so a VM compiles each distinct body once, on the
-first call of the first method with that body. The text is compiled, never
-run; ``bind`` builds every function from its code object, under the method's
-own name and file name, in one sealed scope shared by all lowered code,
-``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing parameters.
+``stack_depths`` from it), so twins lower to one text. The text is compiled,
+never run; its code object is renamed to the method's own name and file name
+and becomes a function in one sealed scope shared by all lowered code,
+``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing parameters. Each
+compiled method lowers its own body on its first call.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _NEST_CAP = 16
 _WIDE = 128
 
 _NON_IDENT_RE = re.compile(r"[^0-9A-Za-z]")
-# Globals of every lowered function: no builtins and no names, since ``bind``
-# supplies every value the code reads as a parameter default.
+# Globals of every lowered function: no builtins and no names, since every
+# value the code reads is a parameter default.
 _SCOPE = {"__builtins__": {}}
 # The defaults of ``_lo``, ``_hi`` and ``_w``, one tuple for every lowered function.
 _DEFAULTS = (I64_MIN, I64_MAX, wrap_i64)
@@ -76,20 +76,8 @@ def _checked(text: str) -> str:
     return f"(t if _lo <= (t := {text}) <= _hi else _w(t))"
 
 
-def bind(code: CodeType, record: MethodRecord) -> FunctionType:
-    """The record's function over ``code``, lowered from the record's body or an equal one.
-
-    Every lowered function is built here, and only here takes a name: the
-    record's own name and file name, with ``_DEFAULTS`` as its defaults.
-    """
-    key = record.method_ref.key
-    name = f"_lowered_{_mangle(key)}"
-    code = code.replace(co_filename=f"<lowered {key}>", co_name=name, co_qualname=name)
-    return FunctionType(code, _SCOPE, name, _DEFAULTS)
-
-
 def lower_method(record: MethodRecord):
-    """Return ``(function, source)`` for the record's code."""
+    """Return ``(function, source)`` for the record's code, the function named for the record."""
     code = record.code
     depths = record.stack_depths
     n = len(code)
@@ -243,4 +231,7 @@ def lower_method(record: MethodRecord):
     # The text is one ``def``: its code object is the module's one code constant.
     module = compile(source, "<lowered>", "exec")
     code_obj, = (c for c in module.co_consts if isinstance(c, CodeType))
-    return bind(code_obj, record), source
+    key = record.method_ref.key
+    name = f"_lowered_{_mangle(key)}"
+    code_obj = code_obj.replace(co_filename=f"<lowered {key}>", co_name=name, co_qualname=name)
+    return FunctionType(code_obj, _SCOPE, name, _DEFAULTS), source

@@ -7,7 +7,7 @@ on: every entry but ``CompiledDirect`` asks whether anyone listens and fires the
 events around the body, which is the compiled body for the quick stub, so a
 traced hot method does not fall back to the interpreter. Only ``jit_compile``
 changes a tier: it moves the live entry, or the one a stub saved, to compiled
-at once; a body not lowered before is lowered on the method's first call.
+at once, and every compiled method lowers its own body on its first call.
 
 The interpreter runs each call in one Python frame, over the quickened form
 of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
@@ -55,7 +55,7 @@ from .core import (
 )
 from .errors import ArityMismatchError, StackDepthError, VMInternalError
 from .instrumentation import Instrumentation
-from .jit import bind, lower_method
+from .jit import lower_method
 
 log = logging.getLogger(__name__)
 
@@ -148,13 +148,11 @@ def _lower_on_first_call(vm: VM, thread: VMThread, args: tuple):
 
     ``_dispatch``, the one caller of ``lowered_code``, has pushed the frame that
     names the record, so the prestub holds nothing: a closure over the record
-    would make a cycle. Racing first calls may both lower; the table keeps one.
+    would make a cycle. Racing first calls each lower a correct function, and
+    the last store wins.
     """
     record = vm._records[thread.frames[-1].key]
-    code = vm._lowered.get(record.code)
-    function = lower_method(record)[0] if code is None else bind(code, record)
-    vm._lowered.setdefault(record.code, function.__code__)
-    record.lowered_code = function
+    function = record.lowered_code = lower_method(record)[0]
     return function(vm, thread, args)
 
 
@@ -185,12 +183,11 @@ class VM:
         if max_stack_depth < 1:
             raise ValueError("max_stack_depth must be positive")
         self.registry = registry
-        self._records = registry._records  # the registry never rebinds this dict
+        self._records = registry._records  # the registry never replaces this dict
         self.max_stack_depth = max_stack_depth
         self.instrumentation = Instrumentation(registry)
         self.interpreted_calls = 0
         self.compiled_calls = 0
-        self._lowered = {}  # code tuple -> the code object lowering made for it
         _ensure_stack_headroom(max_stack_depth)
 
     def new_thread(self, name: str = "main") -> VMThread:
@@ -265,16 +262,14 @@ class VM:
     def jit_compile(self, ref: "MethodRef | str") -> MethodRecord:
         """Move a method's entry to the compiled tier; its first call lowers it.
 
-        The VM lowers each distinct ``code`` tuple once: a body equal to one
-        lowered before binds here, as its own function under its own name, and
-        any other gets the shared prestub ``_lower_on_first_call``. An installed
-        stub stays in the slot and the entry it saved moves. Twice is a no-op.
+        The body waits behind the shared prestub ``_lower_on_first_call``, so
+        nothing here walks or hashes ``code``. An installed stub stays in the
+        slot and the entry it saved moves. Twice is a no-op.
         """
         record = self.registry.lookup(ref)
         if record.lowered_code is not None:
             return record
-        code = self._lowered.get(record.code)
-        record.lowered_code = _lower_on_first_call if code is None else bind(code, record)
+        record.lowered_code = _lower_on_first_call
         if record.entry_point is _BRIDGE:
             record.entry_point = _COMPILED
         elif record.original_entry_point is _BRIDGE:

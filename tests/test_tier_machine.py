@@ -11,7 +11,6 @@ its tier's entry with no saved original, so no method is left on a slower
 tier than it would be on untraced.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
@@ -20,6 +19,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition
 from tracevm import (VM, CompilationState, EntryPoint, MethodRef, TargetSet, TraceAction,
                      TraceEngine, TracePhase, parse_program)
 from tracevm import vm as vm_module
+from tracevm.jit import lower_method
 
 MAIN = parse_program("""
 class app.Main
@@ -154,7 +154,7 @@ def test_tier_machine_matches_the_reference(refeval):
     run_state_machine_as_test(Machine, settings=settings(stateful_step_count=50))
 
 
-def test_a_late_twin_compiles_from_the_cache_while_traced(monkeypatch):
+def test_a_late_target_compiled_while_traced_lowers_on_first_compiled_call(monkeypatch):
     # session_churn's step 4: a late target, stubbed on arrival, compiled
     # while traced; its body equals app.Main.leaf's, compiled and called before
     vm = VM(MAIN.instantiate())
@@ -167,22 +167,27 @@ def test_a_late_twin_compiles_from_the_cache_while_traced(monkeypatch):
     twin = vm.registry.lookup(twin_ref)
     assert twin.code == leaf.code and twin.code is not leaf.code
     assert twin.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    lowered = []
 
-    def no_lowering(record):
-        pytest.fail(f"lowered {record.method_ref.key} again")
+    def counting(record):
+        lowered.append(record.method_ref.key)
+        return lower_method(record)
 
-    monkeypatch.setattr(vm_module, "lower_method", no_lowering)
+    monkeypatch.setattr(vm_module, "lower_method", counting)
     assert vm.jit_compile(twin_ref) is twin
     assert twin.compilation_state is CompilationState.COMPILED
     assert twin.entry_point is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
     assert twin.original_entry_point is EntryPoint.COMPILED_DIRECT
-    assert twin.lowered_code.__name__ == "_lowered_late_Plugin_twin_int_"
     thread = vm.new_thread()
+    # the interpreter stub runs the traced call, so nothing lowers yet
     assert vm.invoke(thread, twin_ref, (5,)) == 15
     assert [e.method_ref.key for e in engine.drain().events] == [twin_ref.key]
+    assert lowered == []
     engine.rollback()
     assert twin.entry_point is EntryPoint.COMPILED_DIRECT
     assert twin.original_entry_point is None
     before = vm.compiled_calls
     assert vm.invoke(thread, twin_ref, (-4,)) == -12
     assert vm.compiled_calls == before + 1
+    assert lowered == [twin_ref.key]
+    assert twin.lowered_code.__name__ == "_lowered_late_Plugin_twin_int_"
