@@ -15,6 +15,8 @@ import tracemalloc
 import weakref
 from collections import Counter
 
+import pytest
+
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
                      gen_workload, load_program, parse_program)
 from tracevm import vm as vm_module
@@ -100,44 +102,72 @@ def call_counts(vm, thread, refs) -> dict:
     return counts
 
 
-def _calls(k: int) -> str:
-    return "\n".join(["    loadarg 0", *["    call cost.K.leaf(int)"] * k, "    ret"])
-
-
-CALLERS = f"""
-class cost.K
-  method leaf(int)
-    loadarg 0
-    ret
-  method one(int)
-{_calls(1)}
-  method twenty(int)
-{_calls(20)}
-"""
-# BYSTANDER's twin: an equal body, loaded after BYSTANDER's was lowered
-TWIN = MethodRef.parse("cost.Twin.bystander(int)")
+TWIN_SHORT, TWIN_LONG = (MethodRef.parse(f"cost.Twin.{name}(int)") for name in ("short", "long"))
 
 
 def test_compiling_an_unseen_body_costs_the_same_for_any_length():
-    vm = VM(load_program(SRC + CALLERS))
-    thread = vm.new_thread()
-    vm.invoke(thread, vm.jit_compile(BYSTANDER).method_ref, (5,))  # lowers its body
-    vm.registry.load(parse_program(f"class cost.Twin\n  method bystander(int)\n{_body(8)}\n"))
-    refs = (SHORT, LONG, MethodRef.parse("cost.K.one(int)"), MethodRef.parse("cost.K.twenty(int)"),
-            TWIN)
-    for ref in refs:
-        vm.registry.lookup(ref)  # build each record before the count
-    splits = {ref.key: opcode_split(vm.jit_compile, ref) for ref in refs}
-    assert opcode_split(hash, TWIN)["MethodRef.__hash__"] > 0  # the split sees a hash
+    vm = VM(load_program(SRC))
+    splits = {ref.key: opcode_split(vm.jit_compile, ref) for ref in (SHORT, LONG)}
     for split in splits.values():
         assert split["VM.jit_compile"] > 0  # the split sees the compile
         assert split["lower_method.<locals>.emit_block"] == 0
-        # jit_compile reads none of the body's call refs
-        assert split["MethodRef.__hash__"] == 0
     # the tier moves now and the body lowers on the first call: nothing walks it here
-    assert len({sum(split.values()) for split in splits.values()}) == 1
-    assert [vm.invoke(thread, ref, (9,)) for ref in refs[2:4]] == [9, 9]
-    assert vm.invoke(thread, TWIN, (9,)) == vm.invoke(thread, BYSTANDER, (9,))
+    assert sum(splits[SHORT.key].values()) == sum(splits[LONG.key].values())
+
+
+def test_compiling_an_equal_body_again_costs_the_same_for_any_length():
+    twins = f"""
+class cost.Twin
+  method short(int)
+{_body(2)}
+  method long(int)
+{_body(120)}
+"""
+    vm, thread = compiled_vm()
+    vm.registry.load(parse_program(twins))
+    for ref in (TWIN_SHORT, TWIN_LONG):
+        vm.registry.lookup(ref)  # build each record before the count
+    splits = {ref.key: opcode_split(vm.jit_compile, ref) for ref in (TWIN_SHORT, TWIN_LONG)}
+    for split in splits.values():
+        assert split["VM.jit_compile"] > 0  # the split sees the compile
+        assert split["lower_method.<locals>.emit_block"] == 0
+    # a twin of a lowered body compiles like any unseen body: nothing walks it here
+    assert sum(splits[TWIN_SHORT.key].values()) == sum(splits[TWIN_LONG.key].values())
+    for twin, ref in ((TWIN_SHORT, SHORT), (TWIN_LONG, LONG)):
+        assert vm.invoke(thread, twin, (9,)) == vm.invoke(thread, ref, (9,))
+
+
+def call_split(fn, *args) -> Counter:
+    """The calls ``fn(*args)`` makes of each Python function, keyed by its qualified name."""
+    counts = Counter()
+
+    def on_call(frame, event, arg):
+        counts[frame.f_code.co_qualname] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_compiling_a_twin_reads_none_of_its_call_refs(k):
+    body = "\n".join(["    loadarg 0", *["    call cost.K.leaf(int)"] * k, "    ret"])
+    vm = VM(load_program(f"class cost.K\n  method leaf(int)\n    loadarg 0\n    ret\n"
+                         f"  method f(int)\n{body}\n"))
+    vm.jit_compile("cost.K.f(int)")
+    assert vm.invoke(vm.new_thread(), "cost.K.f(int)", (9,)) == 9  # lowers f's body
+    vm.registry.load(parse_program(f"class cost.Twin\n  method f(int)\n{body}\n"))
+    twin = vm.registry.lookup("cost.Twin.f(int)")
+    assert call_split(hash, twin.method_ref)["MethodRef.__hash__"] == 1  # the split sees a hash
+    calls = call_split(vm.jit_compile, twin.method_ref)
+    # no table is looked up: nothing hashes the body's call refs or walks the body
+    assert calls["MethodRef.__hash__"] == 0
+    assert calls["lower_method.<locals>.emit_block"] == 0
+    assert vm.invoke(vm.new_thread(), twin.method_ref, (9,)) == 9
 
 
 def time_session(vm):
