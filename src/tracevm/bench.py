@@ -8,9 +8,10 @@ suppression but forces interpreter stubs even on compiled targets.
 
 Costs reported per mode: activation wall time and entry points touched,
 per-call latency of a traced and an untraced probe (medians over individual
-call timings, taken in alternating batches), dispatched-event count during
-mixed traffic as the CPU proxy, and trace-event volume. After every run the
-harness verifies the registry is bit-identical to its pre-trace snapshot.
+call timings, taken in batches that alternate over every mode's two probes),
+dispatched-event count during mixed traffic as the CPU proxy, and trace-event
+volume. After every run the harness verifies the registry is bit-identical to
+its pre-trace snapshot.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .actions import EventSink
 from .engine import ApplyReport, TargetSet, TraceEngine
 from .errors import BenchmarkError
 from .vm import VM
@@ -94,24 +94,20 @@ def _median_ns(samples: list) -> int:
     return int(statistics.median(samples))
 
 
-def _measure_calls(vm: VM, thread, traced_ref, untraced_ref, args, n_calls: int,
-                   sink: EventSink, batch: int = 1024) -> tuple[list, list]:
-    """Time each call individually, ``n_calls`` per probe, in alternating batches.
+def _measure_batches(sides: list, n_calls: int, batch: int = 1024) -> None:
+    """Time each call individually, ``n_calls`` per side, in rounds of one batch per side.
 
-    Batches come in pairs whose order flips every pair (traced first, then
-    untraced first, ...), so drift of the machine and warm-up order fall on
-    both sides alike. The sink is drained between batches.
+    A side is ``(vm, thread, ref, args, samples, sink)``. The order of the
+    sides flips every round (first to last, then last to first, ...), so
+    drift of the machine and warm-up order fall on every side alike. Each
+    side's sink is drained after its batch.
     """
-    traced: list[int] = []
-    untraced: list[int] = []
-    sides = ((traced_ref, traced), (untraced_ref, untraced))
-    invoke = vm.invoke
     clock = time.perf_counter_ns
     done = 0
     while done < n_calls:
         step = min(batch, n_calls - done)
-        for ref, samples in sides:
-            append = samples.append
+        for vm, thread, ref, args, samples, sink in sides:
+            invoke, append = vm.invoke, samples.append
             for _ in range(step):
                 t0 = clock()
                 invoke(thread, ref, args)
@@ -119,13 +115,16 @@ def _measure_calls(vm: VM, thread, traced_ref, untraced_ref, args, n_calls: int,
             sink.drain()
         done += step
         sides = sides[::-1]
-    return traced, untraced
 
 
-def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
-                 latency_calls: int = 100_000, warmup_calls: int = 2_000,
-                 startup_reps: int = 5, traffic_calls: int = 2_000) -> AblationMetrics:
-    """Run one mode against a fresh VM built from the workload."""
+def _ablation(mode: AblationMode, workload: GeneratedWorkload, *, latency_calls: int,
+              warmup_calls: int = 2_000, startup_reps: int = 5, traffic_calls: int = 2_000):
+    """Run one mode against a fresh VM built from the workload, in two steps.
+
+    The first ``next`` brings the session up, runs the traffic and warm-up and
+    yields the two latency probes as ``_measure_batches`` sides; the second
+    rolls the session back, checks the registry, and yields the metrics.
+    """
     if startup_reps < 1:
         raise BenchmarkError("startup_reps must be at least 1")
     if latency_calls < 1:
@@ -169,14 +168,16 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
         vm.invoke(thread, untraced_ref, probe_args)
     sink.drain()
 
-    traced_samples, untraced_samples = _measure_calls(
-        vm, thread, traced_ref, untraced_ref, probe_args, latency_calls, sink)
+    traced_samples: list[int] = []
+    untraced_samples: list[int] = []
+    yield [(vm, thread, traced_ref, probe_args, traced_samples, sink),
+           (vm, thread, untraced_ref, probe_args, untraced_samples, sink)]
 
     trace_events_emitted = sink.emitted_count
     engine.rollback()
     _check_pristine(registry, pristine, mode)
 
-    return AblationMetrics(
+    yield AblationMetrics(
         mode=mode,
         fingerprint=workload.fingerprint,
         targets=len(targets),
@@ -190,6 +191,11 @@ def run_ablation(mode: AblationMode, workload: GeneratedWorkload, *,
         trace_events_emitted=trace_events_emitted,
         latency_calls=latency_calls,
     )
+
+
+def run_ablation(mode: AblationMode, workload: GeneratedWorkload, **kwargs) -> AblationMetrics:
+    """Run one mode against a fresh VM built from the workload."""
+    return run_modes(workload, [mode], **kwargs).metrics[0]
 
 
 def _check_pristine(registry, pristine: dict, mode: AblationMode) -> None:
@@ -269,8 +275,17 @@ class AblationReport:
         return "\n".join(lines)
 
 
-def run_modes(workload: GeneratedWorkload, modes=None, **kwargs) -> AblationReport:
-    """Run several modes over one workload and collect a report."""
+def run_modes(workload: GeneratedWorkload, modes=None, *, latency_calls: int = 100_000,
+              **kwargs) -> AblationReport:
+    """Run several modes over one workload, each on its own VM, and collect a report.
+
+    Each mode brings its session up and runs its traffic in turn. Then the
+    traced and untraced probes of every mode take their latency batches in
+    one interleaved sequence, so a latency ratio between two modes compares
+    calls timed under the same machine state.
+    """
     if modes is None:
         modes = list(AblationMode)
-    return AblationReport([run_ablation(m, workload, **kwargs) for m in modes])
+    runs = [_ablation(m, workload, latency_calls=latency_calls, **kwargs) for m in modes]
+    _measure_batches([side for run in runs for side in next(run)], latency_calls)
+    return AblationReport([next(run) for run in runs])

@@ -2,8 +2,9 @@
 
 Values are 64-bit signed integers with wrap-around arithmetic. String constants
 exist only as interned ids taken from a reserved band far below zero, so the
-arg-capture path can map them back to text. A parsed ``Program`` is shared:
-each registry made from it builds a method's ``MethodRecord`` on first touch.
+arg-capture path can map them back to text. A parsed ``Program`` is shared, and
+so is each untouched method's ``MethodRecord``: a registry builds its own only
+to write it.
 
 A method's ``code``, exact ``(int_op, arg)`` tuples, is its only stored form;
 ``bytecode`` views it as ``Instruction``s, and ``quickened``, on the record and
@@ -202,7 +203,8 @@ def parse_signature(sig: str) -> tuple[str, ...]:
     params = []
     for raw in sig.split(","):
         token = raw.strip()
-        if not token or any(ch.isspace() for ch in token):
+        # a stripped token holds whitespace iff ``split`` cuts it: the test runs in C
+        if not token or len(token.split()) > 1:
             raise ProgramParseError(f"bad signature token {raw!r}")
         params.append(token)
     return tuple(params)
@@ -229,7 +231,7 @@ class MethodRecord:
     bytecode = _BYTECODE_VIEW
 
     def __init__(self, method_ref: MethodRef, code: tuple[tuple[int, object], ...],
-                 n_locals: int, stack_depths: tuple):
+                 n_locals: int, stack_depths: tuple, quickened: tuple | None = None):
         self.method_ref = method_ref
         self.code = code
         self.n_locals = n_locals
@@ -237,7 +239,7 @@ class MethodRecord:
         self.entry_point = _BRIDGE
         self.original_entry_point: EntryPoint | None = None
         self.lowered_code = None
-        self.quickened = None
+        self.quickened = quickened
 
     @property
     def arity(self) -> int:
@@ -271,21 +273,23 @@ class Program:
     ``parse_program`` builds both tables once: ``specs`` maps each key, in
     program order, to its ``MethodSpec``, whose first four fields are the
     ``MethodRecord`` arguments, and ``intern_map`` maps each interned id to
-    its text. ``instantiate`` is O(1): the registry builds a record the first
-    time something touches its method. ``quickened`` is a derived cache that
-    ``VM.interpret`` fills: each method's quickened body, built on the
-    method's first interpretation in any registry of the program.
+    its text. ``instantiate`` is O(1). Two derived caches fill as the program
+    runs: ``shared``, each called method's pristine record, which every
+    registry calls through until it builds a private one, and ``quickened``,
+    each method's quickened body, built on its first interpretation in any
+    registry. ``quickened`` is the one field ever written on a shared record.
     """
 
-    __slots__ = ("specs", "intern_map", "quickened")
+    __slots__ = ("specs", "intern_map", "quickened", "shared")
 
     def __init__(self, specs: dict[str, MethodSpec], intern_map: dict[int, str]):
         self.specs = specs
         self.intern_map = intern_map
         self.quickened: dict[str, tuple] = {}
+        self.shared: dict[str, MethodRecord] = {}
 
     def __eq__(self, other: object) -> bool:
-        """Equal parse results; the derived cache takes no part."""
+        """Equal parse results; the derived caches take no part."""
         return (isinstance(other, Program) and self.specs == other.specs
                 and self.intern_map == other.intern_map)
 
@@ -303,16 +307,18 @@ class Program:
 class ClassRegistry:
     """All methods keyed by canonical reference, plus the intern pool.
 
-    Copy on touch: the registry shares its program's ``specs`` table and never
-    writes it. ``get``, and so ``lookup`` and ``records``, builds a method's
-    ``MethodRecord`` on first touch with ``setdefault`` on ``_records``, so
-    threads that touch one method at once get one record. ``load`` builds the
-    records of a later program at once and appends its keys to ``_loaded``.
+    Copy on write: a call runs an untouched method on its program's shared
+    record (``callee``). ``get``, and so ``lookup`` and ``records``, which
+    every writer goes through, builds a private one into ``_records`` with
+    ``setdefault``, so threads that touch one method at once get one record.
+    ``load`` builds the records of a later program at once and appends its
+    keys to ``_loaded``.
     """
 
     def __init__(self, program: Program):
         self._specs = program.specs
         self._quickened = program.quickened
+        self._shared = program.shared
         self._records: dict[str, MethodRecord] = {}
         self._loaded: list[str] = []
         self._intern_by_value = dict(program.intern_map)  # ``load`` may add strings
@@ -362,8 +368,16 @@ class ClassRegistry:
         if record is None:
             spec = self._specs.get(key)
             if spec is not None:
-                record = self._records.setdefault(key, MethodRecord(*spec[:4]))
+                record = self._records.setdefault(
+                    key, MethodRecord(*spec[:4], self._quickened.get(key)))
         return record
+
+    def callee(self, ref: "MethodRef | str") -> MethodRecord:
+        """A call's record on a miss in ``_records`` and ``_shared``: shared, or ``lookup``'s."""
+        spec = self._specs.get(ref if isinstance(ref, str) else ref.key)
+        if spec is None:
+            return self.lookup(ref)
+        return self._shared.setdefault(spec.ref.key, MethodRecord(*spec[:4]))
 
     def records(self) -> Iterator[MethodRecord]:
         """Every method, untouched ones built: program order, then load order.

@@ -1,7 +1,7 @@
 """Simulated device fleet for exercising config rollout end to end.
 
 Each session owns a private VM, an engine and a sink. The VM's registry shares
-the parsed program and builds only the method records the session touches. The
+the parsed program and its method records, and builds only those it writes. The
 gate decides which sessions apply the config; faults are injected
 deterministically so runs reproduce. Rolling a config back stops tracing in
 every session that applied it and restores their entry points.

@@ -32,7 +32,8 @@ calls ``core.wrap_i64`` only when a result leaves the signed 64-bit range;
 the lowered code defers that check to where a value is observed. The
 call edge ``call_ref`` takes the callee's key, which both tiers read off the
 ``call`` instruction, and resolves it with one dict get on the registry's
-record map, asking the registry only on a method's first touch.
+private records, then one on the program's shared ones, so a fresh VM builds
+nothing for a method another VM of its program has called.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ class VM:
         if max_stack_depth < 1:
             raise ValueError("max_stack_depth must be positive")
         self.registry = registry
-        self._records = registry._records  # the registry never replaces this dict
+        self._records = registry._records  # the registry never replaces these dicts
+        self._shared = registry._shared
         self.max_stack_depth = max_stack_depth
         self.instrumentation = Instrumentation(registry)
         self.interpreted_calls = 0
@@ -196,15 +198,13 @@ class VM:
     def invoke(self, thread: VMThread, target: "MethodRef | str", args=()):
         """Public entry: resolve, arity-check and dispatch a call.
 
-        Names resolve as in ``ClassRegistry.lookup``. A key string is
-        resolved as in ``call_ref``; a ``MethodRef`` goes to ``lookup``.
-        ``args`` becomes the call's one argument tuple, the same object when
-        it is a tuple already, which every tier and listener receives.
+        Names resolve as in ``ClassRegistry.lookup``, and both a key string
+        and a ``MethodRef``'s key go the way of ``call_ref``. ``args`` becomes
+        the call's one argument tuple, the same object when it is a tuple
+        already, which every tier and listener receives.
         """
-        if isinstance(target, str):
-            record = self._records.get(target) or self.registry.lookup(target)
-        else:
-            record = self.registry.lookup(target)
+        key = target if isinstance(target, str) else target.key
+        record = self._records.get(key) or self._shared.get(key) or self.registry.callee(target)
         if len(args) != record.arity:
             raise ArityMismatchError(
                 f"{record.method_ref.key} takes {record.arity} args, got {len(args)}")
@@ -213,11 +213,12 @@ class VM:
     def call_ref(self, thread: VMThread, key: str, args: tuple):
         """Internal call edge used by bytecode and lowered code.
 
-        Both tiers pass the callee's key and ``args`` as an exact tuple. One
-        dict get on the registry's record map; a miss, a first touch or a
-        missing method, goes to ``lookup``, which builds the record or raises.
+        Both tiers pass the callee's key and ``args`` as an exact tuple. A
+        private record wins, then the program's shared one; a miss on both, a
+        method's first call in the program or a missing method, goes to
+        ``ClassRegistry.callee``, which builds the shared record or raises.
         """
-        record = self._records.get(key) or self.registry.lookup(key)
+        record = self._records.get(key) or self._shared.get(key) or self.registry.callee(key)
         return self._dispatch(thread, record, args)
 
     def _dispatch(self, thread: VMThread, record: MethodRecord, args: tuple):

@@ -4,7 +4,7 @@ import pytest
 
 from tracevm import (VM, AblationMode, BenchmarkError, MethodRef, TargetSet, TraceAction,
                      TraceEngine, load_program, parse_program, run_ablation, run_modes)
-from tracevm.bench import AblationMetrics, AblationReport, _measure_calls, bring_up
+from tracevm.bench import AblationMetrics, AblationReport, _measure_batches, bring_up
 
 FAST = dict(latency_calls=3_000, warmup_calls=300, startup_reps=3, traffic_calls=400)
 
@@ -122,13 +122,22 @@ def test_measure_calls_alternates_sides():
         def drain(self):
             drains.append(len(calls))
 
-    traced, untraced = _measure_calls(RecordingVM(), None, "T", "U", (), 10,
-                                      CountingSink(), batch=3)
+    vm, sink = RecordingVM(), CountingSink()
+    traced, untraced = [], []
+    _measure_batches([(vm, None, "T", (), traced, sink), (vm, None, "U", (), untraced, sink)],
+                     10, batch=3)
     assert len(traced) == len(untraced) == 10
     # batches of 3, 3, 3 and 1 per side; the side that goes first flips
     # every pair, so neither side always runs first or last
     assert "".join(calls) == "TTTUUU" "UUUTTT" "TTTUUU" "UT"
     assert drains == [3, 6, 9, 12, 15, 18, 19, 20]
+    # two modes' probes: the order of all four sides flips every round
+    calls.clear()
+    samples = [[] for _ in range(4)]
+    _measure_batches([(vm, None, ref, (), got, sink) for ref, got in zip("ABCD", samples)],
+                     4, batch=3)
+    assert "".join(calls) == "AAABBBCCCDDD" "DCBA"
+    assert [len(got) for got in samples] == [4, 4, 4, 4]
 
 
 @pytest.mark.parametrize("mode", [AblationMode.FULL, AblationMode.INTERPRETER,

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracevm import (
@@ -80,6 +80,36 @@ def test_parse_signature_strips_whitespace():
     assert parse_signature("") == ()
 
 
+def _split_per_character(sig: str):
+    """``parse_signature`` as it tested each token, one character at a time."""
+    sig = sig.strip()
+    if not sig:
+        return ()
+    params = []
+    for raw in sig.split(","):
+        token = raw.strip()
+        if not token or any(ch.isspace() for ch in token):
+            return ProgramParseError
+        params.append(token)
+    return tuple(params)
+
+
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
+
+
+@given(st.text(st.one_of(st.sampled_from(_SPACES + ",ab"), st.characters()), max_size=12))
+@example("int\x1cx")
+@example("int\xa0x")
+@example("int x")
+@example(" a , b\x1c")
+def test_parse_signature_tests_whitespace_like_a_per_character_scan(sig):
+    try:
+        got = parse_signature(sig)
+    except ProgramParseError:
+        got = ProgramParseError
+    assert got == _split_per_character(sig)
+
+
 def test_intern_ids_deterministic_and_far_negative():
     a = intern_id("alice@example.com")
     assert a == intern_id("alice@example.com")
@@ -147,6 +177,27 @@ def test_untouched_methods_answer_get_in_and_len():
     with pytest.raises(MethodNotFoundError):
         registry.lookup("b.B.nope()")
     assert list(registry._records) == ["a.A.g(int)"]
+
+
+def test_callee_shares_one_record_and_get_builds_private_ones():
+    program = parse_program(TWO_CLASSES)
+    r1, r2 = program.instantiate(), program.instantiate()
+    shared = r1.callee("a.A.g(int)")
+    assert program.shared == {"a.A.g(int)": shared}
+    assert r2.callee(MethodRef("a.A", "g", ("int",))) is shared
+    assert r1._records == {} and r2._records == {}  # ``_records`` holds private records only
+    program.quickened["a.A.g(int)"] = quick = ((2, 0), (11, None))
+    for registry in (r1, r2):
+        private = registry.get("a.A.g(int)")
+        assert private is not shared and private.quickened is quick
+        assert registry.lookup("a.A.g(int)") is private
+        assert list(registry.records())[1] is private
+    assert shared.quickened is None  # ``VM.interpret`` fills it on its first run
+    with pytest.raises(MethodNotFoundError):
+        r1.callee("a.A.nope()")
+    r1.load(parse_program("class c.C\n  method k()\n    pushconst 3\n    ret"))
+    assert r1.callee("c.C.k()") is r1._records["c.C.k()"]  # a loaded method is private
+    assert list(program.shared) == ["a.A.g(int)"]
 
 
 def test_records_in_program_then_load_order():

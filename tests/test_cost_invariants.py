@@ -398,3 +398,38 @@ def test_an_interpreted_probe_call_runs_at_most_ten_times_its_compiled_opcodes()
              / call_counts(compiled, compiled.new_thread(), [probe])[probe.key])
     # one dispatch per stored instruction runs the probe at over 20x
     assert ratio <= 10, ratio
+
+
+CALLER = """
+class cost.Call
+  method leaf(int)
+    loadarg 0
+    storelocal 0
+    loadlocal 0
+    pushconst 3
+    mul
+    storelocal 0
+    loadlocal 0
+    ret
+  method top(int)
+    loadarg 0
+    call cost.Call.leaf(int)
+    loadarg 0
+    call cost.Call.leaf(int)
+    add
+    ret
+"""
+CALL_TOP = MethodRef.parse("cost.Call.top(int)")
+
+
+@pytest.mark.parametrize("target", [CALL_TOP, CALL_TOP.key], ids=["ref", "key"])
+def test_a_fresh_registry_runs_a_method_the_program_ran_at_its_second_call_cost(target):
+    program = parse_program(CALLER)
+    seasoned = VM(program.instantiate())
+    assert seasoned.invoke(seasoned.new_thread(), target, (5,)) == 30
+    fresh = VM(program.instantiate())
+    thread = fresh.new_thread()
+    first, second = (opcodes(fresh.invoke, thread, target, (5,)) for _ in range(2))
+    # both calls of each method run on the program's shared record, built and
+    # quickened already: no lookup, no record to build, no body to quicken
+    assert first - second <= 0, (first, second)

@@ -46,6 +46,12 @@ def _vm(src):
     return VM(load_program(src))
 
 
+# Building a VM raises the process-wide recursion limit once. Doing it here,
+# before any ``@given`` test builds one, keeps hypothesis from warning that a
+# test changed the limit, whichever tests ran first.
+_vm("class a.A\n  method f()\n    pushconst 0\n    ret")
+
+
 def _arith_src(op):
     return f"""
 class a.A

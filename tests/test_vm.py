@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -503,3 +504,210 @@ def test_threads_that_first_interpret_a_method_at_once_both_get_it_right(monkeyp
     assert results == [10, 15]
     records = [vm.registry.lookup("late.L.f(int)") for vm in vms]
     assert records[0].quickened == records[1].quickened == program.quickened["late.L.f(int)"]
+
+
+# Copy on write. Every registry of a program calls an untouched method through
+# the program's one shared record; whatever writes a method's state goes
+# through the registry and gets a private record, so the shared one stays
+# pristine for every other VM.
+SHARED = """
+class s.S
+  method leaf(int)
+    loadarg 0
+    storelocal 0
+    loadlocal 0
+    pushconst 1
+    add
+    storelocal 0
+    loadlocal 0
+    ret
+  method top(int)
+    loadarg 0
+    call s.S.leaf(int)
+    loadarg 0
+    call s.S.leaf(int)
+    mul
+    ret
+"""
+LEAF, TOP = "s.S.leaf(int)", "s.S.top(int)"
+LATE = "class late.L\n  method f(int)\n    loadarg 0\n    call s.S.top(int)\n    ret"
+TIMED = (TraceAction.TIME_METHOD,)
+
+
+def _top(n):
+    return (n + 1) * (n + 1)
+
+
+def _assert_pristine(record):
+    assert record.entry_point is EntryPoint.INTERPRETER_BRIDGE
+    assert record.original_entry_point is None and record.lowered_code is None
+
+
+def _compile_and_call(vm, thread):
+    vm.jit_compile(TOP)
+    vm.jit_compile(LEAF)
+    assert vm.invoke(thread, TOP, (4,)) == _top(4)
+
+
+def _targeted(vm, thread):
+    engine = TraceEngine(vm)
+    engine.apply(TargetSet([(MethodRef.parse(LEAF), TIMED)]))
+    assert vm.invoke(thread, TOP, (4,)) == _top(4)
+    assert len(engine.drain().events) == 2
+    return engine.rollback
+
+
+def _global(vm, thread):
+    engine = TraceEngine(vm)
+    engine.apply_global(TargetSet([(MethodRef.parse(TOP), TIMED)]))
+    assert vm.invoke(thread, TOP, (4,)) == _top(4)
+    assert len(engine.drain().events) == 1
+    return engine.rollback
+
+
+def _late_load(vm, thread):
+    engine = TraceEngine(vm)
+    engine.apply(TargetSet([(MethodRef.parse(TOP), TIMED)]),
+                 pending=[(MethodRef.parse("late.L.f(int)"), TIMED)])
+    vm.registry.load(tracevm.parse_program(LATE))
+    assert vm.invoke(thread, "late.L.f(int)", (4,)) == _top(4)
+    assert len(engine.drain().events) == 2
+    return engine.rollback
+
+
+def _manual_stub(vm, thread):
+    record = vm.registry.get(LEAF)
+    assert vm.instrumentation.install_stubs_for_method(
+        record, EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+    assert vm.invoke(thread, TOP, (4,)) == _top(4)
+    return lambda: vm.instrumentation.restore_entry_point_for_method(record)
+
+
+@pytest.mark.parametrize("write", [_compile_and_call, _targeted, _global, _late_load,
+                                   _manual_stub],
+                         ids=["jit", "targeted", "global", "late-load", "manual-stub"])
+def test_every_write_lands_on_a_private_record(write):
+    program = tracevm.parse_program(SHARED)
+    bystander, writer = VM(program.instantiate()), VM(program.instantiate())
+    thread = writer.new_thread()
+    assert writer.invoke(thread, TOP, (2,)) == _top(2)  # first reached by a call edge
+    shared = dict(program.shared)
+    assert list(shared) == [TOP, LEAF] and writer.registry._records == {}
+
+    def check():
+        assert program.shared == shared  # no record replaced, none added
+        for key, record in shared.items():
+            _assert_pristine(record)
+            assert writer.registry.get(key) is not record
+        assert all(rec is not shared.get(key) for key, rec in writer.registry._records.items())
+        # another VM of the program runs on the shared records and sees no stub
+        assert bystander.invoke(bystander.new_thread(), TOP, (3,)) == _top(3)
+        assert bystander.compiled_calls == 0 and bystander.registry._records == {}
+        assert writer.invoke(thread, TOP, (5,)) == _top(5)
+
+    undo = write(writer, thread)
+    check()
+    if undo is not None:
+        undo()
+        check()
+
+    fresh = VM(program.instantiate())
+    assert fresh.invoke(fresh.new_thread(), TOP, (6,)) == _top(6)
+    for key in (TOP, LEAF):
+        record = fresh.registry.get(key)  # private, with the program's quickened body
+        assert record is not shared[key] and record.quickened is program.quickened[key]
+        _assert_pristine(record)
+    assert program.quickened[LEAF] != program.specs[LEAF].code  # the body fused
+
+
+def test_a_fresh_registry_driven_only_by_calls_builds_no_record(monkeypatch):
+    program = tracevm.parse_program(SHARED)
+    first = VM(program.instantiate())
+    assert first.invoke(first.new_thread(), TOP, (2,)) == _top(2)
+    built = []
+    init = MethodRecord.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0].key)
+        init(self, *args)
+
+    monkeypatch.setattr(MethodRecord, "__init__", counting_init)
+    for target in (TOP, MethodRef.parse(TOP)):
+        vm = VM(program.instantiate())
+        thread = vm.new_thread()
+        assert [vm.invoke(thread, target, (n,)) for n in (1, 2)] == [_top(1), _top(2)]
+        assert built == [] and vm.registry._records == {}
+    # a program method no VM called yet gets its shared record once
+    other = tracevm.parse_program(SHARED)
+    for _ in range(2):
+        vm = VM(other.instantiate())
+        assert vm.invoke(vm.new_thread(), LEAF, (1,)) == 2
+    assert built == [LEAF] and vm.registry._records == {}
+
+
+def test_vms_of_one_program_first_call_at_once_while_another_traces():
+    """Eight VMs of one program make their first calls at once while a ninth compiles and traces."""
+
+    def program():
+        return tracevm.gen_workload(n_classes=12, methods_per_class=10, target_count=4, seed=778)
+
+    work = program()
+    calls = work.traffic(60, seed=5)
+    oracle = VM(work.program.instantiate())
+    expected = [oracle.invoke(oracle.new_thread(), key, args) for key, args in calls]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(10):
+            work = program()  # a program no VM has called yet
+            readers = [VM(work.program.instantiate()) for _ in range(8)]
+            writer = VM(work.program.instantiate())
+            engine = TraceEngine(writer)
+            barrier = threading.Barrier(9, timeout=10)
+            done = threading.Event()
+            results, errors = {}, []
+
+            def read(i):
+                order = list(enumerate(calls))
+                random.Random(round_no * 8 + i).shuffle(order)
+                thread = readers[i].new_thread()
+                barrier.wait()
+                results[i] = {n: readers[i].invoke(thread, key, args) for n, (key, args) in order}
+
+            def write():
+                thread = writer.new_thread()
+                barrier.wait()
+                try:
+                    for key, _ in calls[:6]:
+                        writer.jit_compile(key)
+                    while not done.is_set():
+                        engine.apply(TargetSet(work.target_entries))
+                        for n, (key, args) in enumerate(calls[:6]):
+                            assert writer.invoke(thread, key, args) == expected[n]
+                        engine.rollback()
+                except Exception as exc:  # pragma: no cover - the failure being tested
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            threads.append(threading.Thread(target=write))
+            for t in threads:
+                t.start()
+            for t in threads[:8]:
+                t.join(timeout=30)
+            done.set()
+            threads[8].join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            assert sorted(results) == list(range(8))
+            for per_reader in results.values():
+                assert [per_reader[n] for n in range(len(calls))] == expected
+            assert all(vm.registry._records == {} and vm.compiled_calls == 0 for vm in readers)
+            for record in work.program.shared.values():
+                _assert_pristine(record)
+            for record in writer.registry._records.values():  # rolled back
+                compiled = record.lowered_code is not None
+                assert record.original_entry_point is None
+                assert record.entry_point is (EntryPoint.COMPILED_DIRECT if compiled
+                                              else EntryPoint.INTERPRETER_BRIDGE)
+            assert writer.compiled_calls > 0
+    finally:
+        sys.setswitchinterval(old_interval)
