@@ -11,23 +11,27 @@ at once, and every compiled method lowers its own body on its first call.
 
 The interpreter runs each call in one Python frame, over the quickened form
 of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
-``_RUNS`` into one op whose arg holds the run's operands. The four-op
-``loadlocal a; pushconst k | loadarg i; add | sub | mul; storelocal b``
-becomes ``loc[b] = loc[a] OP k`` (or ``OP args[i]``), and ``loadlocal a; add;
+``_RUNS`` into one op whose arg holds the run's operands: ``loadlocal a; add;
 storelocal b``, ``pushconst | loadarg; storelocal``, ``loadlocal | loadarg;
-jz`` and ``loadlocal; ret`` fuse too. Each fused op lowers the opcodes of
-fleet traffic; dropping any one raises them. Jumps stay relative, counted in
-the quickened form, and a jump target inside a run ends the run. A body with
-nothing to fuse, such as a late ``leaf`` of pure stack ops, is its own
-quickened form. The form is built on a method's first interpretation, never
-at parse time, kept in ``MethodRecord.quickened``, and shared through
-``Program.quickened`` by every registry of the program. Both forms are exact
-``(int_op, arg)`` tuples: CPython 3.11 specialises ``code[pc]``
-(``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+jz`` and ``loadlocal; ret``. The four-op ``loadlocal a; pushconst k |
+loadarg i; add | sub | mul; storelocal b``, ``loc[b] = loc[a] OP k`` (or
+``OP args[i]``), becomes a step of an accumulator chain, ``Q_CHAIN``: the
+steps after it join its chain while each reads and writes the local ``b``
+and no jump lands on it. The loop keeps the running value in a Python local
+and writes ``loc[b]`` once, so a straight-line run of arithmetic on one
+local pays one dispatch in all, not one per step. Each fused op lowers the
+opcodes of fleet traffic; dropping any one raises them. Jumps stay
+relative, counted in the quickened form, and a jump target inside a run ends
+the run. A body with nothing to fuse, such as a late ``leaf`` of pure stack
+ops, is its own quickened form. The form is built on a method's first
+interpretation, never at parse time, kept in ``MethodRecord.quickened``, and
+shared through ``Program.quickened`` by every registry of the program. Both
+forms are exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
+``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
-ints. The loop asks first whether an op is fused (79% of what fleet traffic
-runs), and each branch tests its ops by their share of that traffic, with the
-probe's three fused ops, ``Q_SUBK``, ``Q_ADDK`` and ``Q_MULK``, first. Arithmetic
+ints. The loop reads the opcode names as module globals and asks first
+whether an op is fused (76% of what fleet traffic runs); each branch, and a
+chain's steps, test their ops by their share of that traffic. Arithmetic
 calls ``core.wrap_i64`` only when a result leaves the signed 64-bit range;
 the lowered code defers that check to where a value is observed. The
 call edge ``call_ref`` takes the callee's key, which both tiers read off the
@@ -80,10 +84,11 @@ def _ensure_stack_headroom(max_depth: int) -> None:
 (O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP, O_CALL, O_RET) = _OPCODES
 
 # The fused ops of the quickened form, numbered after the stored opcodes: the
-# loop's one ``op > O_RET`` test tells the two kinds apart.
-_FUSED = tuple(range(O_RET + 1, O_RET + 13))
+# loop's one ``op > O_RET`` test tells the two kinds apart. The six
+# arithmetic ones, ``_STEPS``, run only as the steps of a ``Q_CHAIN``.
+_FUSED = tuple(range(O_RET + 1, O_RET + 14))
 (Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL, Q_JZA,
- Q_RETL) = _FUSED
+ Q_RETL, Q_CHAIN) = _FUSED
 # Each fusible run of stored ops and the fused op that runs it. A fused op's
 # arg is the run's operands in order, or its one operand alone.
 _RUNS = {
@@ -101,6 +106,7 @@ _RUNS = {
     (O_LLOC, O_RET): Q_RETL,                  # return loc[a]
 }
 _HEADS = frozenset(run[:2] for run in _RUNS)
+_STEPS = frozenset((Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA))
 _JUMPS = (O_JZ, O_JMP, Q_JZL, Q_JZA)  # each one's target is its last operand
 
 
@@ -108,9 +114,13 @@ def quicken(code: tuple) -> tuple:
     """The body ``VM.interpret`` runs: ``code`` with its fusible runs fused.
 
     At each op the longest run in ``_RUNS`` wins, and a jump target inside a
-    run ends it, so every target starts an op. Jumps stay relative, counted
-    in the quickened form. A body with nothing to fuse is its own quickened
-    form: ``code`` itself, not a copy.
+    run ends it, so every target starts an op. Each run fused to one of
+    ``_STEPS`` becomes a step of a ``Q_CHAIN`` op, ``(a, steps, b)``, whose
+    ``steps`` hold each one's ``(fused op, k or i)``: it joins the chain just
+    before it when it reads and writes that chain's ``b`` and is no jump
+    target, and starts a chain of its own otherwise. Jumps stay relative,
+    counted in the quickened form. A body with nothing to fuse is its own
+    quickened form: ``code`` itself, not a copy.
     """
     ops = [op for op, _ in code]
     # A body with no adjacent pair that starts a run returns here: about 1 us,
@@ -134,13 +144,24 @@ def quicken(code: tuple) -> tuple:
             operands = [arg for _, arg in code[pc:pc + width] if arg is not None]
             if fused in _JUMPS:
                 operands[-1] += pc + width - 1
-            out.append((fused, operands[0] if len(operands) == 1 else tuple(operands)))
+            if fused in _STEPS:
+                a, x, b = operands
+                last, chain = out[-1] if out else (None, None)
+                if last == Q_CHAIN and chain[2] == a == b and pc not in targets:
+                    # the next step of a chain: no jump lands here, so ``at[pc]`` is never read
+                    chain[1].append((fused, x))
+                else:  # a list of steps until the chain is whole
+                    out.append((Q_CHAIN, (a, [(fused, x)], b)))
+            else:
+                out.append((fused, operands[0] if len(operands) == 1 else tuple(operands)))
         pc += width
     if len(out) == len(code):
         return code
     for i, (op, arg) in enumerate(out):
         if op in _JUMPS:
             out[i] = (op, (*arg[:-1], at[arg[-1]] - i) if op > O_RET else at[arg] - i)
+        elif op == Q_CHAIN:
+            out[i] = (op, (arg[0], tuple(arg[1]), arg[2]))
     return tuple(out)
 
 
@@ -205,7 +226,7 @@ class VM:
         """
         key = target if isinstance(target, str) else target.key
         record = self._records.get(key) or self._shared.get(key) or self.registry.callee(target)
-        if len(args) != record.arity:
+        if len(args) != record.method_ref.arity:
             raise ArityMismatchError(
                 f"{record.method_ref.key} takes {record.arity} args, got {len(args)}")
         return self._dispatch(thread, record, tuple(args))
@@ -293,57 +314,43 @@ class VM:
         loc = [0] * record.n_locals if record.n_locals else None
         call = self.call_ref
         lo, hi, wrap = I64_MIN, I64_MAX, wrap_i64
-        (O_PUSH, O_LARG, O_LLOC, O_SLOC, O_ADD, O_SUB, O_MUL, O_JZ, O_JMP,
-         O_CALL, O_RET) = _OPCODES
-        (Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL,
-         Q_JZA, Q_RETL) = _FUSED
         pc = 0
         try:
             while True:
                 op, arg = code[pc]
                 if op > O_RET:
-                    if op == Q_SUBK:
-                        a, k, b = arg
-                        r = loc[a] - k
-                        loc[b] = r if lo <= r <= hi else wrap(r)
+                    if op == Q_CHAIN:
+                        a, steps, b = arg
+                        r = loc[a]
+                        for step, x in steps:
+                            if step == Q_SUBK:
+                                r -= x
+                            elif step == Q_ADDK:
+                                r += x
+                            elif step == Q_ADDA:
+                                r += args[x]
+                            elif step == Q_MULK:
+                                r *= x
+                            elif step == Q_SUBA:
+                                r -= args[x]
+                            else:
+                                r *= args[x]
+                            if r < lo or r > hi:
+                                r = wrap(r)
+                        loc[b] = r
                         pc += 1
-                    elif op == Q_ADDK:
-                        a, k, b = arg
-                        r = loc[a] + k
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
-                    elif op == Q_MULK:
-                        a, k, b = arg
-                        r = loc[a] * k
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
-                    elif op == Q_JZL:
-                        a, off = arg
-                        pc = pc + off if loc[a] == 0 else pc + 1
                     elif op == Q_SETA:
                         i, b = arg
                         loc[b] = args[i]
                         pc += 1
                     elif op == Q_RETL:
                         return loc[arg]
-                    elif op == Q_ADDA:
-                        a, i, b = arg
-                        r = loc[a] + args[i]
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
-                    elif op == Q_SUBA:
-                        a, i, b = arg
-                        r = loc[a] - args[i]
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
+                    elif op == Q_JZL:
+                        a, off = arg
+                        pc = pc + off if loc[a] == 0 else pc + 1
                     elif op == Q_ADDL:
                         a, b = arg
                         r = pop() + loc[a]
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
-                    elif op == Q_MULA:
-                        a, i, b = arg
-                        r = loc[a] * args[i]
                         loc[b] = r if lo <= r <= hi else wrap(r)
                         pc += 1
                     elif op == Q_JZA:
@@ -357,6 +364,9 @@ class VM:
                         raise VMInternalError(f"unknown opcode {op} at pc {pc}")
                 elif op == O_JMP:
                     pc += arg
+                elif op == O_PUSH:
+                    push(arg)
+                    pc += 1
                 elif op == O_CALL:
                     n = arg.arity
                     if n:
@@ -368,9 +378,6 @@ class VM:
                     pc += 1
                 elif op == O_LARG:
                     push(args[arg])
-                    pc += 1
-                elif op == O_PUSH:
-                    push(arg)
                     pc += 1
                 elif op == O_ADD:
                     r = stack[-2] + pop()

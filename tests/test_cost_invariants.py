@@ -400,6 +400,28 @@ def test_an_interpreted_probe_call_runs_at_most_ten_times_its_compiled_opcodes()
     assert ratio <= 10, ratio
 
 
+def _probe_shaped(n_steps: int) -> str:
+    """``cost.Chain.f(int)``: the latency probe's shape, ``n_steps`` arithmetic runs on one local."""
+    steps = []
+    for i in range(n_steps):
+        steps += ["loadlocal 0", f"pushconst {i % 9 + 3}", ("add", "mul", "sub")[i % 3],
+                  "storelocal 0"]
+    lines = ["loadarg 0", "storelocal 0", *steps, "loadlocal 0", "ret"]
+    return "class cost.Chain\n  method f(int)\n" + "\n".join(f"    {line}" for line in lines)
+
+
+def test_each_step_of_a_straight_line_chain_costs_the_interpreter_at_most_35_opcodes():
+    chain = MethodRef.parse("cost.Chain.f(int)")
+    short, long = 3, 93
+    counts = []
+    for n_steps in (short, long):
+        vm = VM(load_program(_probe_shaped(n_steps)))
+        counts.append(call_counts(vm, vm.new_thread(), [chain])[chain.key])
+    per_step = (counts[1] - counts[0]) / (long - short)
+    # a dispatch for each step, with its own local read and write, costs about 50
+    assert per_step <= 35, (counts, per_step)
+
+
 CALLER = """
 class cost.Call
   method leaf(int)

@@ -7,6 +7,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tracevm
 from tracevm import (
@@ -27,8 +29,8 @@ from tracevm import (
     load_program,
 )
 from tracevm import vm as vm_module
-from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord
-from tracevm.vm import _RUNS, quicken
+from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord, wrap_i64
+from tracevm.vm import _RUNS, _STEPS, Q_CHAIN, quicken
 
 COUNTDOWN = """
 class r.R
@@ -397,13 +399,25 @@ def _three_ways(src: str, refeval, arg_sets) -> list:
     return results
 
 
+Q_KEY = "q.Q.f(int,int,int)"
+
+
+def _quickened(src: str) -> tuple:
+    return quicken(load_program(src).lookup(Q_KEY).code)
+
+
+def _fused_ops(src: str) -> list:
+    """The ops of ``q.Q.f``'s quickened form, each chain's step ops in place of the chain."""
+    return [step for op, arg in _quickened(src)
+            for step in ([step for step, _ in arg[1]] if op == Q_CHAIN else [op])]
+
+
 @pytest.mark.parametrize("run", _RUNS, ids=RUN_IDS)
 def test_a_jump_into_a_fusible_run_ends_the_run(run, refeval):
     for j in range(len(run)):
         src = _run_method(run, j)
-        code = load_program(src).lookup("q.Q.f(int,int,int)").code
         # a jump to the run's first op leaves it whole; one to a later op splits it
-        assert (_RUNS[run] in [op for op, _ in quicken(code)]) == (j == 0), j
+        assert (_RUNS[run] in _fused_ops(src)) == (j == 0), j
         _three_ways(src, refeval, [(x, y, c) for x, y in [(5, 3), (0, -7), (EDGES[0], 2)]
                                    for c in (0, 1)])
 
@@ -415,8 +429,7 @@ ARITH_RUNS = [run for run in _RUNS if {Opcode.ADD, Opcode.SUB, Opcode.MUL} & set
                          ids=[RUN_IDS[list(_RUNS).index(run)] for run in ARITH_RUNS])
 def test_every_fused_op_wraps_at_the_64_bit_edges(run, refeval):
     src = _run_method(run, 0)
-    assert _RUNS[run] in [op for op, _ in quicken(load_program(src).lookup(
-        "q.Q.f(int,int,int)").code)]
+    assert _RUNS[run] in _fused_ops(src)
     arg_sets = [(x, y, 1) for x, y in itertools.product(EDGES, repeat=2)]
     results = _three_ways(src, refeval, arg_sets)
     assert all(I64_MIN <= value <= I64_MAX for value in results)
@@ -425,6 +438,124 @@ def test_every_fused_op_wraps_at_the_64_bit_edges(run, refeval):
     exact = {Opcode.ADD: int.__add__, Opcode.SUB: int.__sub__, Opcode.MUL: int.__mul__}[op]
     assert any(not I64_MIN <= exact(x, K if Opcode.PUSH_CONST in run else y) <= I64_MAX
                for x, y, _ in arg_sets)
+
+
+# Accumulator chains. Each fused arithmetic run is a step of a ``Q_CHAIN`` op,
+# ``(a, steps, b)``. The runs after it join its chain while each reads and
+# writes the chain's local ``b`` and no jump lands on it, so a straight-line
+# run of arithmetic on one local reads and writes a local once in all.
+def _q(lines) -> str:
+    return "class q.Q\n  method f(int,int,int)\n" + "\n".join(f"    {line}" for line in lines)
+
+
+def _step(op: str, operand: str, a: int = 0, b: int = 0) -> list:
+    """The stored run ``loc[b] = loc[a] OP operand``; ``operand`` is a pushconst or loadarg."""
+    return [f"loadlocal {a}", operand, op, f"storelocal {b}"]
+
+
+def _chains(src: str, n_steps: int) -> list:
+    """``(a, steps, b)`` of each chain in ``q.Q.f``'s quickened form, with the step count.
+
+    Checks that the form keeps all ``n_steps`` steps of the source, chained or not.
+    """
+    chains = [arg for op, arg in _quickened(src) if op == Q_CHAIN]
+    assert sum(len(steps) for _, steps, _ in chains) == n_steps
+    return [(a, len(steps), b) for a, steps, b in chains]
+
+
+CHAIN_STEPS = [("add", "pushconst 3"), ("mul", "loadarg 1"), ("sub", "pushconst 7"),
+               ("mul", f"pushconst {K}"), ("add", "loadarg 0")]
+CHAIN_ARGS = [(x, y, c) for x, y in [(5, 3), (0, -7), (EDGES[0], 2), (EDGES[1], -1)]
+              for c in (0, 1)]
+
+
+@pytest.mark.parametrize("j", range(len(CHAIN_STEPS) + 1))
+def test_a_jump_into_a_chain_splits_it(j, refeval):
+    # the jz lands on step j: 0 is the chain's first step, len(CHAIN_STEPS) the op after it
+    body = ["loadarg 0", "storelocal 0", "loadarg 2", f"jz {1 + 4 * j:+d}"]
+    for op, operand in CHAIN_STEPS:
+        body += _step(op, operand)
+    src = _q([*body, "loadlocal 0", "ret"])
+    n = len(CHAIN_STEPS)
+    # each side of the landing spot holding a step is a chain of its own
+    assert [steps for _, steps, _ in _chains(src, n)] == [part for part in (j, n - j) if part]
+    _three_ways(src, refeval, CHAIN_ARGS)
+
+
+def test_a_chain_may_first_read_a_local_it_does_not_write(refeval):
+    body = ["loadarg 0", "storelocal 1", *_step("add", "pushconst 5", a=1),
+            *_step("mul", "loadarg 1"), *_step("sub", "pushconst 9")]
+    # local 1 keeps arg 0: the chain writes only local 0
+    src = _q([*body, "loadlocal 1", "loadlocal 0", "sub", "ret"])
+    assert _chains(src, 3) == [(1, 3, 0)]
+    results = _three_ways(src, refeval, CHAIN_ARGS)
+    assert results == [wrap_i64(x - ((x + 5) * y - 9)) for x, y, _ in CHAIN_ARGS]
+
+
+@pytest.mark.parametrize("switch, chains", [
+    # reads local 0, the chain's local, but writes local 1: a new chain on local 1 starts
+    ((0, 1), [(0, 2, 0), (0, 3, 1)]),
+    # reads local 1 and writes local 0: a new chain on local 0 starts
+    ((1, 0), [(0, 2, 0), (1, 3, 0)]),
+], ids=["writes-another", "reads-another"])
+def test_a_step_that_switches_locals_ends_the_chain(switch, chains, refeval):
+    a, b = switch
+    body = ["loadarg 0", "storelocal 0", "loadarg 1", "storelocal 1",
+            *_step("add", "pushconst 3"), *_step("mul", "loadarg 2"),
+            *_step("sub", "loadarg 1", a=a, b=b),
+            *_step("mul", "pushconst 5", a=b, b=b), *_step("add", "loadarg 0", a=b, b=b)]
+    src = _q([*body, "loadlocal 0", "loadlocal 1", "sub", "ret"])
+    assert _chains(src, 5) == chains
+    _three_ways(src, refeval, CHAIN_ARGS)
+
+
+def test_a_chain_wraps_out_of_range_and_back_at_every_edge(refeval):
+    # x + y - y is x again and -K + K undoes itself, however far a step leaves the range
+    body = ["loadarg 0", "storelocal 0", *_step("add", "loadarg 1"), *_step("sub", "loadarg 1"),
+            *_step("mul", f"pushconst {K}"), *_step("sub", f"pushconst {K}"),
+            *_step("add", f"pushconst {K}")]
+    src = _q([*body, "loadlocal 0", "ret"])
+    assert _chains(src, 5) == [(0, 5, 0)]
+    arg_sets = [(x, y, 1) for x, y in itertools.product(EDGES, repeat=2)]
+    assert _three_ways(src, refeval, arg_sets) == [wrap_i64(x * K) for x, _, _ in arg_sets]
+    # the first step leaves the range for some pairs, so the wrap runs mid-chain
+    assert any(not I64_MIN <= x + y <= I64_MAX for x, y, _ in arg_sets)
+
+
+def test_a_chain_runs_every_step_kind_with_loadarg_operands(refeval):
+    body = ["loadarg 0", "storelocal 0", *_step("add", "loadarg 1"), *_step("sub", "loadarg 2"),
+            *_step("mul", "loadarg 1"), *_step("add", "pushconst 11"),
+            *_step("sub", "pushconst -4"), *_step("mul", "pushconst 3"),
+            *_step("mul", "loadarg 0")]
+    src = _q([*body, "loadlocal 0", "ret"])
+    assert _chains(src, 7) == [(0, 7, 0)]
+    assert set(_fused_ops(src)) >= _STEPS
+    _three_ways(src, refeval, [(x, y, c) for x, y, c in itertools.product(EDGES[::2], repeat=3)])
+
+
+_I64_ARG = st.one_of(st.sampled_from(EDGES), st.integers(I64_MIN, I64_MAX))
+_CHAIN_STEP = st.tuples(
+    st.sampled_from([0, 0, 0, 1]), st.sampled_from(["add", "sub", "mul"]),
+    st.one_of(st.builds("loadarg {}".format, st.integers(0, 2)),
+              st.builds("pushconst {}".format, _I64_ARG)),
+    st.sampled_from([0, 0, 0, 1]))
+
+
+def test_random_straight_line_chains_run_alike_three_ways(refeval):
+    VM(load_program(COUNTDOWN))  # raises the recursion limit before hypothesis holds it
+
+    @given(steps=st.lists(_CHAIN_STEP, min_size=1, max_size=12),
+           args=st.tuples(_I64_ARG, _I64_ARG, _I64_ARG), result=st.sampled_from([0, 1]))
+    def check(steps, args, result):
+        body = ["loadarg 0", "storelocal 0", "loadarg 1", "storelocal 1"]
+        for a, op, operand, b in steps:
+            body += _step(op, operand, a=a, b=b)
+        # a local returned as it is: no later op wraps a step's value
+        src = _q([*body, f"loadlocal {result}", "ret"])
+        _chains(src, len(steps))
+        _three_ways(src, refeval, [args])
+
+    check()
 
 
 def _late(op: str) -> str:
