@@ -129,6 +129,10 @@ class Instrumentation:
         exactly. Returns True when the slot actually changed. The quick stub
         is only valid for compiled methods.
         """
+        with self._lock:
+            return self._install(record, stub)
+
+    def _install(self, record: MethodRecord, stub: EntryPoint) -> bool:
         if not stub.is_instrumentation_stub:
             raise InvalidStubError(f"{stub.value} is not an instrumentation stub")
         if stub is _QUICK and record.lowered_code is None:
@@ -146,6 +150,10 @@ class Instrumentation:
 
     def restore_entry_point_for_method(self, record: MethodRecord) -> bool:
         """Put back the saved original entry point. No-op without one."""
+        with self._lock:
+            return self._restore(record)
+
+    def _restore(self, record: MethodRecord) -> bool:
         original = record.original_entry_point
         if original is None:
             return False
@@ -155,7 +163,8 @@ class Instrumentation:
 
     def restore_all_entry_points(self) -> int:
         """Restore every method; returns how many entry points changed."""
-        return sum(map(self.restore_entry_point_for_method, self.registry.records()))
+        with self._lock:
+            return sum(map(self._restore, self.registry.records()))
 
     def enable_method_tracing_native(self) -> int:
         """Stock activation: walk every class and stub every method.
@@ -164,8 +173,8 @@ class Instrumentation:
         compilation state, so the entire runtime pays interpreter cost while
         tracing is on. Returns how many entry points changed.
         """
-        return sum(map(self.install_stubs_for_method, self.registry.records(),
-                       repeat(_INTERP_STUB)))
+        with self._lock:
+            return sum(map(self._install, self.registry.records(), repeat(_INTERP_STUB)))
 
     # -- activation handler slot ----------------------------------------------
 

@@ -19,8 +19,12 @@ loadarg i; add | sub | mul; storelocal b``, ``loc[b] = loc[a] OP k`` (or
 steps after it join its chain while each reads and writes the local ``b``
 and no jump lands on it. The loop keeps the running value in a Python local
 and writes ``loc[b]`` once, so a straight-line run of arithmetic on one
-local pays one dispatch in all, not one per step. Each fused op lowers the
-opcodes of fleet traffic; dropping any one raises them. Jumps stay
+local pays one dispatch in all, not one per step. A counted loop, ``Q_JZL
+c`` to the exit, a chain on a local ``a`` other than ``c``, ``loc[c] -= 1``
+and a ``jmp`` back, becomes one ``Q_LOOP`` when no jump lands inside it: it
+runs the chain ``loc[c] mod 2**64`` times, as the stored loop does, writes
+``loc[a]`` once, sets ``loc[c]`` to 0 and jumps to the exit. Each fused op
+lowers the opcodes of fleet traffic; dropping any one raises them. Jumps stay
 relative, counted in the quickened form, and a jump target inside a run ends
 the run. A body with nothing to fuse, such as a late ``leaf`` of pure stack
 ops, is its own quickened form. The form is built on a method's first
@@ -30,8 +34,9 @@ forms are exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
 ``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
 ints. The loop reads the opcode names as module globals and asks first
-whether an op is fused (76% of what fleet traffic runs); each branch, and a
-chain's steps, test their ops by their share of that traffic. Arithmetic
+whether an op is fused (three quarters of what fleet traffic runs); each
+branch, and a loop's steps, test their ops by their share of that traffic,
+and a chain keeps the step order the latency probe was measured with. Arithmetic
 calls ``core.wrap_i64`` only when a result leaves the signed 64-bit range;
 the lowered code defers that check to where a value is observed. The
 call edge ``call_ref`` takes the callee's key, which both tiers read off the
@@ -49,6 +54,7 @@ import threading
 from .core import (
     _BRIDGE,
     _COMPILED,
+    _MASK,
     _OPCODES,
     _QUICK,
     I64_MAX,
@@ -85,10 +91,11 @@ def _ensure_stack_headroom(max_depth: int) -> None:
 
 # The fused ops of the quickened form, numbered after the stored opcodes: the
 # loop's one ``op > O_RET`` test tells the two kinds apart. The six
-# arithmetic ones, ``_STEPS``, run only as the steps of a ``Q_CHAIN``.
-_FUSED = tuple(range(O_RET + 1, O_RET + 14))
+# arithmetic ones, ``_STEPS``, run only as the steps of a ``Q_CHAIN`` or a
+# ``Q_LOOP``.
+_FUSED = tuple(range(O_RET + 1, O_RET + 15))
 (Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL, Q_JZA,
- Q_RETL, Q_CHAIN) = _FUSED
+ Q_RETL, Q_CHAIN, Q_LOOP) = _FUSED
 # Each fusible run of stored ops and the fused op that runs it. A fused op's
 # arg is the run's operands in order, or its one operand alone.
 _RUNS = {
@@ -118,9 +125,13 @@ def quicken(code: tuple) -> tuple:
     ``_STEPS`` becomes a step of a ``Q_CHAIN`` op, ``(a, steps, b)``, whose
     ``steps`` hold each one's ``(fused op, k or i)``: it joins the chain just
     before it when it reads and writes that chain's ``b`` and is no jump
-    target, and starts a chain of its own otherwise. Jumps stay relative,
-    counted in the quickened form. A body with nothing to fuse is its own
-    quickened form: ``code`` itself, not a copy.
+    target, and starts a chain of its own otherwise. A ``Q_JZL c`` followed
+    by a chain ``(a, steps, a)`` with ``a != c``, the chain ``(c, ((Q_SUBK,
+    1),), c)`` and an ``O_JMP`` back to it becomes ``Q_LOOP (c, a, steps,
+    exit offset)`` when no jump lands on the three ops after it, which stay
+    in place and never run. Jumps stay relative, counted in the quickened
+    form. A body with nothing to fuse is its own quickened form: ``code``
+    itself, not a copy.
     """
     ops = [op for op, _ in code]
     # A body with no adjacent pair that starts a run returns here: about 1 us,
@@ -162,6 +173,16 @@ def quicken(code: tuple) -> tuple:
             out[i] = (op, (*arg[:-1], at[arg[-1]] - i) if op > O_RET else at[arg] - i)
         elif op == Q_CHAIN:
             out[i] = (op, (arg[0], tuple(arg[1]), arg[2]))
+    landed = {at[target] for target in targets}
+    for i, (op, arg) in enumerate(out[:-3]):
+        if op == Q_JZL:
+            c, off = arg
+            (body_op, body), decrement, back = out[i + 1:i + 4]
+            if (body_op == Q_CHAIN and body[0] == body[2] != c
+                    and decrement == (Q_CHAIN, (c, ((Q_SUBK, 1),), c)) and back == (O_JMP, -3)
+                    and landed.isdisjoint((i + 1, i + 2, i + 3))):
+                # the loop's three ops stay in place, dead, so no jump offset moves
+                out[i] = (Q_LOOP, (c, body[0], body[1], off))
     return tuple(out)
 
 
@@ -286,18 +307,21 @@ class VM:
 
         The body waits behind the shared prestub ``_lower_on_first_call``, so
         nothing here walks or hashes ``code``. An installed stub stays in the
-        slot and the entry it saved moves. Twice is a no-op.
+        slot and the entry it saved moves. Twice is a no-op. It holds the
+        instrumentation lock, as stub install and restore do, so no stub lands
+        between the tier test and the write.
         """
         record = self.registry.lookup(ref)
-        if record.lowered_code is not None:
-            return record
-        record.lowered_code = _lower_on_first_call
-        if record.entry_point is _BRIDGE:
-            record.entry_point = _COMPILED
-        elif record.original_entry_point is _BRIDGE:
-            record.original_entry_point = _COMPILED
-            log.info("%s was compiled while traced; restores to the compiled tier",
-                     record.method_ref.key)
+        with self.instrumentation._lock:
+            if record.lowered_code is not None:
+                return record
+            record.lowered_code = _lower_on_first_call
+            if record.entry_point is _BRIDGE:
+                record.entry_point = _COMPILED
+            elif record.original_entry_point is _BRIDGE:
+                record.original_entry_point = _COMPILED
+                log.info("%s was compiled while traced; restores to the compiled tier",
+                         record.method_ref.key)
         return record
 
     def interpret(self, thread: VMThread, record: MethodRecord, args: tuple):
@@ -345,9 +369,6 @@ class VM:
                         pc += 1
                     elif op == Q_RETL:
                         return loc[arg]
-                    elif op == Q_JZL:
-                        a, off = arg
-                        pc = pc + off if loc[a] == 0 else pc + 1
                     elif op == Q_ADDL:
                         a, b = arg
                         r = pop() + loc[a]
@@ -356,14 +377,39 @@ class VM:
                     elif op == Q_JZA:
                         i, off = arg
                         pc = pc + off if args[i] == 0 else pc + 1
+                    elif op == Q_LOOP:
+                        # the trips of the chain on ``loc[a]`` that the stored loop
+                        # makes, counting ``loc[c]`` down by 1 and wrapping to 0
+                        c, a, steps, off = arg
+                        r = loc[a]
+                        for _ in range(loc[c] & _MASK):
+                            for step, x in steps:
+                                if step == Q_ADDK:
+                                    r += x
+                                elif step == Q_ADDA:
+                                    r += args[x]
+                                elif step == Q_MULK:
+                                    r *= x
+                                elif step == Q_SUBK:
+                                    r -= x
+                                elif step == Q_MULA:
+                                    r *= args[x]
+                                else:
+                                    r -= args[x]
+                                if r < lo or r > hi:
+                                    r = wrap(r)
+                        loc[a] = r
+                        loc[c] = 0
+                        pc += off
                     elif op == Q_SETK:
                         k, b = arg
                         loc[b] = k
                         pc += 1
+                    elif op == Q_JZL:
+                        a, off = arg
+                        pc = pc + off if loc[a] == 0 else pc + 1
                     else:  # pragma: no cover - quicken emits only known opcodes
                         raise VMInternalError(f"unknown opcode {op} at pc {pc}")
-                elif op == O_JMP:
-                    pc += arg
                 elif op == O_PUSH:
                     push(arg)
                     pc += 1
@@ -399,6 +445,8 @@ class VM:
                 elif op == O_SLOC:
                     loc[arg] = pop()
                     pc += 1
+                elif op == O_JMP:
+                    pc += arg
                 elif op == O_JZ:
                     pc = pc + arg if pop() == 0 else pc + 1
                 else:  # pragma: no cover - quicken emits only known opcodes

@@ -7,6 +7,7 @@ tolerances inline; the suite is deterministic.
 
 import random
 import re
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from tracevm import (
     VM,
     begin_canary,
     gen_random_program,
+    gen_workload,
     load_program,
     redact_text,
     session_gate,
@@ -33,8 +35,10 @@ from tracevm.bench import AblationMode, run_modes
 from tracevm.config import ConfigEntry
 from tracevm.core import MethodRef
 from tracevm.demo import run_ghost_bug
+from tracevm.vm import Q_CHAIN, Q_RETL, Q_SETA, quicken
 
 from diffutil import make_vectors, run_config
+from test_cost_invariants import call_counts
 
 
 # one line per criterion, printed by the conftest terminal summary hook
@@ -121,6 +125,55 @@ def test_criterion_2_ablation_ordering(big_workload):
         detail.update(startup_ratio=f"{startup_ratio:.1f}x>=10x",
                       stub_ratio=f"{stub_ratio:.2f}x>=2x",
                       budget=f"{elapsed:.1f}s<60s")
+
+
+def test_criterion_2_in_exact_counts():
+    """What criterion 2 times, in CPython opcodes, which repeat across runs.
+
+    A traced call on the quick stub costs its untraced compiled call plus a
+    constant, whatever the body; on the interpreter stub it costs at least
+    the untraced interpreted call. The time ratio criterion 2 checks is
+    mostly the gap between the two tiers, so this pins what the stubs add.
+    """
+    work = gen_workload(n_classes=12)
+    probe, twin = work.latency_traced, work.latency_untraced
+    specs = work.program.specs
+    # the probe's quickened form: one Q_SETA, one 48-step chain, one Q_RETL
+    quick = quicken(specs[twin.key].code)
+    assert [op for op, _ in quick] == [Q_SETA, Q_CHAIN, Q_RETL]
+    assert len(quick[1][1][1]) == 48
+    short = MethodRef.parse(min((key for key, spec in specs.items() if spec.ref.arity == 1),
+                                key=lambda key: len(specs[key].code)))
+    timed = (TraceAction.TIME_METHOD,)
+
+    interpreted = VM(work.program.instantiate())
+    thread = interpreted.new_thread()
+    plain = call_counts(interpreted, thread, [probe, twin])
+    assert plain[probe.key] == plain[twin.key]
+    if sys.version_info[:2] == (3, 11):  # the count is CPython 3.11's
+        assert plain[twin.key] == 1_582
+    TraceEngine(interpreted).apply(TargetSet([(probe, timed)]))
+    stub = interpreted.registry.lookup(probe).entry_point
+    assert stub is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB
+    on_interp_stub = call_counts(interpreted, thread, [probe])[probe.key]
+    assert on_interp_stub >= plain[probe.key]
+
+    compiled = VM(work.program.instantiate())
+    for key in specs:
+        compiled.jit_compile(key)
+    thread = compiled.new_thread()
+    refs = [probe, short]
+    before = call_counts(compiled, thread, refs)
+    TraceEngine(compiled).apply(TargetSet([(ref, timed) for ref in refs]))
+    for ref in refs:
+        assert compiled.registry.lookup(ref).entry_point is EntryPoint.INSTRUMENTATION_QUICK_STUB
+    traced = call_counts(compiled, thread, refs)
+    added = {key: traced[key] - before[key] for key in traced}
+    # the same for a body that runs fewer opcodes: a constant, not a cost per op
+    assert before[probe.key] > before[short.key]
+    assert 0 < added[probe.key] == added[short.key]
+    # the quick stub's traced call runs fewer opcodes than the interpreter stub's
+    assert traced[probe.key] < on_interp_stub
 
 
 # -- criterion 3: semantic neutrality ------------------------------------------

@@ -422,6 +422,45 @@ def test_each_step_of_a_straight_line_chain_costs_the_interpreter_at_most_35_opc
     assert per_step <= 35, (counts, per_step)
 
 
+def _counted_loop(trips: int) -> str:
+    """``cost.Loop.f(int)``: ``trips`` trips of ``loc[0] += 3``, the shape of a generated loop."""
+    lines = ["loadarg 0", "storelocal 0", f"pushconst {trips}", "storelocal 1", "loadlocal 1",
+             "jz +10", "loadlocal 0", "pushconst 3", "add", "storelocal 0", "loadlocal 1",
+             "pushconst 1", "sub", "storelocal 1", "jmp -10", "loadlocal 0", "ret"]
+    return "class cost.Loop\n  method f(int)\n" + "\n".join(f"    {line}" for line in lines)
+
+
+def test_each_trip_of_a_counted_loop_costs_the_interpreter_at_most_40_opcodes():
+    loop = MethodRef.parse("cost.Loop.f(int)")
+    short, long = 2, 12
+    counts = []
+    for trips in (short, long):
+        vm = VM(load_program(_counted_loop(trips)))
+        assert vm.invoke(vm.new_thread(), loop, (5,)) == 5 + 3 * trips
+        counts.append(call_counts(vm, vm.new_thread(), [loop])[loop.key])
+    per_trip = (counts[1] - counts[0]) / (long - short)
+    # four dispatches a trip (test, body, decrement, jump back) cost about 180
+    assert per_trip <= 40, (counts, per_trip)
+
+
+def test_interpreted_fleet_traffic_runs_at_most_300000_opcodes():
+    work = gen_workload(n_classes=100, methods_per_class=10, seed=1234)
+    calls = work.traffic(300, seed=5)
+    vm = VM(work.program.instantiate())
+    thread = vm.new_thread()
+
+    def run():
+        for key, args in calls:
+            vm.invoke(thread, key, args)
+
+    run()  # builds and quickens every record the traffic reaches
+    count = opcodes(run)
+    assert opcodes(run) == count
+    print(f"COUNT fleet-traffic {count:,} opcodes for 300 interpreted root calls (<= 300,000)")
+    # a dispatch for each op of a loop's every trip ran 339,973
+    assert count <= 300_000, count
+
+
 CALLER = """
 class cost.Call
   method leaf(int)

@@ -1,4 +1,7 @@
+import inspect
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -524,8 +527,12 @@ def test_rollback_after_a_failed_restore_finishes(monkeypatch):
 
 
 def fail_second_install(monkeypatch, ins):
-    """Make the second stub install raise; return the keys of every install tried."""
-    install = ins.install_stubs_for_method
+    """Make the second stub install raise; return the keys of every install tried.
+
+    ``_install`` is the step that both a targeted install and the stock walk,
+    which holds the lock once for the whole walk, run for each method.
+    """
+    install = ins._install
     calls = []
 
     def install_failing_second(record, stub):
@@ -534,7 +541,7 @@ def fail_second_install(monkeypatch, ins):
             raise RuntimeError("install fault")
         return install(record, stub)
 
-    monkeypatch.setattr(ins, "install_stubs_for_method", install_failing_second)
+    monkeypatch.setattr(ins, "_install", install_failing_second)
     return calls
 
 
@@ -608,6 +615,87 @@ def test_rollback_notes_compile_while_traced(caplog):
     before = vm.compiled_calls
     assert vm.invoke(vm.new_thread(), "app.Main.leaf(int)", (2,)) == 6
     assert vm.compiled_calls == before + 1
+
+
+def test_an_apply_during_jit_compile_keeps_its_stub_and_rolls_back_to_compiled():
+    vm, engine = make_engine()
+    leaf = "app.Main.leaf(int)"
+    record = vm.registry.lookup(leaf)
+    # the line of jit_compile between its tier test and its write of the entry
+    lines, first = inspect.getsourcelines(VM.jit_compile)
+    write = first + next(i for i, line in enumerate(lines)
+                         if "record.entry_point = _COMPILED" in line)
+    code = VM.jit_compile.__code__
+    applier = threading.Thread(target=engine.apply,
+                               args=(targets((leaf, (TraceAction.TIME_METHOD,))),))
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == write:
+            applier.start()
+            # an apply that shares the compile's lock waits here until the timeout
+            applier.join(timeout=0.5)
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        vm.jit_compile(leaf)
+    finally:
+        sys.settrace(previous)
+    applier.join(timeout=10)
+    assert not applier.is_alive()
+    assert engine.phase is TracePhase.ACTIVE
+    # without the lock the compile's write lands after the stub and drops it
+    assert record.entry_point is EntryPoint.INSTRUMENTATION_QUICK_STUB
+    assert vm.invoke(vm.new_thread(), leaf, (2,)) == 6
+    assert [e.method_ref.key for e in engine.drain().events] == [leaf]
+    engine.rollback()
+    assert record.entry_point is EntryPoint.COMPILED_DIRECT
+    assert record.original_entry_point is None
+
+
+def test_compiles_racing_sessions_leave_no_compiled_method_on_the_bridge():
+    n = 200
+    src = "class app.Many\n" + "".join(
+        f"  method m{i}(int)\n    loadarg 0\n    ret\n" for i in range(n))
+    vm = VM(load_program(src))
+    engine = TraceEngine(vm, EventSink())
+    keys = [f"app.Many.m{i}(int)" for i in range(n)]
+    every = targets(*[(key, (TraceAction.TIME_METHOD,)) for key in keys])
+    compiled = threading.Event()
+    errors = []
+
+    def sessions():
+        try:
+            while not compiled.is_set():
+                engine.apply(every)
+                engine.rollback()
+        except Exception as exc:  # pragma: no cover - reported by the assert below
+            errors.append(exc)
+
+    def compile_all(part):
+        for key in part:
+            vm.jit_compile(key)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        churner = threading.Thread(target=sessions)
+        compilers = [threading.Thread(target=compile_all, args=(keys[i::2],)) for i in range(2)]
+        churner.start()
+        for worker in compilers:
+            worker.start()
+        for worker in compilers:
+            worker.join(timeout=30)
+        compiled.set()
+        churner.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not churner.is_alive() and not any(worker.is_alive() for worker in compilers)
+    assert errors == []
+    engine.rollback()
+    # every method is compiled, and no rollback put one back on the bridge
+    assert {vm.registry.lookup(key).entry_point for key in keys} == {EntryPoint.COMPILED_DIRECT}
 
 
 def test_traced_calls_produce_no_events_after_rollback():

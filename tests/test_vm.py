@@ -30,7 +30,7 @@ from tracevm import (
 )
 from tracevm import vm as vm_module
 from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord, wrap_i64
-from tracevm.vm import _RUNS, _STEPS, Q_CHAIN, quicken
+from tracevm.vm import _RUNS, _STEPS, Q_ADDK, Q_CHAIN, Q_LOOP, Q_MULA, quicken
 
 COUNTDOWN = """
 class r.R
@@ -558,6 +558,141 @@ def test_random_straight_line_chains_run_alike_three_ways(refeval):
     check()
 
 
+# Counted loops. ``loadlocal c; jz exit``, a chain on a local ``a`` other than
+# ``c``, ``loc[c] -= 1`` and a ``jmp`` back fuse to one ``Q_LOOP`` op when no
+# jump lands inside the loop: it runs the chain ``loc[c] mod 2**64`` times,
+# exactly as many trips as the stored loop makes, and leaves ``loc[c]`` at 0.
+# A loop's exit: 77 unless the loop left its counter, local 1, at 0, then
+# local 0 as it is, so no later op wraps a value the loop left out of range.
+_EXIT = ["loadlocal 1", "jz +3", "pushconst 77", "ret", "loadlocal 0", "ret"]
+
+
+def _loop(count: str, steps, *, enter_at: int | None = None) -> str:
+    """``q.Q.f``: local 0 = arg 0, local 1 = ``count``, the loop over ``steps``, ``_EXIT``.
+
+    ``steps`` are ``(op, operand)`` pairs on local 0. With ``enter_at``, a
+    ``jz`` taken when arg 2 is 0 jumps to that op of the loop's five: its
+    head, body, decrement, ``jmp`` or exit.
+    """
+    body = [line for op, operand in steps for line in _step(op, operand)]
+    n = len(body)
+    lines = ["loadarg 0", "storelocal 0", count, "storelocal 1"]
+    if enter_at is not None:
+        lines += ["loadarg 2", f"jz {(0, 2, 2 + n, 6 + n, 7 + n)[enter_at] + 1:+d}"]
+    lines += ["loadlocal 1", f"jz {n + 6:+d}", *body,
+              *_step("sub", "pushconst 1", a=1, b=1), f"jmp {-(n + 6):+d}"]
+    return _q([*lines, *_EXIT])
+
+
+def _loops(src: str) -> list:
+    """``(c, a, steps)`` of each ``Q_LOOP`` in ``q.Q.f``'s quickened form."""
+    return [arg[:3] for op, arg in _quickened(src) if op == Q_LOOP]
+
+
+def _trips(steps, x: int, y: int, z: int, n: int) -> int:
+    """Python's own run of ``n`` trips of ``steps`` on ``x``, wrapped at each step."""
+    apply, args = {"add": int.__add__, "sub": int.__sub__, "mul": int.__mul__}, (x, y, z)
+    for _ in range(n):
+        for op, operand in steps:
+            name, value = operand.split()
+            x = wrap_i64(apply[op](x, args[int(value)] if name == "loadarg" else int(value)))
+    return x
+
+
+LOOP_STEPS = [("add", "pushconst 3"), ("mul", "loadarg 1")]
+
+
+@pytest.mark.parametrize("count", ["pushconst 0", "pushconst 1", "pushconst 7", "loadarg 2"])
+def test_a_counted_loop_runs_its_count_in_one_op_three_ways(count, refeval):
+    src = _loop(count, LOOP_STEPS)
+    assert _loops(src) == [(1, 0, ((Q_ADDK, 3), (Q_MULA, 1)))]
+    arg_sets = [(x, y, c) for x, y in [(5, 3), (0, -7), (EDGES[0], 2)] for c in (0, 1, 4)]
+    results = _three_ways(src, refeval, arg_sets)
+    trips = [int(count.split()[1]) if count.startswith("push") else c for _, _, c in arg_sets]
+    assert results == [_trips(LOOP_STEPS, *args, n) for args, n in zip(arg_sets, trips)]
+
+
+def test_a_counted_loop_wraps_at_every_edge(refeval):
+    steps = [("add", "loadarg 1"), ("mul", f"pushconst {K}"), ("sub", "loadarg 0")]
+    src = _loop("pushconst 3", steps)
+    assert len(_loops(src)) == 1
+    arg_sets = [(x, y, 1) for x, y in itertools.product(EDGES, repeat=2)]
+    results = _three_ways(src, refeval, arg_sets)
+    assert results == [_trips(steps, *args, 3) for args in arg_sets]
+    # the first step leaves the range for some pairs, so the wrap runs inside the loop
+    assert any(not I64_MIN <= x + y <= I64_MAX for x, y, _ in arg_sets)
+
+
+@pytest.mark.parametrize("count", [-1, I64_MIN, 5])
+def test_a_counted_loop_takes_its_count_mod_2_64(count, monkeypatch):
+    trips = []
+
+    def first_two(*bounds):  # the loop's count is the one ``range`` of one argument
+        if len(bounds) == 1:
+            trips.append(bounds[0])
+            return range(min(bounds[0], 2))
+        return range(*bounds)
+
+    src = _loop(f"pushconst {count}", [("add", "pushconst 3")])
+    assert len(_loops(src)) == 1
+    monkeypatch.setattr(vm_module, "range", first_two, raising=False)
+    vm = VM(load_program(src))
+    assert vm.invoke(vm.new_thread(), Q_KEY, (10, 0, 1)) == 16
+    # as many trips as the stored loop makes before ``loc[1]`` counts down to 0
+    assert trips == [count % 2**64]
+
+
+@pytest.mark.parametrize("enter_at, fused", [(0, True), (1, False), (2, False), (3, False),
+                                             (4, True)],
+                         ids=["head", "body", "decrement", "jmp", "exit"])
+def test_a_jump_into_a_counted_loop_keeps_its_stored_ops(enter_at, fused, refeval):
+    src = _loop("pushconst 3", LOOP_STEPS, enter_at=enter_at)
+    assert bool(_loops(src)) == fused
+    # arg 2 == 0 takes the jump into the loop, so each stored op runs as stored
+    _three_ways(src, refeval, [(x, y, c) for x, y in [(5, 3), (EDGES[1], -1)] for c in (0, 1)])
+
+
+_DOWN_1 = _step("sub", "pushconst 1", a=1, b=1)
+
+
+@pytest.mark.parametrize("body, decrement", [
+    # the body counts down too: its chain and the decrement are one chain on local 1
+    (_DOWN_1, _DOWN_1),
+    # the body sets the counter to 1 from local 0: no trip after the first
+    ([*_step("mul", "pushconst 0", a=0, b=1), *_step("add", "pushconst 1", a=1, b=1)],
+     _DOWN_1),
+    # the body's chain reads local 1 and writes local 0
+    (_step("add", "loadarg 1", a=1, b=0), _DOWN_1),
+    # the counter steps down by 2
+    (_step("add", "loadarg 1"), _step("sub", "pushconst 2", a=1, b=1)),
+], ids=["counts-down", "resets-counter", "reads-counter", "steps-by-2"])
+def test_a_loop_of_another_shape_keeps_its_stored_ops(body, decrement, refeval):
+    lines = ["loadarg 0", "storelocal 0", "pushconst 4", "storelocal 1", "loadlocal 1",
+             f"jz {len(body) + 6:+d}", *body, *decrement, f"jmp {-(len(body) + 6):+d}",
+             *_EXIT]
+    src = _q(lines)
+    assert not _loops(src)
+    _three_ways(src, refeval, [(5, 3, 1), (EDGES[0], EDGES[1], 0)])
+
+
+def test_random_counted_loops_run_alike_three_ways(refeval):
+    VM(load_program(COUNTDOWN))  # raises the recursion limit before hypothesis holds it
+    step = st.tuples(st.sampled_from(["add", "sub", "mul"]),
+                     st.one_of(st.builds("loadarg {}".format, st.integers(0, 2)),
+                               st.builds("pushconst {}".format, _I64_ARG)))
+
+    @given(steps=st.lists(step, min_size=1, max_size=6),
+           count=st.one_of(st.builds("pushconst {}".format, st.integers(0, 6)),
+                           st.just("loadarg 2")),
+           args=st.tuples(_I64_ARG, _I64_ARG, st.integers(0, 6)))
+    def check(steps, count, args):
+        src = _loop(count, steps)
+        assert len(_loops(src)) == 1
+        _three_ways(src, refeval, [args])
+
+    check()
+
+
 def _late(op: str) -> str:
     """``late.L.f(int)``, whose body fuses to three ops: ``arg 0 OP 5``."""
     lines = ["loadarg 0", "storelocal 0", "loadlocal 0", "pushconst 5", op, "storelocal 0",
@@ -811,11 +946,14 @@ def test_vms_of_one_program_first_call_at_once_while_another_traces():
                 try:
                     for key, _ in calls[:6]:
                         writer.jit_compile(key)
-                    while not done.is_set():
+                    # at least one whole cycle, however soon the readers finish
+                    while True:
                         engine.apply(TargetSet(work.target_entries))
                         for n, (key, args) in enumerate(calls[:6]):
                             assert writer.invoke(thread, key, args) == expected[n]
                         engine.rollback()
+                        if done.is_set():
+                            break
                 except Exception as exc:  # pragma: no cover - the failure being tested
                     errors.append(exc)
 
