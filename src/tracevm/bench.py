@@ -282,10 +282,12 @@ def run_modes(workload: GeneratedWorkload, modes=None, *, latency_calls: int = 1
     Each mode brings its session up and runs its traffic in turn. Then the
     traced and untraced probes of every mode take their latency batches in
     one interleaved sequence, so a latency ratio between two modes compares
-    calls timed under the same machine state.
+    calls timed under the same machine state. A repeated mode raises
+    ``BenchmarkError`` before any mode runs.
     """
-    if modes is None:
-        modes = list(AblationMode)
+    modes = list(AblationMode) if modes is None else list(modes)
+    if len(set(modes)) < len(modes):
+        raise BenchmarkError(f"duplicate mode in {[m.value for m in modes]}")
     runs = [_ablation(m, workload, latency_calls=latency_calls, **kwargs) for m in modes]
     _measure_batches([side for run in runs for side in next(run)], latency_calls)
     return AblationReport([next(run) for run in runs])

@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument("--traffic", type=_at_least(0), default=2_000)
     p_ablate.add_argument("--reps", type=int, default=5,
                           help="activation repetitions for the startup median")
-    p_ablate.add_argument("--modes", nargs="*",
+    p_ablate.add_argument("--modes", nargs="+",
                           default=[m.value for m in AblationMode],
                           choices=[m.value for m in AblationMode])
     p_ablate.add_argument("--json", help="also write a JSON report to this path")

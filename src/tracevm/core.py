@@ -7,11 +7,10 @@ so is each untouched method's ``MethodRecord``: a registry builds its own only
 to write it.
 
 A method's ``code``, exact ``(int_op, arg)`` tuples, is its only stored form;
-``bytecode`` views it as ``Instruction``s, and ``quickened``, on the record and
-in ``Program.quickened``, is a cache derived from it that ``VM.interpret``
-fills. Its tier is its ``lowered_code``, which ``VM.jit_compile`` sets to a
-shared prestub; the method's first call lowers its own body and puts the
-function there.
+``bytecode`` views it as ``Instruction``s, and a record's ``quickened`` slot
+is a cache derived from it that ``VM.interpret`` fills. Its tier is its
+``lowered_code``, which ``VM.jit_compile`` sets to a shared prestub; the
+method's first call lowers its own body and puts the function there.
 The Enum members that other modules test by identity are bound here, once.
 """
 
@@ -231,7 +230,7 @@ class MethodRecord:
     bytecode = _BYTECODE_VIEW
 
     def __init__(self, method_ref: MethodRef, code: tuple[tuple[int, object], ...],
-                 n_locals: int, stack_depths: tuple, quickened: tuple | None = None):
+                 n_locals: int, stack_depths: tuple):
         self.method_ref = method_ref
         self.code = code
         self.n_locals = n_locals
@@ -239,7 +238,7 @@ class MethodRecord:
         self.entry_point = _BRIDGE
         self.original_entry_point: EntryPoint | None = None
         self.lowered_code = None
-        self.quickened = quickened
+        self.quickened = None
 
     @property
     def arity(self) -> int:
@@ -273,23 +272,22 @@ class Program:
     ``parse_program`` builds both tables once: ``specs`` maps each key, in
     program order, to its ``MethodSpec``, whose first four fields are the
     ``MethodRecord`` arguments, and ``intern_map`` maps each interned id to
-    its text. ``instantiate`` is O(1). Two derived caches fill as the program
+    its text. ``instantiate`` is O(1). One derived cache fills as the program
     runs: ``shared``, each called method's pristine record, which every
-    registry calls through until it builds a private one, and ``quickened``,
-    each method's quickened body, built on its first interpretation in any
-    registry. ``quickened`` is the one field ever written on a shared record.
+    registry calls through until it builds a private one. A shared record's
+    ``quickened`` slot is the program's one copy of the method's quickened
+    body, and the one field ever written on it.
     """
 
-    __slots__ = ("specs", "intern_map", "quickened", "shared")
+    __slots__ = ("specs", "intern_map", "shared")
 
     def __init__(self, specs: dict[str, MethodSpec], intern_map: dict[int, str]):
         self.specs = specs
         self.intern_map = intern_map
-        self.quickened: dict[str, tuple] = {}
         self.shared: dict[str, MethodRecord] = {}
 
     def __eq__(self, other: object) -> bool:
-        """Equal parse results; the derived caches take no part."""
+        """Equal parse results; the derived cache takes no part."""
         return (isinstance(other, Program) and self.specs == other.specs
                 and self.intern_map == other.intern_map)
 
@@ -317,7 +315,6 @@ class ClassRegistry:
 
     def __init__(self, program: Program):
         self._specs = program.specs
-        self._quickened = program.quickened
         self._shared = program.shared
         self._records: dict[str, MethodRecord] = {}
         self._loaded: list[str] = []
@@ -368,8 +365,7 @@ class ClassRegistry:
         if record is None:
             spec = self._specs.get(key)
             if spec is not None:
-                record = self._records.setdefault(
-                    key, MethodRecord(*spec[:4], self._quickened.get(key)))
+                record = self._records.setdefault(key, MethodRecord(*spec[:4]))
         return record
 
     def callee(self, ref: "MethodRef | str") -> MethodRecord:

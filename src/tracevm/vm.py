@@ -28,10 +28,11 @@ lowers the opcodes of fleet traffic; dropping any one raises them. Jumps stay
 relative, counted in the quickened form, and a jump target inside a run ends
 the run. A body with nothing to fuse, such as a late ``leaf`` of pure stack
 ops, is its own quickened form. The form is built on a method's first
-interpretation, never at parse time, kept in ``MethodRecord.quickened``, and
-shared through ``Program.quickened`` by every registry of the program. Both
-forms are exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
-``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+interpretation, never at parse time, and kept in ``MethodRecord.quickened``:
+the program's shared record holds the one copy, which every registry of the
+program takes, on a private record too. Both forms are exact ``(int_op,
+arg)`` tuples: CPython 3.11 specialises ``code[pc]``
+(``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
 ints. The loop reads the opcode names as module globals and asks first
 whether an op is fused (three quarters of what fleet traffic runs); each
@@ -461,10 +462,10 @@ class VM:
     def _quicken(self, record: MethodRecord) -> tuple:
         """Fill ``record.quickened`` on the record's first interpretation.
 
-        A record built from its program's spec, with the spec's own ``code``,
-        shares the program's table, so every registry of the program quickens
-        a method once between them. A loaded record, or one built by hand,
-        quickens its own body.
+        A record with its program spec's own ``code`` takes the body on the
+        program's shared record, quickened there by the first VM of the
+        program to run the method (racing first runs store equal bodies). A
+        loaded record, or one built by hand, quickens its own body.
         """
         code = record.code
         key = record.method_ref.key
@@ -472,9 +473,9 @@ class VM:
         if spec is None or spec.code is not code:
             quick = quicken(code)
         else:
-            table = self.registry._quickened
-            quick = table.get(key)
+            shared = self._shared.get(key) or self.registry.callee(key)
+            quick = shared.quickened
             if quick is None:
-                quick = table.setdefault(key, quicken(code))
+                quick = shared.quickened = quicken(code)
         record.quickened = quick
         return quick

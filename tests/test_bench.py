@@ -4,6 +4,7 @@ import pytest
 
 from tracevm import (VM, AblationMode, BenchmarkError, MethodRef, TargetSet, TraceAction,
                      TraceEngine, load_program, parse_program, run_ablation, run_modes)
+from tracevm import bench as bench_module
 from tracevm.bench import AblationMetrics, AblationReport, _measure_batches, bring_up
 
 FAST = dict(latency_calls=3_000, warmup_calls=300, startup_reps=3, traffic_calls=400)
@@ -102,6 +103,15 @@ def test_run_ablation_validates_params(small_workload):
     for params in ({"startup_reps": 0}, {"latency_calls": 0}, {"latency_calls": -3}):
         with pytest.raises(BenchmarkError):
             run_ablation(AblationMode.FULL, small_workload, **params)
+
+
+def test_run_modes_rejects_a_repeated_mode_before_building_a_vm(small_workload, monkeypatch):
+    built = []
+    monkeypatch.setattr(bench_module, "VM", lambda *args, **kwargs: built.append(args))
+    modes = [AblationMode.FULL, AblationMode.BASELINE, AblationMode.FULL]
+    with pytest.raises(BenchmarkError, match="duplicate mode in"):
+        run_modes(small_workload, modes, **FAST)
+    assert built == []
 
 
 def test_ratio_handles_zero_denominator(report):

@@ -215,6 +215,21 @@ def test_ablate_prints_table_and_json(tmp_path, capsys):
     assert {m["mode"] for m in doc["modes"]} == {"baseline", "full"}
 
 
+def test_ablate_rejects_a_repeated_mode_before_timing_any(capsys):
+    code = main(["ablate", "--modes", "full", "full", "--calls", "10", "--warmup", "0",
+                 "--traffic", "0", "--reps", "1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: duplicate mode in ['full', 'full']" in err
+
+
+def test_ablate_rejects_modes_with_no_mode(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--modes"])
+    assert info.value.code == 2
+    assert "--modes: expected at least one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("calls", ["0", "-5"])
 def test_ablate_without_timed_calls_fails_cleanly(calls, capsys):
     code = main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",

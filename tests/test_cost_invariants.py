@@ -494,3 +494,28 @@ def test_a_fresh_registry_runs_a_method_the_program_ran_at_its_second_call_cost(
     # both calls of each method run on the program's shared record, built and
     # quickened already: no lookup, no record to build, no body to quicken
     assert first - second <= 0, (first, second)
+
+
+def test_a_fresh_registry_runs_a_method_the_program_ran_privately_without_quickening_it(
+        monkeypatch):
+    program = parse_program(CALLER)
+
+    def stubbed():
+        """A VM of ``program`` with ``CALL_TOP`` on the interpreter stub: a private record."""
+        vm = VM(program.instantiate())
+        assert vm.instrumentation.install_stubs_for_method(
+            vm.registry.get(CALL_TOP.key), EntryPoint.INSTRUMENTATION_INTERPRETER_STUB)
+        return vm
+
+    seasoned = stubbed()
+    assert seasoned.invoke(seasoned.new_thread(), CALL_TOP, (5,)) == 30
+    quickens = []
+    quicken = vm_module.quicken
+    monkeypatch.setattr(vm_module, "quicken", lambda code: quickens.append(code) or quicken(code))
+    fresh = stubbed()
+    thread = fresh.new_thread()
+    first, second = (opcodes(fresh.invoke, thread, CALL_TOP, (5,)) for _ in range(2))
+    # the private record takes the body the program's shared record holds
+    assert quickens == []
+    # the one-time price of reading it there: 45 opcodes on CPython 3.11
+    assert first - second <= 60, (first, second)

@@ -1,7 +1,9 @@
+import ast
 import inspect
 import logging
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from tracevm import (
     parse_program,
     resolve_targets,
 )
+from tracevm import engine as engine_module
 from tracevm.engine import INTERCEPT_REF, PROXY_LISTENER_ID
 
 SRC = """
@@ -1003,3 +1006,86 @@ def test_status_reports_session_shape():
     status = engine.status()
     assert status["unmatched_exits"] == 1
     assert status["callback_errors"] == 1
+
+
+# Non-invasiveness, read off the engine's source: it changes the VM only
+# through the built-in interfaces below and writes no VM-owned field but the
+# two thread scratch slots.
+_VM_OWNED = ("thread", "vm", "self.vm", "self.instrumentation")
+_OWNERS = {"vm": "VM", "self.vm": "VM", "vm.instrumentation": "Instrumentation",
+           "self.instrumentation": "Instrumentation", "self.vm.registry": "ClassRegistry"}
+_ALLOWED = {
+    "VM": {"instrumentation", "registry"},
+    "Instrumentation": {
+        "install_stubs_for_method", "restore_entry_point_for_method", "restore_all_entry_points",
+        "enable_method_tracing_native", "set_activation_handler", "is_default_activation",
+        "native_trace_start", "remove_listener", "listener_ids", "callback_errors"},
+    "ClassRegistry": {"get", "on_load", "remove_on_load", "value_to_payload"},
+}
+_MUTATORS = frozenset({"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+                       "update", "setdefault", "add", "discard", "sort", "reverse"})
+
+
+def _path(node, aliases) -> str:
+    """The dotted path ``node`` reads, through the local ``aliases``; a call ends in ``()``."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        return f"{_path(node.value, aliases)}.{node.attr}"
+    if isinstance(node, ast.Call):
+        return f"{_path(node.func, aliases)}()"
+    if isinstance(node, ast.Subscript):
+        return f"{_path(node.value, aliases)}[]"
+    return "?"
+
+
+def _aliases(function) -> dict:
+    """Each local name bound in ``function`` to the path of its value, in source order."""
+    binds = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    binds += zip(target.elts, node.value.elts)
+                else:
+                    binds.append((target, node.value))
+        elif isinstance(node, ast.NamedExpr):
+            binds.append((node.target, node.value))
+    aliases = {}
+    for target, value in sorted(binds, key=lambda b: (b[1].lineno, b[1].col_offset)):
+        if isinstance(target, ast.Name):
+            aliases[target.id] = _path(value, aliases)
+    return aliases
+
+
+def _vm_owned(path: str) -> bool:
+    return any(path == root or path.startswith(root + ".") for root in _VM_OWNED)
+
+
+def test_the_engine_changes_the_vm_only_through_its_built_in_interfaces():
+    tree = ast.parse(Path(engine_module.__file__).read_text(encoding="utf-8"))
+    stores, mutations = set(), set()
+    used = {owner: set() for owner in _ALLOWED}
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        aliases = _aliases(function)
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute):
+                owner = _path(node.value, aliases)
+                if not isinstance(node.ctx, ast.Load):
+                    stores.add(owner if owner == "self" else f"{owner}.{node.attr}")
+                if owner in _OWNERS:
+                    used[_OWNERS[owner]].add(node.attr)
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                assert not _vm_owned(_path(node.value, aliases)), ast.unparse(node)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                receiver = _path(node.func.value, aliases)
+                if _vm_owned(receiver):
+                    mutations.add(f"{receiver}.{node.func.attr}")
+    # attributes are stored on the engine's own objects, and on a thread's re-entry flag
+    assert stores == {"self", "thread.in_interceptor"}
+    # ``pending`` aliases ``thread.trace_pending``: its pop counts here
+    assert mutations == {"thread.trace_pending.append", "thread.trace_pending.pop"}
+    assert used == _ALLOWED

@@ -708,8 +708,8 @@ def test_two_registries_each_run_their_own_body_under_one_late_key():
     threads = [vm.new_thread() for vm in vms]
     for _ in range(2):
         assert [vm.invoke(t, "late.L.f(int)", (3,)) for vm, t in zip(vms, threads)] == [8, 15]
-    # a loaded record quickens its own body; the program's table is for its own methods
-    assert "late.L.f(int)" not in program.quickened
+    # a loaded record quickens its own body; the shared records are the program's own methods
+    assert "late.L.f(int)" not in program.shared
 
 
 def test_registries_of_one_program_quicken_a_method_once_between_them(monkeypatch):
@@ -725,8 +725,10 @@ def test_registries_of_one_program_quicken_a_method_once_between_them(monkeypatc
         vm = VM(program.instantiate())
         for _ in range(2):
             assert vm.invoke(vm.new_thread(), "late.L.f(int)", (3,)) == -2
+    private = vm.registry.lookup("late.L.f(int)")
+    assert vm.invoke(vm.new_thread(), "late.L.f(int)", (3,)) == -2
     assert seen == [program.specs["late.L.f(int)"].code]
-    assert vm.registry.lookup("late.L.f(int)").quickened is program.quickened["late.L.f(int)"]
+    assert private.quickened is program.shared["late.L.f(int)"].quickened
 
 
 @pytest.mark.parametrize("body, value", [
@@ -768,8 +770,58 @@ def test_threads_that_first_interpret_a_method_at_once_both_get_it_right(monkeyp
         worker.join(timeout=10)
     assert not any(worker.is_alive() for worker in workers)
     assert results == [10, 15]
-    records = [vm.registry.lookup("late.L.f(int)") for vm in vms]
-    assert records[0].quickened == records[1].quickened == program.quickened["late.L.f(int)"]
+    shared = program.shared["late.L.f(int)"]  # both threads ran on it
+    assert shared.quickened == quicken(shared.code)
+
+
+def _count_quickens(monkeypatch) -> list:
+    """Patch ``vm.quicken`` to append each body it quickens to the list returned."""
+    seen = []
+    monkeypatch.setattr(vm_module, "quicken", lambda code: seen.append(code) or quicken(code))
+    return seen
+
+
+def test_a_loaded_record_quickens_its_own_body_and_adds_no_shared_record(monkeypatch):
+    seen = _count_quickens(monkeypatch)
+    program = tracevm.parse_program(COUNTDOWN)
+    late = tracevm.parse_program(_late("add"))
+    for _ in range(2):
+        vm = VM(program.instantiate())
+        vm.registry.load(late)
+        for _ in range(2):
+            assert vm.invoke(vm.new_thread(), "late.L.f(int)", (3,)) == 8
+    # once per registry: each one's loaded record holds its own body
+    assert seen == [late.specs["late.L.f(int)"].code] * 2
+    assert program.shared == {} and late.shared == {}
+
+
+def test_a_hand_built_record_with_other_code_quickens_its_own_body():
+    key = "late.L.f(int)"
+    program = tracevm.parse_program(_late("add"))
+    other = tracevm.parse_program(_late("mul")).specs[key]
+    vm, bystander = VM(program.instantiate()), VM(program.instantiate())
+    for _ in range(2):  # before the program has quickened the method, then after
+        vm.registry._records[key] = record = MethodRecord(*other[:4])
+        assert vm.invoke(vm.new_thread(), key, (3,)) == 15
+        assert record.quickened == quicken(other.code)
+        assert bystander.invoke(bystander.new_thread(), key, (3,)) == 8
+    assert program.shared[key].quickened == quicken(program.specs[key].code)
+
+
+def test_a_method_first_interpreted_privately_leaves_its_body_on_the_shared_record(
+        monkeypatch):
+    seen = _count_quickens(monkeypatch)
+    key = "late.L.f(int)"
+    program = tracevm.parse_program(_late("sub"))
+    vm = VM(program.instantiate())
+    private = vm.registry.get(key)
+    assert vm.invoke(vm.new_thread(), key, (3,)) == -2
+    assert program.shared[key].quickened is private.quickened == quicken(private.code)
+    fresh, other = VM(program.instantiate()), VM(program.instantiate())
+    other.registry.get(key)
+    for each in (fresh, other):  # on the shared record, then on a private one
+        assert each.invoke(each.new_thread(), key, (3,)) == -2
+    assert seen == [private.code]
 
 
 # Copy on write. Every registry of a program calls an untouched method through
@@ -878,12 +930,15 @@ def test_every_write_lands_on_a_private_record(write):
         check()
 
     fresh = VM(program.instantiate())
-    assert fresh.invoke(fresh.new_thread(), TOP, (6,)) == _top(6)
-    for key in (TOP, LEAF):
-        record = fresh.registry.get(key)  # private, with the program's quickened body
-        assert record is not shared[key] and record.quickened is program.quickened[key]
+    thread = fresh.new_thread()
+    assert fresh.invoke(thread, TOP, (6,)) == _top(6)
+    records = [fresh.registry.get(key) for key in (TOP, LEAF)]  # private from here on
+    assert fresh.invoke(thread, TOP, (7,)) == _top(7)
+    for key, record in zip((TOP, LEAF), records):
+        # run on the program's quickened body
+        assert record is not shared[key] and record.quickened is program.shared[key].quickened
         _assert_pristine(record)
-    assert program.quickened[LEAF] != program.specs[LEAF].code  # the body fused
+    assert program.shared[LEAF].quickened != program.specs[LEAF].code  # the body fused
 
 
 def test_a_fresh_registry_driven_only_by_calls_builds_no_record(monkeypatch):
