@@ -126,9 +126,16 @@ class FleetManager:
         return metrics
 
     def advance(self, config_id: str, metrics: HealthMetrics) -> ConfigStatus:
-        """Run the lifecycle gate; a threshold breach rolls back the whole fleet."""
-        status = lifecycle_advance(self._deployment(config_id).config, metrics,
-                                   min_sessions=self.min_sessions)
+        """Run the lifecycle gate; a threshold breach rolls back the whole fleet.
+
+        A canary that admitted no session ran nowhere, so it has no evidence to
+        promote or roll back on: it stays in canary and no gate runs.
+        """
+        dep = self._deployment(config_id)
+        if dep.config.status is ConfigStatus.CANARY and not any(
+                session.admitted for session in dep.sessions):
+            return dep.config.status
+        status = lifecycle_advance(dep.config, metrics, min_sessions=self.min_sessions)
         if status is ConfigStatus.ROLLED_BACK:
             self.rollback(config_id)
         return status

@@ -11,10 +11,10 @@ at once, and every compiled method lowers its own body on its first call.
 
 The interpreter runs each call in one Python frame, over the quickened form
 of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
-``_RUNS`` into one op whose arg holds the run's operands: ``loadlocal a; add;
-storelocal b``, ``pushconst | loadarg; storelocal``, ``loadlocal | loadarg;
-jz`` and ``loadlocal; ret``. The four-op ``loadlocal a; pushconst k |
-loadarg i; add | sub | mul; storelocal b``, ``loc[b] = loc[a] OP k`` (or
+``_RUNS`` into one op whose arg holds the run's operands: ``loadlocal a;
+add; storelocal b``, ``pushconst | loadarg; storelocal``, ``loadlocal |
+loadarg; jz`` and ``loadlocal; ret``. The four-op ``loadlocal a; pushconst k
+| loadarg i; add | sub | mul; storelocal b``, ``loc[b] = loc[a] OP k`` (or
 ``OP args[i]``), becomes a step of an accumulator chain, ``Q_CHAIN``: the
 steps after it join its chain while each reads and writes the local ``b``
 and no jump lands on it. The loop keeps the running value in a Python local
@@ -23,27 +23,37 @@ local pays one dispatch in all, not one per step. A counted loop, ``Q_JZL
 c`` to the exit, a chain on a local ``a`` other than ``c``, ``loc[c] -= 1``
 and a ``jmp`` back, becomes one ``Q_LOOP`` when no jump lands inside it: it
 runs the chain ``loc[c] mod 2**64`` times, as the stored loop does, writes
-``loc[a]`` once, sets ``loc[c]`` to 0 and jumps to the exit. Each fused op
-lowers the opcodes of fleet traffic; dropping any one raises them. Jumps stay
-relative, counted in the quickened form, and a jump target inside a run ends
-the run. A body with nothing to fuse, such as a late ``leaf`` of pure stack
-ops, is its own quickened form. The form is built on a method's first
-interpretation, never at parse time, and kept in ``MethodRecord.quickened``:
-the program's shared record holds the one copy, which every registry of the
-program takes, on a private record too. Both forms are exact ``(int_op,
-arg)`` tuples: CPython 3.11 specialises ``code[pc]``
-(``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+``loc[a]`` once, sets ``loc[c]`` to 0 and jumps to the exit. A call site,
+``(loadarg i | pushconst k) * arity; call M; loadlocal a; add; storelocal
+b``, the one call shape ``gen_workload`` emits, becomes one ``Q_CALLADD``
+whose arg is ``(key, take, consts, a, b)``: ``take(consts + args)`` builds
+the callee's argument tuple in C, and the op stores ``call_ref(...) +
+loc[a]`` in ``loc[b]``. The callee is still reached through ``call_ref`` and
+``_dispatch``, so events, frames and results are those of the stored ops.
+Each fused op but ``Q_ADDL``, which runs only at a call site that does
+not fuse, lowers the opcodes of fleet traffic; dropping any one raises them.
+Jumps stay relative, counted in the quickened form, and a jump target inside
+a run ends the run. A body with nothing to fuse, such as a late ``leaf`` of
+pure stack ops, is its own quickened form. The form is built on a method's
+first interpretation, never at parse time, and kept in
+``MethodRecord.quickened``: the program's shared record holds the one copy,
+which every registry of the program takes, on a private record too. Both
+forms are exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
+``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
 ints. The loop reads the opcode names as module globals and asks first
-whether an op is fused (three quarters of what fleet traffic runs); each
-branch, and a loop's steps, test their ops by their share of that traffic,
-and a chain keeps the step order the latency probe was measured with. Arithmetic
-calls ``core.wrap_i64`` only when a result leaves the signed 64-bit range;
-the lowered code defers that check to where a value is observed. The
-call edge ``call_ref`` takes the callee's key, which both tiers read off the
-``call`` instruction, and resolves it with one dict get on the registry's
-private records, then one on the program's shared ones, so a fresh VM builds
-nothing for a method another VM of its program has called.
+whether an op is fused (every op fleet traffic runs); each branch, and a
+loop's steps, test their ops by their share of that traffic, and a chain
+keeps the step order the latency probe was measured with. The latency probe
+runs only the first three fused branches, ``Q_CHAIN``, ``Q_SETA`` and
+``Q_RETL``; ``Q_CALLADD``, the next most common, comes right after them, so
+the probe's cost does not move with the call sites. Arithmetic calls
+``core.wrap_i64`` only when a result leaves the signed 64-bit range; the
+lowered code defers that check to where a value is observed. The call edge
+``call_ref`` takes the callee's key, which both tiers read off the ``call``
+instruction, and resolves it with one dict get on the registry's private
+records, then one on the program's shared ones, so a fresh VM builds nothing
+for a method another VM of its program has called.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 import logging
 import sys
 import threading
+from operator import itemgetter
 
 from .core import (
     _BRIDGE,
@@ -94,9 +105,9 @@ def _ensure_stack_headroom(max_depth: int) -> None:
 # loop's one ``op > O_RET`` test tells the two kinds apart. The six
 # arithmetic ones, ``_STEPS``, run only as the steps of a ``Q_CHAIN`` or a
 # ``Q_LOOP``.
-_FUSED = tuple(range(O_RET + 1, O_RET + 15))
+_FUSED = tuple(range(O_RET + 1, O_RET + 16))
 (Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL, Q_JZA,
- Q_RETL, Q_CHAIN, Q_LOOP) = _FUSED
+ Q_RETL, Q_CHAIN, Q_LOOP, Q_CALLADD) = _FUSED
 # Each fusible run of stored ops and the fused op that runs it. A fused op's
 # arg is the run's operands in order, or its one operand alone.
 _RUNS = {
@@ -116,6 +127,51 @@ _RUNS = {
 _HEADS = frozenset(run[:2] for run in _RUNS)
 _STEPS = frozenset((Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA))
 _JUMPS = (O_JZ, O_JMP, Q_JZL, Q_JZA)  # each one's target is its last operand
+_SITE_TAIL = [O_LLOC, O_ADD, O_SLOC]  # what follows the ``call`` of a fusible call site
+# One getter per index tuple, so that two quickenings of one body compare equal:
+# an ``itemgetter`` compares by identity. It holds one entry per operand layout
+# the loaded programs' call sites use.
+_TAKERS: dict[tuple, itemgetter] = {}
+
+
+def _taker(idx: tuple) -> itemgetter:
+    """The getter whose result on a tuple ``row`` is ``tuple(row[i] for i in idx)``.
+
+    A run of consecutive indices, such as every site of arity 0 or 1, takes a
+    slice, which is ``row`` itself when it spans all of it.
+    """
+    take = _TAKERS.get(idx)
+    if take is None:
+        start = idx[0] if idx else 0
+        if idx == tuple(range(start, start + len(idx))):
+            take = itemgetter(slice(start, start + len(idx)))
+        else:
+            take = itemgetter(*idx)
+        take = _TAKERS.setdefault(idx, take)  # racing first quickenings share one getter
+    return take
+
+
+def _call_sites(code: tuple, ops: list) -> dict:
+    """Stored pc of each fusible call site's first op -> (stored pc past it, its fused arg).
+
+    A site is ``(loadarg i | pushconst k) * arity; call M; loadlocal a; add;
+    storelocal b``, and its ``Q_CALLADD`` arg is ``(key, take, consts, a, b)``:
+    ``consts`` holds the site's constants in order, an ``args[i]`` operand is
+    at ``len(consts) + i`` of ``consts + args``, and ``take`` picks the
+    callee's argument tuple out of that.
+    """
+    sites = {}
+    for pc, (op, arg) in enumerate(code):
+        if op == O_CALL and ops[pc + 1:pc + 4] == _SITE_TAIL:
+            start = pc - arg.arity
+            if start >= 0 and all(o == O_PUSH or o == O_LARG for o in ops[start:pc]):
+                operands = code[start:pc]
+                consts = tuple(k for o, k in operands if o == O_PUSH)
+                nth = iter(range(len(consts)))
+                idx = tuple(next(nth) if o == O_PUSH else len(consts) + i for o, i in operands)
+                sites[start] = pc + 4, (arg.key, _taker(idx), consts, code[pc + 1][1],
+                                        code[pc + 3][1])
+    return sites
 
 
 def quicken(code: tuple) -> tuple:
@@ -131,18 +187,30 @@ def quicken(code: tuple) -> tuple:
     1),), c)`` and an ``O_JMP`` back to it becomes ``Q_LOOP (c, a, steps,
     exit offset)`` when no jump lands on the three ops after it, which stay
     in place and never run. Jumps stay relative, counted in the quickened
-    form. A body with nothing to fuse is its own quickened form: ``code``
-    itself, not a copy.
+    form. A call site ``(loadarg i | pushconst k) * arity; call M;
+    loadlocal a; add; storelocal b`` that no jump enters past its first op
+    becomes ``Q_CALLADD (key, take, consts, a, b)``; no run of ``_RUNS``
+    can overlap a site, so a site is tried first. ``take`` is the process's
+    one getter for the site's operand layout, so two quickenings of one
+    body compare equal. A body with nothing to fuse is its own quickened
+    form: ``code`` itself, not a copy.
     """
     ops = [op for op, _ in code]
     # A body with no adjacent pair that starts a run returns here: about 1 us,
-    # not 8, for the six-op leaf that session_churn loads on every cycle.
+    # not 8, for the six-op leaf that session_churn loads on every cycle. A
+    # fusible call site holds ``loadlocal; add``, the head of Q_ADDL's run, so
+    # no body with one returns here.
     if _HEADS.isdisjoint(zip(ops, ops[1:])):
         return code
     targets = {pc + arg for pc, (op, arg) in enumerate(code) if op == O_JZ or op == O_JMP}
+    sites = _call_sites(code, ops)
     out, at, pc = [], {}, 0  # ``at``: stored pc -> quickened pc, where an op starts
     while pc < len(code):
         at[pc] = len(out)
+        if pc in sites and targets.isdisjoint(range(pc + 1, sites[pc][0])):
+            pc, arg = sites[pc]
+            out.append((Q_CALLADD, arg))
+            continue
         for width in (4, 3, 2):
             fused = _RUNS.get(tuple(ops[pc:pc + width]))
             if fused is not None and targets.isdisjoint(range(pc + 1, pc + width)):
@@ -370,9 +438,9 @@ class VM:
                         pc += 1
                     elif op == Q_RETL:
                         return loc[arg]
-                    elif op == Q_ADDL:
-                        a, b = arg
-                        r = pop() + loc[a]
+                    elif op == Q_CALLADD:
+                        key, take, consts, a, b = arg
+                        r = call(thread, key, take(consts + args)) + loc[a]
                         loc[b] = r if lo <= r <= hi else wrap(r)
                         pc += 1
                     elif op == Q_JZA:
@@ -405,6 +473,11 @@ class VM:
                     elif op == Q_SETK:
                         k, b = arg
                         loc[b] = k
+                        pc += 1
+                    elif op == Q_ADDL:
+                        a, b = arg
+                        r = pop() + loc[a]
+                        loc[b] = r if lo <= r <= hi else wrap(r)
                         pc += 1
                     elif op == Q_JZL:
                         a, off = arg

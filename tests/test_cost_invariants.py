@@ -443,7 +443,35 @@ def test_each_trip_of_a_counted_loop_costs_the_interpreter_at_most_40_opcodes():
     assert per_trip <= 40, (counts, per_trip)
 
 
-def test_interpreted_fleet_traffic_runs_at_most_300000_opcodes():
+def _call_sites(arity: int, n_sites: int) -> str:
+    """``cost.Site.f(int,int,int)``: ``n_sites`` call sites of ``cost.Site.g``, of ``arity``,
+    each site's operands alternately a constant and an argument."""
+    params = ",".join(["int"] * arity)
+    operands = [f"loadarg {j}" if j % 2 else f"pushconst {j + 5}" for j in range(arity)]
+    site = [*operands, f"call cost.Site.g({params})", "loadlocal 0", "add", "storelocal 0"]
+    lines = ["loadarg 0", "storelocal 0", *site * n_sites, "loadlocal 0", "ret"]
+    return "\n".join(["class cost.Site", f"  method g({params})", "    pushconst 1", "    ret",
+                      "  method f(int,int,int)", *(f"    {line}" for line in lines)])
+
+
+def test_a_fused_call_site_costs_its_caller_the_same_for_any_arity():
+    caller = {}  # (arity, sites) -> opcodes of the caller's own interpreter frame
+    for arity in range(4):
+        for n_sites in (1, 2, 3):
+            vm = VM(load_program(_call_sites(arity, n_sites)))
+            vm.jit_compile(f"cost.Site.g({','.join(['int'] * arity)})")  # runs no VM.interpret
+            thread = vm.new_thread()
+            assert vm.invoke(thread, "cost.Site.f(int,int,int)", (5, 6, 7)) == 5 + n_sites
+            split = opcode_split(vm.invoke, thread, "cost.Site.f(int,int,int)", (5, 6, 7))
+            caller[arity, n_sites] = split["VM.interpret"]
+    added = {caller[arity, n + 1] - caller[arity, n] for arity in range(4) for n in (1, 2)}
+    # a dispatch for each operand would add about 35 per argument
+    assert len({caller[arity, 1] for arity in range(4)}) == 1, caller
+    assert len(added) == 1 and added.pop() > 0, caller
+
+
+def _fleet_traffic_opcodes() -> int:
+    """Opcodes of 300 root calls of fleet traffic, once every record they reach is quickened."""
     work = gen_workload(n_classes=100, methods_per_class=10, seed=1234)
     calls = work.traffic(300, seed=5)
     vm = VM(work.program.instantiate())
@@ -456,9 +484,22 @@ def test_interpreted_fleet_traffic_runs_at_most_300000_opcodes():
     run()  # builds and quickens every record the traffic reaches
     count = opcodes(run)
     assert opcodes(run) == count
+    return count
+
+
+def test_interpreted_fleet_traffic_runs_at_most_300000_opcodes():
+    count = _fleet_traffic_opcodes()
     print(f"COUNT fleet-traffic {count:,} opcodes for 300 interpreted root calls (<= 300,000)")
     # a dispatch for each op of a loop's every trip ran 339,973
     assert count <= 300_000, count
+
+
+def test_interpreted_fleet_traffic_with_fused_call_sites_runs_at_most_255000_opcodes():
+    count = _fleet_traffic_opcodes()
+    print(f"COUNT fleet-traffic-call-sites {count:,} opcodes for 300 interpreted root calls "
+          f"(<= 255,000)")
+    # four or five dispatches for each of the traffic's 291 call sites ran 280,147
+    assert count <= 255_000, count
 
 
 CALLER = """

@@ -11,8 +11,10 @@ from itertools import combinations
 import pytest
 
 from tracevm import (EntryPoint, EventSink, MethodRef, TargetSet, TraceAction, TraceEngine, VM,
-                     load_program)
+                     load_program, parse_program)
+from tracevm import vm as vm_module
 from tracevm.engine import INTERCEPT_REF
+from tracevm.vm import Q_CALLADD
 
 SRC = """
 class app.Main
@@ -205,3 +207,48 @@ def test_wrapped_values_reach_the_trace_as_the_interpreter_gives_them(refeval):
     captured = [event for event in runs[1][1] if event[0] == "args"]
     assert len(captured) == 2 * len(args)
     assert all(-(2**63) <= value <= I64_MAX for event in captured for value in (*event[2], event[3]))
+
+
+SITE_SRC = """
+class app.Site
+  method leaf(int,int)
+    loadarg 0
+    loadarg 1
+    sub
+    ret
+  method top(int)
+    loadarg 0
+    storelocal 0
+    pushconst 9
+    loadarg 0
+    call app.Site.leaf(int,int)
+    loadlocal 0
+    add
+    storelocal 0
+    loadlocal 0
+    ret
+"""
+
+
+def test_a_fused_call_site_emits_the_events_of_its_stored_ops(monkeypatch, refeval):
+    top, leaf = "app.Site.top(int)", "app.Site.leaf(int,int)"
+    assert Q_CALLADD in [op for op, _ in vm_module.quicken(load_program(SITE_SRC).lookup(top).code)]
+    acts = (TraceAction.TIME_METHOD, TraceAction.CAPTURE_STACK)
+    args = (4, -3, 2**62)
+    runs = []
+    for fused in (True, False):
+        if not fused:  # the interpreter runs the stored ops, one dispatch each
+            monkeypatch.setattr(vm_module, "quicken", lambda code: code)
+        vm = VM(load_program(SITE_SRC))
+        engine = TraceEngine(vm, EventSink())
+        engine.apply(TargetSet([(MethodRef.parse(leaf), acts)]))
+        thread = vm.new_thread()
+        results = [vm.invoke(thread, top, (n,)) for n in args]
+        assert vm.interpreted_calls == 2 * len(args)
+        runs.append((results, [refeval.normalise_event(e) for e in engine.drain().events]))
+    assert runs[0] == runs[1]
+    ref, events = refeval.RefEval(parse_program(SITE_SRC)), []
+    results = [ref.run(top, (n,), {leaf: {refeval.STACK, refeval.TIME}}, events) for n in args]
+    assert runs[0] == (results, events)
+    # the interpreted caller's frame is in the captured stack
+    assert runs[0][1][:2] == [("stack", leaf, (INTERCEPT_REF.key, leaf, top)), ("time", leaf)]

@@ -60,6 +60,17 @@ def test_healthy_canary_promotes(small_workload):
     assert config.rollout_fraction == 1.0
 
 
+def test_a_canary_that_admitted_nobody_stays_in_canary(small_workload):
+    manager = FleetManager(min_sessions=1, thresholds=Thresholds(crash_rate_max=0.01))
+    config = canary_config(small_workload, fraction=0.0)
+    report = manager.simulate(config, 20, small_workload.program, small_workload.traffic(3),
+                              crash_rate=1.0)
+    # every session ran the traffic, but none ran the config: no evidence either way
+    assert (report.sessions, report.admitted, report.metrics.sessions) == (20, 0, 20)
+    assert report.status_after is ConfigStatus.CANARY
+    assert config.rollout_fraction == 0.0 and report.rolled_back_sessions == 0
+
+
 def test_breach_rolls_back_every_session(small_workload):
     manager = FleetManager(min_sessions=50,
                            thresholds=Thresholds(crash_rate_max=0.01))

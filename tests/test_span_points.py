@@ -11,6 +11,7 @@ import pytest
 
 import tracevm  # noqa: F401 - the bindings below are read from sys.modules
 from tracevm import VM, MethodRef, TargetSet, TraceAction, TraceEngine, load_program, parse_program
+from tracevm.vm import Q_CALLADD, quicken
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -100,6 +101,58 @@ def test_every_call_passes_the_vm_span_points(spans):
     assert stats["vm.call_ref"].count == 5 * 4
     assert tracer.edge_count("vm.interpret", "vm.call_ref", "guard") == 5 * 2
     assert stats["vm.invoke"].count == 5
+
+
+CALL_SITES = """
+class t.S
+  method leaf(int)
+    loadarg 0
+    pushconst 1
+    add
+    ret
+  method pair(int,int)
+    loadarg 0
+    loadarg 1
+    mul
+    ret
+  method top(int)
+    loadarg 0
+    storelocal 0
+    loadarg 0
+    call t.S.leaf(int)
+    loadlocal 0
+    add
+    storelocal 0
+    pushconst 3
+    loadarg 0
+    call t.S.pair(int,int)
+    loadlocal 0
+    add
+    storelocal 0
+    loadlocal 0
+    ret
+"""
+
+
+def test_each_fused_call_site_passes_call_ref_once(spans):
+    """A call site the interpreter runs as one fused op still calls through
+    ``VM.call_ref`` once, or ``vm.call_edges`` silently reads low."""
+    top = "t.S.top(int)"
+    quickened = quicken(load_program(CALL_SITES).lookup(top).code)
+    assert [op for op, _ in quickened].count(Q_CALLADD) == 2
+    vm = VM(load_program(CALL_SITES))
+    thread = vm.new_thread()
+    tracer = spans.Tracer()
+    tracer.enable("guard")
+    try:
+        for n in range(5):
+            assert vm.invoke(thread, top, (n,)) == 5 * n + 1
+    finally:
+        tracer.disable()
+    stats = tracer.merged()
+    assert stats["vm.interpret"].count == 5 * 3
+    assert stats["vm.call_ref"].count == 5 * 2
+    assert tracer.edge_count("vm.interpret", "vm.call_ref", "guard") == 5 * 2
 
 
 def test_control_plane_stub_calls_pass_the_span_points(spans):

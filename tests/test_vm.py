@@ -30,7 +30,7 @@ from tracevm import (
 )
 from tracevm import vm as vm_module
 from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord, wrap_i64
-from tracevm.vm import _RUNS, _STEPS, Q_ADDK, Q_CHAIN, Q_LOOP, Q_MULA, quicken
+from tracevm.vm import _RUNS, _STEPS, Q_ADDK, Q_CALLADD, Q_CHAIN, Q_LOOP, Q_MULA, quicken
 
 COUNTDOWN = """
 class r.R
@@ -691,6 +691,109 @@ def test_random_counted_loops_run_alike_three_ways(refeval):
         _three_ways(src, refeval, [args])
 
     check()
+
+
+# Call sites. ``(loadarg i | pushconst k) * arity; call M; loadlocal a; add;
+# storelocal b`` fuses to one ``Q_CALLADD`` op when no jump lands inside it:
+# it builds the callee's argument tuple, calls through ``call_ref`` and stores
+# the result plus ``loc[a]`` in ``loc[b]``. Each callee reads its arguments
+# in an order that shows a swap.
+_CALLEES = {
+    0: ["pushconst 7"],
+    1: ["loadarg 0"],
+    2: ["loadarg 0", "pushconst 2", "mul", "loadarg 1", "sub"],
+    3: ["loadarg 0", "loadarg 1", "sub", "loadarg 2", "pushconst 3", "mul", "add"],
+}
+
+
+def _callee(arity: int) -> str:
+    return f"q.Q.g{arity}({','.join(['int'] * arity)})"
+
+
+def _operands(kind: str, arity: int) -> list:
+    """The site's operand ops: every constant, every argument (out of order) or both."""
+    const = [f"pushconst {K + j}" for j in range(arity)]
+    arg = [f"loadarg {(2 - j) % 3}" for j in range(arity)]
+    return {"const": const, "arg": arg,
+            "mixed": [(arg if j % 2 else const)[j] for j in range(arity)]}[kind]
+
+
+def _site(operands: list, arity: int, a: int = 0, b: int = 0) -> list:
+    return [*operands, f"call {_callee(arity)}", f"loadlocal {a}", "add", f"storelocal {b}"]
+
+
+def _caller(lines: list) -> str:
+    """``q.Q.f``: ``loc[0] = args[0]``, ``lines``, return ``loc[0]``; then ``g0`` to ``g3``."""
+    methods = [_q(["loadarg 0", "storelocal 0", *lines, "loadlocal 0", "ret"])]
+    for arity, body in _CALLEES.items():
+        methods.append(f"  method {_callee(arity).removeprefix('q.Q.')}")
+        methods += [f"    {line}" for line in [*body, "ret"]]
+    return "\n".join(methods)
+
+
+SITE_ARGS = [(5, 3, -2), (0, -7, 1), (EDGES[0], EDGES[1], 4), (EDGES[1], 2, EDGES[0])]
+
+
+@pytest.mark.parametrize("kind", ["const", "arg", "mixed"])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_a_call_site_fuses_to_one_op_three_ways(arity, kind, refeval):
+    # a value pushed before the site's own operands stays on the stack below them
+    lines = ["pushconst 11", *_site(_operands(kind, arity), arity), "storelocal 1",
+             *_site(_operands(kind, arity), arity, a=1, b=0)]
+    src = _caller(lines)
+    assert _fused_ops(src).count(Q_CALLADD) == 2 and Opcode.CALL not in _fused_ops(src)
+    _three_ways(src, refeval, SITE_ARGS)
+
+
+@pytest.mark.parametrize("kind", ["const", "arg", "mixed"])
+def test_two_quickenings_of_a_call_site_compare_equal(kind):
+    src = _caller([*_site(_operands(kind, 3), 3), *_site(_operands(kind, 1), 1)])
+    first, second = _quickened(src), _quickened(src)
+    # racing first runs and the shared-record tests compare bodies with ``==``
+    assert first == second and first is not second
+    assert [op for op, _ in first].count(Q_CALLADD) == 2
+
+
+@pytest.mark.parametrize("j", range(7), ids=["operand-0", "operand-1", "call", "loadlocal",
+                                             "add", "storelocal", "after"])
+def test_a_jump_into_a_call_site_splits_it(j, refeval):
+    ops = _site(_operands("mixed", 2), 2)
+    depth = [0, 1, 2, 1, 2, 1, 0]  # the stack depth before each op of the site, and after it
+    # when arg 2 is 0, a jz enters the site at its op ``j`` with the stack
+    # depth that op expects, made of copies of arg 1
+    lines = [*["loadarg 1"] * depth[j], "loadarg 2", f"jz {depth[j] + 1 + j:+d}",
+             *["storelocal 1"] * depth[j], *ops]
+    src = _caller(lines)
+    # a jump to the site's first op, or past its last, leaves it whole
+    assert (Q_CALLADD in _fused_ops(src)) == (j in (0, 6)), j
+    _three_ways(src, refeval, [(x, y, c) for x, y in [(5, 3), (EDGES[0], -1)] for c in (0, 1)])
+
+
+def test_a_fused_call_site_wraps_at_the_64_bit_edges(refeval):
+    src = _caller(_site(["loadarg 1"], 1))  # loc[0] = g1(args[1]) + args[0]
+    assert Q_CALLADD in _fused_ops(src)
+    arg_sets = [(x, y, 1) for x, y in itertools.product(EDGES, repeat=2)]
+    results = _three_ways(src, refeval, arg_sets)
+    assert results == [wrap_i64(x + y) for x, y, _ in arg_sets]
+    assert any(not I64_MIN <= x + y <= I64_MAX for x, y, _ in arg_sets)
+
+
+@pytest.mark.parametrize("tail", [
+    ["storelocal 0"],
+    ["loadlocal 0", "sub", "storelocal 0"],
+    ["loadlocal 0", "add", "loadlocal 1", "add", "storelocal 0"],
+    ["loadlocal 0", "add", "ret"],
+], ids=["store", "sub", "add-twice", "add-ret"])
+def test_a_call_of_another_shape_stays_unfused(tail, refeval):
+    src = _caller(["loadarg 1", "storelocal 1", "loadarg 2", f"call {_callee(1)}", *tail])
+    assert Q_CALLADD not in _fused_ops(src) and Opcode.CALL in _fused_ops(src)
+    _three_ways(src, refeval, SITE_ARGS)
+
+
+def test_a_call_whose_operand_is_no_constant_or_argument_stays_unfused(refeval):
+    src = _caller(["loadlocal 0", f"call {_callee(1)}", "loadlocal 0", "add", "storelocal 0"])
+    assert Q_CALLADD not in _fused_ops(src) and Opcode.CALL in _fused_ops(src)
+    _three_ways(src, refeval, SITE_ARGS)
 
 
 def _late(op: str) -> str:
