@@ -170,15 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_ablate = sub.add_parser("ablate", help="compare tracing modes on one workload")
-    p_ablate.add_argument("--classes", type=int, default=40)
-    p_ablate.add_argument("--methods", type=int, default=25)
+    p_ablate.add_argument("--classes", type=_at_least(2), default=40)
+    p_ablate.add_argument("--methods", type=_at_least(1), default=25)
     p_ablate.add_argument("--targets", type=int, default=5)
     p_ablate.add_argument("--seed", type=int, default=1234)
-    p_ablate.add_argument("--calls", type=int, default=20_000,
+    p_ablate.add_argument("--calls", type=_at_least(1), default=20_000,
                           help="timed calls per latency probe")
     p_ablate.add_argument("--warmup", type=_at_least(0), default=2_000)
     p_ablate.add_argument("--traffic", type=_at_least(0), default=2_000)
-    p_ablate.add_argument("--reps", type=int, default=5,
+    p_ablate.add_argument("--reps", type=_at_least(1), default=5,
                           help="activation repetitions for the startup median")
     p_ablate.add_argument("--modes", nargs="+",
                           default=[m.value for m in AblationMode],

@@ -11,35 +11,34 @@ at once, and every compiled method lowers its own body on its first call.
 
 The interpreter runs each call in one Python frame, over the quickened form
 of the record's ``code``: ``quicken`` fuses each run of stored ops listed in
-``_RUNS`` into one op whose arg holds the run's operands: ``loadlocal a;
-add; storelocal b``, ``pushconst | loadarg; storelocal``, ``loadlocal |
-loadarg; jz`` and ``loadlocal; ret``. The four-op ``loadlocal a; pushconst k
-| loadarg i; add | sub | mul; storelocal b``, ``loc[b] = loc[a] OP k`` (or
-``OP args[i]``), becomes a step of an accumulator chain, ``Q_CHAIN``: the
-steps after it join its chain while each reads and writes the local ``b``
-and no jump lands on it. The loop keeps the running value in a Python local
-and writes ``loc[b]`` once, so a straight-line run of arithmetic on one
-local pays one dispatch in all, not one per step. A counted loop, ``Q_JZL
-c`` to the exit, a chain on a local ``a`` other than ``c``, ``loc[c] -= 1``
-and a ``jmp`` back, becomes one ``Q_LOOP`` when no jump lands inside it: it
-runs the chain ``loc[c] mod 2**64`` times, as the stored loop does, writes
-``loc[a]`` once, sets ``loc[c]`` to 0 and jumps to the exit. A call site,
-``(loadarg i | pushconst k) * arity; call M; loadlocal a; add; storelocal
-b``, the one call shape ``gen_workload`` emits, becomes one ``Q_CALLADD``
-whose arg is ``(key, take, consts, a, b)``: ``take(consts + args)`` builds
-the callee's argument tuple in C, and the op stores ``call_ref(...) +
-loc[a]`` in ``loc[b]``. The callee is still reached through ``call_ref`` and
-``_dispatch``, so events, frames and results are those of the stored ops.
-Each fused op but ``Q_ADDL``, which runs only at a call site that does
-not fuse, lowers the opcodes of fleet traffic; dropping any one raises them.
-Jumps stay relative, counted in the quickened form, and a jump target inside
-a run ends the run. A body with nothing to fuse, such as a late ``leaf`` of
-pure stack ops, is its own quickened form. The form is built on a method's
-first interpretation, never at parse time, and kept in
-``MethodRecord.quickened``: the program's shared record holds the one copy,
-which every registry of the program takes, on a private record too. Both
-forms are exact ``(int_op, arg)`` tuples: CPython 3.11 specialises
-``code[pc]`` (``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
+``_RUNS`` into one op whose arg holds the run's operands: ``pushconst |
+loadarg; storelocal``, ``loadarg; jz`` and ``loadlocal; ret``. The four-op
+``loadlocal a; pushconst k | loadarg i; add | sub | mul; storelocal b``,
+``loc[b] = loc[a] OP k`` (or ``OP args[i]``), becomes a step of an
+accumulator chain, ``Q_CHAIN``: the steps after it join its chain while
+each reads and writes the local ``b`` and no jump lands on it. The loop
+keeps the running value in a Python local and writes ``loc[b]`` once, so a
+straight-line run of arithmetic on one local pays one dispatch in all, not
+one per step. A call site, ``(loadarg i | pushconst k) * arity; call M;
+loadlocal a; add; storelocal b``, the one call shape ``gen_workload`` emits,
+becomes one ``Q_CALLADD`` whose arg is ``(key, take, consts, a, b)``:
+``take(consts + args)`` builds the callee's argument tuple in C, and the op
+stores ``call_ref(...) + loc[a]`` in ``loc[b]``. The callee is still reached
+through ``call_ref`` and ``_dispatch``, so events, frames and results are
+those of the stored ops. A counted loop, ``loadlocal c; jz`` to the exit, a
+chain on a local ``a`` other than ``c``, ``loc[c] -= 1`` and a ``jmp`` back,
+becomes one ``Q_LOOP`` when no jump lands inside it: it runs the chain
+``loc[c] mod 2**64`` times, as the stored loop does, writes ``loc[a]`` once,
+sets ``loc[c]`` to 0 and jumps to the exit. Each fused op occurs in
+``fleet_canary``'s program and lowers the opcodes of its traffic. Jumps stay
+relative, counted in the quickened form, and a jump target inside a run
+ends the run. A body with nothing to fuse, such as a late ``leaf`` of pure
+stack ops, is its own quickened form. The form is built on a method's first
+interpretation, never at parse time, and kept in ``MethodRecord.quickened``:
+the program's shared record holds the one copy, which every registry of the
+program takes, on a private record too. Both forms are exact ``(int_op,
+arg)`` tuples: CPython 3.11 specialises ``code[pc]``
+(``BINARY_SUBSCR_TUPLE_INT``), ``op, arg = ...``
 (``UNPACK_SEQUENCE_TWO_TUPLE``) and ``op == O_X`` only on exact tuples and
 ints. The loop reads the opcode names as module globals and asks first
 whether an op is fused (every op fleet traffic runs); each branch, and a
@@ -105,11 +104,12 @@ def _ensure_stack_headroom(max_depth: int) -> None:
 # loop's one ``op > O_RET`` test tells the two kinds apart. The six
 # arithmetic ones, ``_STEPS``, run only as the steps of a ``Q_CHAIN`` or a
 # ``Q_LOOP``.
-_FUSED = tuple(range(O_RET + 1, O_RET + 16))
-(Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_ADDL, Q_SETK, Q_SETA, Q_JZL, Q_JZA,
- Q_RETL, Q_CHAIN, Q_LOOP, Q_CALLADD) = _FUSED
+_FUSED = tuple(range(O_RET + 1, O_RET + 14))
+(Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA, Q_SETK, Q_SETA, Q_JZA, Q_RETL, Q_CHAIN,
+ Q_LOOP, Q_CALLADD) = _FUSED
 # Each fusible run of stored ops and the fused op that runs it. A fused op's
-# arg is the run's operands in order, or its one operand alone.
+# arg is the run's operands in order, or its one operand alone. No run ends
+# in ``pushconst`` or ``loadarg``, so a call site's operands are single ops.
 _RUNS = {
     (O_LLOC, O_PUSH, O_ADD, O_SLOC): Q_ADDK,  # loc[b] = loc[a] + k
     (O_LLOC, O_PUSH, O_SUB, O_SLOC): Q_SUBK,
@@ -117,17 +117,17 @@ _RUNS = {
     (O_LLOC, O_LARG, O_ADD, O_SLOC): Q_ADDA,  # loc[b] = loc[a] + args[i]
     (O_LLOC, O_LARG, O_SUB, O_SLOC): Q_SUBA,
     (O_LLOC, O_LARG, O_MUL, O_SLOC): Q_MULA,
-    (O_LLOC, O_ADD, O_SLOC): Q_ADDL,          # loc[b] = pop() + loc[a]
     (O_PUSH, O_SLOC): Q_SETK,                 # loc[b] = k
     (O_LARG, O_SLOC): Q_SETA,                 # loc[b] = args[i]
-    (O_LLOC, O_JZ): Q_JZL,                    # jump if loc[a] == 0
     (O_LARG, O_JZ): Q_JZA,                    # jump if args[i] == 0
     (O_LLOC, O_RET): Q_RETL,                  # return loc[a]
 }
-_HEADS = frozenset(run[:2] for run in _RUNS)
-_STEPS = frozenset((Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA))
-_JUMPS = (O_JZ, O_JMP, Q_JZL, Q_JZA)  # each one's target is its last operand
 _SITE_TAIL = [O_LLOC, O_ADD, O_SLOC]  # what follows the ``call`` of a fusible call site
+# The adjacent pairs that start something to fuse: a run's first two ops, or
+# a call site's ``call; loadlocal``. A loop holds a chain, so it has a run.
+_HEADS = frozenset([*(run[:2] for run in _RUNS), (O_CALL, O_LLOC)])
+_STEPS = frozenset((Q_ADDK, Q_SUBK, Q_MULK, Q_ADDA, Q_SUBA, Q_MULA))
+_JUMPS = (O_JZ, O_JMP, Q_JZA)  # each one's target is its last operand
 # One getter per index tuple, so that two quickenings of one body compare equal:
 # an ``itemgetter`` compares by identity. It holds one entry per operand layout
 # the loaded programs' call sites use.
@@ -151,74 +151,60 @@ def _taker(idx: tuple) -> itemgetter:
     return take
 
 
-def _call_sites(code: tuple, ops: list) -> dict:
-    """Stored pc of each fusible call site's first op -> (stored pc past it, its fused arg).
+def quicken(code: tuple) -> tuple:
+    """The body ``VM.interpret`` runs: ``code`` with its fusible runs fused.
 
-    A site is ``(loadarg i | pushconst k) * arity; call M; loadlocal a; add;
-    storelocal b``, and its ``Q_CALLADD`` arg is ``(key, take, consts, a, b)``:
-    ``consts`` holds the site's constants in order, an ``args[i]`` operand is
-    at ``len(consts) + i`` of ``consts + args``, and ``take`` picks the
-    callee's argument tuple out of that.
+    One pass over the stored ops fuses runs and call sites. At each op the
+    longest run in ``_RUNS`` wins, and a jump target inside a run ends it, so
+    every target starts an op. Each run fused to one of ``_STEPS`` becomes a
+    step of a ``Q_CHAIN`` op, ``(a, steps, b)``, whose ``steps`` hold each
+    one's ``(fused op, k or i)``: it joins the chain just before it when it
+    reads and writes that chain's ``b`` and is no jump target, and starts a
+    chain of its own otherwise. At a call site's ``call``, ``(loadarg i |
+    pushconst k) * arity; call M; loadlocal a; add; storelocal b`` that no
+    jump enters past its first op, the pass takes back the operands it has
+    just emitted, each a single stored op, and emits ``Q_CALLADD (key, take,
+    consts, a, b)``: ``consts`` holds the site's constants in order, an
+    ``args[i]`` operand is at ``len(consts) + i`` of ``consts + args``, and
+    ``take``, the process's one getter for that layout, picks the callee's
+    arguments out of it, so two quickenings of one body compare equal. Jumps
+    stay relative, counted in the quickened form. Then a stored ``loadlocal
+    c; jz`` to the exit, a chain ``(a, steps, a)`` with ``a != c``, the chain
+    ``(c, ((Q_SUBK, 1),), c)`` and an ``O_JMP`` back to the ``loadlocal``
+    become ``Q_LOOP (c, a, steps, exit offset)`` when no jump lands on the
+    four ops after it, which stay in place and never run. A body with
+    nothing to fuse is its own quickened form: ``code`` itself, not a copy.
     """
-    sites = {}
-    for pc, (op, arg) in enumerate(code):
+    ops = [op for op, _ in code]
+    # A body with no adjacent pair that starts a fusible shape returns here:
+    # about 1 us, not 8, for the six-op leaf that session_churn loads on every cycle.
+    if _HEADS.isdisjoint(zip(ops, ops[1:])):
+        return code
+    targets = {pc + arg for pc, (op, arg) in enumerate(code) if op == O_JZ or op == O_JMP}
+    out, at, pc = [], {}, 0  # ``at``: stored pc -> quickened pc, where an op starts
+    while pc < len(code):
+        at[pc] = len(out)
+        op, arg = code[pc]
         if op == O_CALL and ops[pc + 1:pc + 4] == _SITE_TAIL:
             start = pc - arg.arity
-            if start >= 0 and all(o == O_PUSH or o == O_LARG for o in ops[start:pc]):
+            if (start >= 0 and all(o == O_PUSH or o == O_LARG for o in ops[start:pc])
+                    and targets.isdisjoint(range(start + 1, pc + 4))):
+                del out[len(out) - arg.arity:]  # ``at[start]`` is where the site now starts
                 operands = code[start:pc]
                 consts = tuple(k for o, k in operands if o == O_PUSH)
                 nth = iter(range(len(consts)))
                 idx = tuple(next(nth) if o == O_PUSH else len(consts) + i for o, i in operands)
-                sites[start] = pc + 4, (arg.key, _taker(idx), consts, code[pc + 1][1],
-                                        code[pc + 3][1])
-    return sites
-
-
-def quicken(code: tuple) -> tuple:
-    """The body ``VM.interpret`` runs: ``code`` with its fusible runs fused.
-
-    At each op the longest run in ``_RUNS`` wins, and a jump target inside a
-    run ends it, so every target starts an op. Each run fused to one of
-    ``_STEPS`` becomes a step of a ``Q_CHAIN`` op, ``(a, steps, b)``, whose
-    ``steps`` hold each one's ``(fused op, k or i)``: it joins the chain just
-    before it when it reads and writes that chain's ``b`` and is no jump
-    target, and starts a chain of its own otherwise. A ``Q_JZL c`` followed
-    by a chain ``(a, steps, a)`` with ``a != c``, the chain ``(c, ((Q_SUBK,
-    1),), c)`` and an ``O_JMP`` back to it becomes ``Q_LOOP (c, a, steps,
-    exit offset)`` when no jump lands on the three ops after it, which stay
-    in place and never run. Jumps stay relative, counted in the quickened
-    form. A call site ``(loadarg i | pushconst k) * arity; call M;
-    loadlocal a; add; storelocal b`` that no jump enters past its first op
-    becomes ``Q_CALLADD (key, take, consts, a, b)``; no run of ``_RUNS``
-    can overlap a site, so a site is tried first. ``take`` is the process's
-    one getter for the site's operand layout, so two quickenings of one
-    body compare equal. A body with nothing to fuse is its own quickened
-    form: ``code`` itself, not a copy.
-    """
-    ops = [op for op, _ in code]
-    # A body with no adjacent pair that starts a run returns here: about 1 us,
-    # not 8, for the six-op leaf that session_churn loads on every cycle. A
-    # fusible call site holds ``loadlocal; add``, the head of Q_ADDL's run, so
-    # no body with one returns here.
-    if _HEADS.isdisjoint(zip(ops, ops[1:])):
-        return code
-    targets = {pc + arg for pc, (op, arg) in enumerate(code) if op == O_JZ or op == O_JMP}
-    sites = _call_sites(code, ops)
-    out, at, pc = [], {}, 0  # ``at``: stored pc -> quickened pc, where an op starts
-    while pc < len(code):
-        at[pc] = len(out)
-        if pc in sites and targets.isdisjoint(range(pc + 1, sites[pc][0])):
-            pc, arg = sites[pc]
-            out.append((Q_CALLADD, arg))
-            continue
-        for width in (4, 3, 2):
+                out.append((Q_CALLADD, (arg.key, _taker(idx), consts, code[pc + 1][1],
+                                        code[pc + 3][1])))
+                pc += 4
+                continue
+        for width in (4, 2):
             fused = _RUNS.get(tuple(ops[pc:pc + width]))
             if fused is not None and targets.isdisjoint(range(pc + 1, pc + width)):
                 break
         else:
             width, fused = 1, None
         if fused is None:  # a jump keeps its stored target until ``at`` is whole
-            op, arg = code[pc]
             out.append((op, pc + arg) if op == O_JZ or op == O_JMP else code[pc])
         else:
             operands = [arg for _, arg in code[pc:pc + width] if arg is not None]
@@ -243,15 +229,14 @@ def quicken(code: tuple) -> tuple:
         elif op == Q_CHAIN:
             out[i] = (op, (arg[0], tuple(arg[1]), arg[2]))
     landed = {at[target] for target in targets}
-    for i, (op, arg) in enumerate(out[:-3]):
-        if op == Q_JZL:
-            c, off = arg
-            (body_op, body), decrement, back = out[i + 1:i + 4]
-            if (body_op == Q_CHAIN and body[0] == body[2] != c
-                    and decrement == (Q_CHAIN, (c, ((Q_SUBK, 1),), c)) and back == (O_JMP, -3)
-                    and landed.isdisjoint((i + 1, i + 2, i + 3))):
-                # the loop's three ops stay in place, dead, so no jump offset moves
-                out[i] = (Q_LOOP, (c, body[0], body[1], off))
+    for i, (op, c) in enumerate(out[:-4]):
+        if op == O_LLOC:
+            (test, off), (body_op, body), decrement, back = out[i + 1:i + 5]
+            if (test == O_JZ and body_op == Q_CHAIN and body[0] == body[2] != c
+                    and decrement == (Q_CHAIN, (c, ((Q_SUBK, 1),), c)) and back == (O_JMP, -4)
+                    and landed.isdisjoint(range(i + 1, i + 5))):
+                # the loop's four ops stay in place, dead, so no jump offset moves
+                out[i] = (Q_LOOP, (c, body[0], body[1], off + 1))
     return tuple(out)
 
 
@@ -474,14 +459,6 @@ class VM:
                         k, b = arg
                         loc[b] = k
                         pc += 1
-                    elif op == Q_ADDL:
-                        a, b = arg
-                        r = pop() + loc[a]
-                        loc[b] = r if lo <= r <= hi else wrap(r)
-                        pc += 1
-                    elif op == Q_JZL:
-                        a, off = arg
-                        pc = pc + off if loc[a] == 0 else pc + 1
                     else:  # pragma: no cover - quicken emits only known opcodes
                         raise VMInternalError(f"unknown opcode {op} at pc {pc}")
                 elif op == O_PUSH:

@@ -232,11 +232,12 @@ def test_ablate_rejects_modes_with_no_mode(capsys):
 
 @pytest.mark.parametrize("calls", ["0", "-5"])
 def test_ablate_without_timed_calls_fails_cleanly(calls, capsys):
-    code = main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",
-                 "--calls", calls, "--reps", "1", "--modes", "baseline"])
-    assert code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",
+              "--calls", calls, "--reps", "1", "--modes", "baseline"])
+    assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "error: latency_calls must be at least 1" in err and "Traceback" not in err
+    assert f"{calls} is below 1" in err and "Traceback" not in err
 
 
 def test_fleet_reports_rollout(capsys):
@@ -284,6 +285,17 @@ def test_ablate_rejects_a_negative_call_count(flag, value, capsys):
               "--reps", "1", "--modes", "baseline", flag, value])
     assert info.value.code == 2
     assert f"{value} is below 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,minimum", [("--calls", "0", 1), ("--reps", "0", 1),
+                                                ("--classes", "1", 2), ("--methods", "0", 1)])
+def test_ablate_rejects_a_count_below_its_minimum(flag, value, minimum, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--classes", "4", "--methods", "3", "--targets", "2",
+              "--calls", "10", "--warmup", "0", "--traffic", "0", "--reps", "1",
+              "--modes", "baseline", flag, value])
+    assert info.value.code == 2
+    assert f"{value} is below {minimum}" in capsys.readouterr().err
 
 
 def test_fleet_with_no_sessions_stays_canary(capsys):

@@ -26,11 +26,13 @@ from tracevm import (
     TraceEngine,
     VM,
     VMInternalError,
+    gen_workload,
     load_program,
 )
 from tracevm import vm as vm_module
 from tracevm.core import _OPCODE_TABLE, I64_MAX, I64_MIN, MethodRecord, wrap_i64
-from tracevm.vm import _RUNS, _STEPS, Q_ADDK, Q_CALLADD, Q_CHAIN, Q_LOOP, Q_MULA, quicken
+from tracevm.vm import (_FUSED, _RUNS, _STEPS, Q_ADDK, Q_CALLADD, Q_CHAIN, Q_LOOP, Q_MULA,
+                        quicken)
 
 COUNTDOWN = """
 class r.R
@@ -440,6 +442,17 @@ def test_every_fused_op_wraps_at_the_64_bit_edges(run, refeval):
                for x, y, _ in arg_sets)
 
 
+def test_every_fused_op_appears_in_the_fleet_canary_program():
+    # a fused op that no body of fleet_canary's program quickens to never runs there
+    program = gen_workload(n_classes=100, methods_per_class=10, seed=1234).program
+    seen = set()
+    for spec in program.specs.values():
+        for op, arg in quicken(spec.code):
+            steps = arg[1] if op == Q_CHAIN else arg[2] if op == Q_LOOP else ()
+            seen.update([op, *(step for step, _ in steps)])
+    assert set(_FUSED) - seen == set()
+
+
 # Accumulator chains. Each fused arithmetic run is a step of a ``Q_CHAIN`` op,
 # ``(a, steps, b)``. The runs after it join its chain while each reads and
 # writes the chain's local ``b`` and no jump lands on it, so a straight-line
@@ -571,14 +584,17 @@ def _loop(count: str, steps, *, enter_at: int | None = None) -> str:
     """``q.Q.f``: local 0 = arg 0, local 1 = ``count``, the loop over ``steps``, ``_EXIT``.
 
     ``steps`` are ``(op, operand)`` pairs on local 0. With ``enter_at``, a
-    ``jz`` taken when arg 2 is 0 jumps to that op of the loop's five: its
-    head, body, decrement, ``jmp`` or exit.
+    ``jz`` taken when arg 2 is 0 jumps to that op of the loop's six: its
+    head's ``loadlocal`` or ``jz``, body, decrement, ``jmp`` or exit. A jump
+    to the ``jz`` carries the counter, which it pops.
     """
     body = [line for op, operand in steps for line in _step(op, operand)]
     n = len(body)
     lines = ["loadarg 0", "storelocal 0", count, "storelocal 1"]
     if enter_at is not None:
-        lines += ["loadarg 2", f"jz {(0, 2, 2 + n, 6 + n, 7 + n)[enter_at] + 1:+d}"]
+        carry = ["loadlocal 1"] if enter_at == 1 else []
+        offset = (0, 1, 2, 2 + n, 6 + n, 7 + n)[enter_at] + 1 + len(carry)
+        lines += [*carry, "loadarg 2", f"jz {offset:+d}", *["storelocal 1"] * len(carry)]
     lines += ["loadlocal 1", f"jz {n + 6:+d}", *body,
               *_step("sub", "pushconst 1", a=1, b=1), f"jmp {-(n + 6):+d}"]
     return _q([*lines, *_EXIT])
@@ -643,8 +659,8 @@ def test_a_counted_loop_takes_its_count_mod_2_64(count, monkeypatch):
 
 
 @pytest.mark.parametrize("enter_at, fused", [(0, True), (1, False), (2, False), (3, False),
-                                             (4, True)],
-                         ids=["head", "body", "decrement", "jmp", "exit"])
+                                             (4, False), (5, True)],
+                         ids=["head", "jz", "body", "decrement", "jmp", "exit"])
 def test_a_jump_into_a_counted_loop_keeps_its_stored_ops(enter_at, fused, refeval):
     src = _loop("pushconst 3", LOOP_STEPS, enter_at=enter_at)
     assert bool(_loops(src)) == fused
@@ -790,6 +806,15 @@ def test_a_call_of_another_shape_stays_unfused(tail, refeval):
     _three_ways(src, refeval, SITE_ARGS)
 
 
+def test_a_body_whose_only_fusible_shape_is_a_call_site_fuses_it(refeval):
+    # no pair of adjacent ops starts a run: the early exit must see ``call; loadlocal``
+    lines = ["loadarg 0", f"call {_callee(1)}", "loadlocal 0", "add", "storelocal 0",
+             "pushconst 0", "ret"]
+    src = "\n".join([_q(lines), "  method g1(int)", "    loadarg 0", "    ret"])
+    assert [op for op, _ in _quickened(src)] == [Q_CALLADD, Opcode.PUSH_CONST, Opcode.RETURN]
+    assert _three_ways(src, refeval, SITE_ARGS) == [0] * len(SITE_ARGS)
+
+
 def test_a_call_whose_operand_is_no_constant_or_argument_stays_unfused(refeval):
     src = _caller(["loadlocal 0", f"call {_callee(1)}", "loadlocal 0", "add", "storelocal 0"])
     assert Q_CALLADD not in _fused_ops(src) and Opcode.CALL in _fused_ops(src)
@@ -846,7 +871,7 @@ def test_a_body_with_nothing_to_fuse_is_its_own_quickened_form(body, value):
     vm.registry.load(tracevm.parse_program(late))
     assert vm.invoke(vm.new_thread(), "app.Late1.leaf(int)", (5,)) == value
     record = vm.registry.lookup("app.Late1.leaf(int)")
-    assert record.quickened is record.code
+    assert record.quickened is record.code and quicken(record.code) is record.code
 
 
 @pytest.mark.parametrize("shared_vm", [True, False], ids=["one-vm", "two-registries"])
