@@ -208,6 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ablate" and not 2 <= args.targets <= args.classes * args.methods // 2:
+        parser.error(f"argument --targets: {args.targets} is outside "
+                     f"2..{args.classes * args.methods // 2}, half of --classes x --methods")
     try:
         return args.func(args)
     except (TraceVMError, OSError) as exc:

@@ -29,16 +29,16 @@ wrapped by ``(t if _lo <= (t := x) <= _hi else _w(t))``, where ``_w`` is
 passed to a call, tested by ``jz``, or left in a slot or local at a block
 exit, so every block starts from wrapped state. An operation whose width
 would pass ``_WIDE`` is wrapped in place, which keeps the ints a few digits
-long. Calls go back through ``vm.call_ref``, naming the callee by its key,
-written with ``repr`` so any signature token is escaped, and passing the
-arguments in a tuple display, so the callee's own entry point still decides
-how the callee runs. The text is one fixed ``def _lowered`` that names no
-method: it depends on ``code`` alone (the loader derives ``n_locals`` and
-``stack_depths`` from it), so twins lower to one text. The text is compiled,
-never run; its code object is renamed to the method's own name and file name
-and becomes a function in one sealed scope shared by all lowered code,
-``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing parameters. Each
-compiled method lowers its own body on its first call.
+long. Each call site calls ``vm.call_ref`` in place, binding nothing to a
+local, with the callee's key, written with ``repr`` so any signature token
+is escaped, and the arguments in a tuple display: the callee's own entry
+point still decides how it runs. The text is one fixed ``def _lowered`` that
+names no method: it depends on ``code`` alone (the loader derives
+``n_locals`` and ``stack_depths`` from it), so twins lower to one text. It is
+compiled, never run; its code object is renamed to the method's own name and
+file name and becomes a function in one sealed scope shared by all lowered
+code, ``_SCOPE``, with ``_DEFAULTS`` as the values of the trailing
+parameters. Each compiled method lowers its own body on its first call.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ def lower_method(record: MethodRecord):
 
     lines = ["def _lowered(vm, thread, args, _lo, _hi, _w):"]
     body_indent = "    "
-    if any(op == _CALL for op, _ in code):
-        lines.append(f"{body_indent}_call = vm.call_ref")
     # Zero-fill a local unless the entry's straight-line run, which every
     # call executes before its first jump, stores it before reading it.
     first_use = {}
@@ -200,7 +198,7 @@ def lower_method(record: MethodRecord):
                 if arg.arity == 1:
                     call_args += ","
                 del stack[base:]
-                lines.append(f"{indent}s{base} = _call(thread, {arg.key!r}, ({call_args}))")
+                lines.append(f"{indent}s{base} = vm.call_ref(thread, {arg.key!r}, ({call_args}))")
                 stack.append((f"s{base}", 0, 64))
             elif op == _RET:
                 # The entries under the top are pure, so dropping them is safe.

@@ -49,10 +49,11 @@ runs only the first three fused branches, ``Q_CHAIN``, ``Q_SETA`` and
 the probe's cost does not move with the call sites. Arithmetic calls
 ``core.wrap_i64`` only when a result leaves the signed 64-bit range; the
 lowered code defers that check to where a value is observed. The call edge
-``call_ref`` takes the callee's key, which both tiers read off the ``call``
-instruction, and resolves it with one dict get on the registry's private
-records, then one on the program's shared ones, so a fresh VM builds nothing
-for a method another VM of its program has called.
+``call_ref`` takes the callee's key, read off the ``call`` instruction, and
+resolves it with one dict get on the registry's private records, then one on
+the program's shared ones, so a fresh VM builds nothing for a method another
+VM of its program has called. Both tiers call it in place, as the loop calls
+``stack.append`` and ``stack.pop``, so no call builds a bound method.
 """
 
 from __future__ import annotations
@@ -387,10 +388,7 @@ class VM:
         self.interpreted_calls += 1
         code = record.quickened or self._quicken(record)
         stack: list = []
-        push = stack.append
-        pop = stack.pop
         loc = [0] * record.n_locals if record.n_locals else None
-        call = self.call_ref
         lo, hi, wrap = I64_MIN, I64_MAX, wrap_i64
         pc = 0
         try:
@@ -425,7 +423,7 @@ class VM:
                         return loc[arg]
                     elif op == Q_CALLADD:
                         key, take, consts, a, b = arg
-                        r = call(thread, key, take(consts + args)) + loc[a]
+                        r = self.call_ref(thread, key, take(consts + args)) + loc[a]
                         loc[b] = r if lo <= r <= hi else wrap(r)
                         pc += 1
                     elif op == Q_JZA:
@@ -462,7 +460,7 @@ class VM:
                     else:  # pragma: no cover - quicken emits only known opcodes
                         raise VMInternalError(f"unknown opcode {op} at pc {pc}")
                 elif op == O_PUSH:
-                    push(arg)
+                    stack.append(arg)
                     pc += 1
                 elif op == O_CALL:
                     n = arg.arity
@@ -471,35 +469,35 @@ class VM:
                         del stack[-n:]
                     else:
                         cargs = ()
-                    push(call(thread, arg.key, cargs))
+                    stack.append(self.call_ref(thread, arg.key, cargs))
                     pc += 1
                 elif op == O_LARG:
-                    push(args[arg])
+                    stack.append(args[arg])
                     pc += 1
                 elif op == O_ADD:
-                    r = stack[-2] + pop()
+                    r = stack[-2] + stack.pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_MUL:
-                    r = stack[-2] * pop()
+                    r = stack[-2] * stack.pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_SUB:
-                    r = stack[-2] - pop()
+                    r = stack[-2] - stack.pop()
                     stack[-1] = r if lo <= r <= hi else wrap(r)
                     pc += 1
                 elif op == O_RET:
-                    return pop()
+                    return stack.pop()
                 elif op == O_LLOC:
-                    push(loc[arg])
+                    stack.append(loc[arg])
                     pc += 1
                 elif op == O_SLOC:
-                    loc[arg] = pop()
+                    loc[arg] = stack.pop()
                     pc += 1
                 elif op == O_JMP:
                     pc += arg
                 elif op == O_JZ:
-                    pc = pc + arg if pop() == 0 else pc + 1
+                    pc = pc + arg if stack.pop() == 0 else pc + 1
                 else:  # pragma: no cover - quicken emits only known opcodes
                     raise VMInternalError(f"unknown opcode {op} at pc {pc}")
         except IndexError as exc:

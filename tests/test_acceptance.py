@@ -151,7 +151,7 @@ def test_criterion_2_in_exact_counts():
     plain = call_counts(interpreted, thread, [probe, twin])
     assert plain[probe.key] == plain[twin.key]
     if sys.version_info[:2] == (3, 11):  # the count is CPython 3.11's
-        assert plain[twin.key] == 1_582
+        assert plain[twin.key] == 1_573
     TraceEngine(interpreted).apply(TargetSet([(probe, timed)]))
     stub = interpreted.registry.lookup(probe).entry_point
     assert stub is EntryPoint.INSTRUMENTATION_INTERPRETER_STUB

@@ -399,3 +399,14 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage: tracevm" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["1", "7", "-2"])
+def test_ablate_rejects_a_target_count_outside_its_range(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ablate", "--classes", "4", "--methods", "3", "--targets", value,
+              "--calls", "10", "--warmup", "0", "--traffic", "0", "--reps", "1",
+              "--modes", "baseline"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{value} is outside 2..6, half of --classes x --methods" in err

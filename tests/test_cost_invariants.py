@@ -506,6 +506,75 @@ def test_interpreted_fleet_traffic_with_fused_call_sites_runs_at_most_255000_opc
     assert count <= 255_000, count
 
 
+def _call_chain(depth: int) -> str:
+    """``cost.Deep.m0(int)``: a chain of ``depth`` methods, each but the last calling the
+    next at a fused call site, ``loc[0] = m<i+1>(args[0]) + loc[0]``."""
+    lines = ["class cost.Deep"]
+    for i in range(depth - 1):
+        lines += [f"  method m{i}(int)", "    pushconst 0", "    storelocal 0", "    loadarg 0",
+                  f"    call cost.Deep.m{i + 1}(int)", "    loadlocal 0", "    add",
+                  "    storelocal 0", "    loadlocal 0", "    ret"]
+    lines += [f"  method m{depth - 1}(int)", "    loadarg 0", "    ret"]
+    return "\n".join(lines)
+
+
+def call_peak(fn, *args) -> int:
+    """Bytes of traced heap that one ``fn(*args)`` peaks at, over what was there before.
+
+    The collector is off, and a call after the last collection refills the free
+    lists a collection empties, so the count shows what a call builds, not what
+    the collection dropped.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        fn(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        if collecting:
+            gc.enable()
+    return peak - base
+
+
+@functools.cache
+def _call_heap_per_level() -> dict:
+    """Transient heap bytes per level of a call chain on each tier; prints ``COUNT call-heap``."""
+    short, long = 11, 21
+    per_level = {}
+    for tier in ("interpreted", "compiled"):
+        peaks = []
+        for depth in (short, long):
+            vm = VM(load_program(_call_chain(depth)))
+            if tier == "compiled":
+                for i in range(depth):
+                    vm.jit_compile(f"cost.Deep.m{i}(int)")
+            thread = vm.new_thread()
+            assert vm.invoke(thread, "cost.Deep.m0(int)", (5,)) == 5  # quickens or lowers each body
+            peaks.append(call_peak(vm.invoke, thread, "cost.Deep.m0(int)", (5,)))
+        per_level[tier] = (peaks[1] - peaks[0]) / (long - short)
+    print(f"COUNT call-heap {per_level['interpreted']:.1f} B/level interpreted (<= 48), "
+          f"{per_level['compiled']:.1f} B/level compiled (<= 24)")
+    return per_level
+
+
+def test_a_call_builds_no_object_per_frame_on_either_tier():
+    per_level = _call_heap_per_level()
+    assert per_level["interpreted"] > 0  # the frame stack's growth shows
+    if sys.version_info[:2] == (3, 11):  # the figures are CPython 3.11's
+        # a bound method built per call, such as ``call = self.call_ref``, is
+        # 64 bytes: three in the interpreter's prologue ran 222 a level, one
+        # in a lowered body 70
+        assert per_level["interpreted"] <= 48, per_level
+        assert per_level["compiled"] <= 24, per_level
+
+
 CALLER = """
 class cost.Call
   method leaf(int)

@@ -2,6 +2,7 @@ import ctypes
 import dis
 import gc
 import random
+import re
 import sys
 import threading
 
@@ -546,6 +547,25 @@ def test_random_twins_lower_to_one_text_under_their_own_names():
             # every value the code reads is a local, an argument or a constant
             ops = {ins.opname for ins in dis.get_instructions(f)}
             assert not ops & {"LOAD_GLOBAL", "LOAD_NAME"}, (seed, spec.ref.key)
+
+
+def test_a_lowered_call_site_calls_call_ref_in_place():
+    sites_seen = set()
+    for seed in range(40):
+        twinned = _with_twins(gen_random_program(seed)[0])
+        vm = VM(twinned.instantiate())
+        for spec in twinned.specs.values():
+            if spec.ref.class_name == "gen.Q":
+                continue
+            twin = MethodRef("gen.Q", spec.ref.method_name, spec.ref.params)
+            text, twin_text = (lower_method(vm.registry.lookup(ref))[1] for ref in (spec.ref, twin))
+            assert text == twin_text, (seed, spec.ref.key)
+            k = sum(op == Opcode.CALL for op, _ in spec.code)
+            sites_seen.add(k)
+            # each mention of ``vm`` is a call of ``call_ref``, one per site:
+            # the body binds no callable to a local
+            assert re.findall(r"\bvm\.\w+\(?", text) == ["vm.call_ref("] * k, (seed, text)
+    assert {0, 1, 2} <= sites_seen
 
 
 # Signature tokens holding each character a Python string literal must escape.
