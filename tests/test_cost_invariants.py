@@ -543,7 +543,6 @@ def call_peak(fn, *args) -> int:
     return peak - base
 
 
-@functools.cache
 def _call_heap_per_level() -> dict:
     """Transient heap bytes per level of a call chain on each tier; prints ``COUNT call-heap``."""
     short, long = 11, 21
